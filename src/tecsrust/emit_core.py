@@ -64,16 +64,6 @@ def emit_contract(sig: SignatureDef) -> GeneratedFile:
                          WritePolicy.OVERWRITE)
 
 
-def _dedup(seq):
-    seen = set()
-    out = []
-    for x in seq:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
 class _DefinitionContext:
     """Everything emit_definition needs that goes beyond the celltype itself."""
 
@@ -120,7 +110,7 @@ def _definition_imports(ctx: _DefinitionContext) -> List[str]:
                         for _, ct_name in ctx.concrete.values()})
     entry_contracts = sorted({naming.module_name(p.signature_name)
                               for p in ctx.ct.entry_ports})
-    return _dedup(call_contracts + bound_cts + entry_contracts)
+    return list(dict.fromkeys(call_contracts + bound_cts + entry_contracts))
 
 
 def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
@@ -324,7 +314,7 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
     own = [naming.module_name(ct.name)]
     call_contracts = sorted({naming.module_name(p.signature_name) for p in ct.call_ports})
     entry_contracts = sorted({naming.module_name(p.signature_name) for p in ct.entry_ports})
-    imports = _dedup(own + call_contracts + entry_contracts)
+    imports = list(dict.fromkeys(own + call_contracts + entry_contracts))
     lines.append("use crate::{" + ", ".join(m + "::*" for m in imports) + "};")
     lines.append("")
 

@@ -5,10 +5,18 @@ and cell descriptions, plus [generate(...)] directives and bracketed
 modifiers. Anything outside that subset is a clean, located error. The
 parser recovers at the next top-level ';' or '}' so one pass can report
 several errors.
+
+`tokenize` scans a text with one compiled regex. A `Token` keeps its kind,
+text and start offset plus a reference to the source's `LineIndex`;
+`Token.location` builds the `SourceLoc` on demand, on each access, by
+bisecting the line starts. Lines end at '\n' only, and columns count
+characters from 1.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -24,111 +32,113 @@ KEYWORDS = {
     "factory", "FACTORY", "generate", "C_EXP", "write",
 }
 
-PUNCT = set("{}()[];,=*.")
+
+# One alternative per token class; the named group that matched is the
+# token kind, and whitespace and comments match unnamed. `other` takes a
+# bad character, or the start of a token with non-ASCII letters or digits,
+# which `_scan_other` finishes with the str predicates.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+
+  | //[^\n]*
+  | /\*.*?\*/
+  | (?P<keyword>(?:%s)(?!\w))
+  | (?P<identifier>[A-Za-z_]\w*)
+  | (?P<punct>[{}()\[\];,=*.])
+  | (?P<integer>-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f])))
+  | "(?P<string>(?:\\.|[^"\\\n])*)"
+  | (?P<open_string>"(?:\\.|[^"\\\n])*\\?)
+  | (?P<open_comment>/\*)
+  | (?P<other>.)
+""" % "|".join(sorted(KEYWORDS)), re.DOTALL | re.VERBOSE)
+_PLAIN = {"keyword", "identifier", "punct", "integer"}  # token text is the match
+_WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPE = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
+class LineIndex:
+    """Line-start offsets of one source text, shared by all of its tokens."""
+
+    __slots__ = ("source_name", "starts")
+
+    def __init__(self, text: str, source_name: str):
+        self.source_name = source_name
+        self.starts = [0] + [m.end() for m in re.finditer("\n", text)]
+
+    def locate(self, offset: int) -> SourceLoc:
+        line = bisect_right(self.starts, offset)
+        return SourceLoc(self.source_name, line, offset - self.starts[line - 1] + 1)
+
+
 class Token:
-    kind: str  # keyword | identifier | string | integer | punct
-    text: str
-    location: SourceLoc
+    """kind is keyword | identifier | string | integer | punct."""
+
+    __slots__ = ("kind", "text", "offset", "lines")
+
+    def __init__(self, kind: str, text: str, offset: int, lines: LineIndex):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.lines = lines
+
+    @property
+    def location(self) -> SourceLoc:
+        return self.lines.locate(self.offset)
 
 
 def tokenize(text: str, source_name: str = "<memory>") -> Tuple[List[Token], List[Diagnostic]]:
+    lines = LineIndex(text, source_name)
     tokens: List[Token] = []
     diags: List[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def loc():
-        return SourceLoc(source_name, line, col)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if text.startswith("/*", i):
-            start = loc()
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance()
-            if i >= n:
-                diags.append(error("unterminated-comment", "unterminated '/*' comment", start))
-                break
-            advance(2)
-            continue
-        if c == '"':
-            start = loc()
-            advance()
-            buf = []
-            closed = False
-            while i < n:
-                ch = text[i]
-                if ch == "\\" and i + 1 < n:
-                    esc = text[i + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    advance(2)
-                    continue
-                if ch == '"':
-                    advance()
-                    closed = True
-                    break
-                if ch == "\n":
-                    break
-                buf.append(ch)
-                advance()
-            if not closed:
-                diags.append(error("unterminated-string", "unterminated string literal", start))
+    pos, n = 0, len(text)
+    while pos < n:
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            if kind in _PLAIN:
+                tokens.append(Token(kind, m.group(), m.start(), lines))
                 continue
-            tokens.append(Token("string", "".join(buf), start))
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start = loc()
-            j = i + (1 if c == "-" else 0)
-            if text.startswith("0x", j) or text.startswith("0X", j):
-                j += 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
+            if kind is None:
+                continue
+            start = m.start()
+            if kind == "string":
+                body = m.group(kind)
+                if "\\" in body:
+                    body = _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), body)
+                tokens.append(Token(kind, body, start, lines))
+            elif kind == "open_string":
+                diags.append(error("unterminated-string", "unterminated string literal",
+                                   lines.locate(start)))
+            elif kind == "open_comment":
+                diags.append(error("unterminated-comment", "unterminated '/*' comment",
+                                   lines.locate(start)))
+                pos = n
+                break
             else:
-                while j < n and text[j].isdigit():
-                    j += 1
-            lit = text[i:j]
-            advance(j - i)
-            tokens.append(Token("integer", lit, start))
-            continue
-        if c.isalpha() or c == "_":
-            start = loc()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, start))
-            continue
-        if c in PUNCT:
-            tokens.append(Token("punct", c, loc()))
-            advance()
-            continue
-        diags.append(error("bad-character", f"unexpected character {c!r}", loc()))
-        advance()
-
+                end = _scan_other(text, start, lines, tokens, diags)
+                if end > start + 1:  # resume the scan after a longer token
+                    pos = end
+                    break
+        else:
+            pos = n
     return tokens, diags
+
+
+def _scan_other(text, i, lines, tokens, diags) -> int:
+    """Scan the token at text[i] with the str predicates; return its end."""
+    c = text[i]
+    if c.isdigit() or (c == "-" and text[i + 1:i + 2].isdigit()):
+        # hex needs an ASCII "0x", which `_TOKEN` always takes itself
+        j = i + 1
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        tokens.append(Token("integer", text[i:j], i, lines))
+        return j
+    if c.isalpha():  # keywords are ASCII, so this is an identifier
+        j = _WORD_TAIL.match(text, i + 1).end()
+        tokens.append(Token("identifier", text[i:j], i, lines))
+        return j
+    diags.append(error("bad-character", f"unexpected character {c!r}", lines.locate(i)))
+    return i + 1
 
 
 @dataclass
@@ -173,8 +183,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def check(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+    def check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
+        tok = self.peek(offset)
         return tok is not None and tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -209,9 +219,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "keyword" and tok.text in ("signature", "celltype", "cell"):
                 return
-            nxt = self.peek(1)
-            if tok.kind == "punct" and tok.text == "[" and nxt is not None \
-                    and nxt.kind == "keyword" and nxt.text == "generate":
+            if self.check("punct", "[") and self.check("keyword", "generate", 1):
                 return
             self.take()
 
@@ -273,8 +281,7 @@ class _Parser:
         name = self.expect_ident("function name")
         self.expect("punct", "(")
         params = []
-        if self.check("identifier", "void") and self.peek(1) and \
-                self.peek(1).kind == "punct" and self.peek(1).text == ")":
+        if self.check("identifier", "void") and self.check("punct", ")", 1):
             self.take()
         else:
             while not self.check("punct", ")"):
@@ -425,8 +432,7 @@ class _Parser:
         while not self.check("punct", "}"):
             lhs = self.expect_ident("port or attr name")
             self.expect("punct", "=")
-            if self.check("identifier") and self.peek(1) and \
-                    self.peek(1).kind == "punct" and self.peek(1).text == ".":
+            if self.check("identifier") and self.check("punct", ".", 1):
                 target_cell = self.take()
                 self.take()  # '.'
                 target_port = self.expect_ident("binding target")

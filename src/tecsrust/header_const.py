@@ -24,7 +24,8 @@ def convert_defines(header_text: str, source_name: str = "<header>"
 
     Identifiers and integer spellings (including hex) are preserved
     verbatim. #defines that are not bare integers (function-like macros,
-    parenthesized expressions) are skipped with a warning.
+    parenthesized expressions) or whose value does not fit in i32 are
+    skipped with a warning.
     """
     out: List[str] = []
     diags: List[Diagnostic] = []
@@ -32,7 +33,14 @@ def convert_defines(header_text: str, source_name: str = "<header>"
         m = _DEFINE_LINE.match(line)
         if m:
             name, value = m.groups()
-            out.append(f"pub const {name}: i32 = {value};")
+            number = int(value, 16) if "x" in value.lower() else int(value)
+            if -2**31 <= number < 2**31:
+                out.append(f"pub const {name}: i32 = {value};")
+            else:
+                diags.append(warning(
+                    "constant-out-of-range",
+                    f"skipped #define {name}: {value} does not fit in i32",
+                    SourceLoc(source_name, lineno, 1)))
         elif _ANY_DEFINE.match(line):
             diags.append(warning(
                 "non-literal-define",

@@ -33,13 +33,10 @@ class ResolvedModel:
     signature_index: Dict[str, SignatureDef]
     celltype_index: Dict[str, CelltypeDef]
     plugin_by_celltype: Dict[str, str]  # celltype name -> plugin name
+    cells_by_celltype: Dict[str, List[ResolvedCell]]  # in declaration order
 
     def cells_of(self, celltype_name: str) -> List[ResolvedCell]:
-        return [c for c in self.cells if c.celltype.name == celltype_name]
-
-    def generating_celltypes(self) -> List[CelltypeDef]:
-        return [ct for ct in self.celltype_index.values()
-                if ct.name in self.plugin_by_celltype]
+        return self.cells_by_celltype.get(celltype_name, [])
 
 
 def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
@@ -79,6 +76,7 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
 
     cell_index: Dict[str, ResolvedCell] = {}
     cells: List[ResolvedCell] = []
+    cells_by_ct: Dict[str, List[ResolvedCell]] = {name: [] for name in ct_index}
     for unit in units:
         for cell in unit.cells:
             if cell.name in cell_index:
@@ -95,6 +93,7 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
             rc = ResolvedCell(cell, ct)
             cell_index[cell.name] = rc
             cells.append(rc)
+            cells_by_ct[ct.name].append(rc)
 
     for rc in cells:
         ct = rc.celltype
@@ -150,13 +149,8 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
     # target celltype, so definition files can use a concrete entry type
     for ct in ct_index.values():
         for port in ct.call_ports:
-            targets = {}
-            for rc in cells:
-                if rc.celltype is not ct:
-                    continue
-                rb = rc.bindings.get(port.port_name)
-                if rb is not None:
-                    targets.setdefault(rb.target_cell.celltype.name, rc)
+            targets = {rc.bindings[port.port_name].target_cell.celltype.name
+                       for rc in cells_by_ct[ct.name] if port.port_name in rc.bindings}
             if len(targets) > 1:
                 names = ", ".join(sorted(targets))
                 diags.append(error(
@@ -168,7 +162,8 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
 
     if any(d.severity.value == "error" for d in diags):
         return None, diags
-    return ResolvedModel(list(units), cells, sig_index, ct_index, plugin_by_ct), diags
+    return ResolvedModel(list(units), cells, sig_index, ct_index, plugin_by_ct,
+                         cells_by_ct), diags
 
 
 def _assign_plugins(ct_index, cells, default_plugin, diags) -> Dict[str, str]:

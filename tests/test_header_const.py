@@ -57,3 +57,14 @@ def test_line_bijection():
     bare = sum(1 for l in text.splitlines()
                if l.startswith("#define") and l.split()[-1].isdigit())
     assert len(out.splitlines()) == bare
+
+
+def test_values_outside_i32_are_skipped_with_a_located_warning():
+    text = ("#define KEEP_MAX 2147483647\n#define BIG 0xFFFFFFFF\n"
+            "#define OVER 2147483648\n#define KEEP_MIN -2147483648\n"
+            "#define UNDER -2147483649\n")
+    out, diags = convert_defines(text, "k.h")
+    assert out == "pub const KEEP_MAX: i32 = 2147483647;\npub const KEEP_MIN: i32 = -2147483648;\n"
+    assert [d.code for d in diags] == ["constant-out-of-range"] * 3
+    assert [str(d.location) for d in diags] == ["k.h:2:1", "k.h:3:1", "k.h:5:1"]
+    assert all(d.severity.value == "warning" for d in diags)

@@ -1,6 +1,8 @@
 from hypothesis import given, settings
 
 from strategies import brute_force_counts, cdl_units
+from tecsrust.cli import generate
+from tecsrust.emit_core import emit_definition
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import plan_emission, resolve
 from tecsrust.model import CdlUnit
@@ -193,3 +195,63 @@ def test_plan_cardinalities_match_brute_force(unit):
     assert len(plan.contract_files()) == n_sigs
     assert len(plan.definition_files()) == n_defs
     assert len(plan.skeleton_files()) == n_skels
+
+
+INTERLEAVED = ("""
+signature sA { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tP { entry sA eA; attr { int32_t n = 0; }; };
+[generate(RustGenPlugin, "lib")]
+celltype tQ { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tC { call sA cA; entry sA eC; attr { int32_t k = 1; }; };
+cell tP P1 { n = 5; };
+cell tC C1 { cA = P1.eA; k = 7; };
+cell tQ Q1 {};
+cell tC C2 { cA = P1.eA; };
+""", """
+cell tP P2 {};
+cell tC C3 { cA = P2.eA; k = 9; };
+cell tQ Q2 {};
+""")
+
+
+def test_cells_of_keeps_declaration_order_across_units():
+    units = [parse_unit(text, f"u{i}.cdl").unit for i, text in enumerate(INTERLEAVED)]
+    model, diags = resolve(units)
+    assert diags == []
+    names = {ct: [rc.cell.name for rc in model.cells_of(ct)] for ct in ("tP", "tQ", "tC")}
+    assert names == {"tP": ["P1", "P2"], "tQ": ["Q1", "Q2"], "tC": ["C1", "C2", "C3"]}
+    files = {f.path: f.content for f in generate(list(zip(("u0.cdl", "u1.cdl"), INTERLEAVED)))[0]}
+    for ct in model.celltype_index.values():
+        scanned = [rc for rc in model.cells if rc.celltype is ct]  # the old linear scan
+        expected = emit_definition(ct, scanned, model)
+        assert emit_definition(ct, model.cells_of(ct.name), model).content == expected.content
+        assert files[expected.path] == expected.content
+
+
+def test_heterogeneous_binding_diagnostics_keep_order_and_location():
+    text = """
+signature sA { void f( void ); };
+celltype tP { entry sA eA; };
+celltype tQ { entry sA eA; };
+celltype tC { call sA cA; };
+celltype tD {
+    call sA cX;
+    call sA cY;
+};
+cell tP P1 {};
+cell tQ Q1 {};
+cell tD D1 { cX = Q1.eA; cY = P1.eA; };
+cell tC C1 { cA = Q1.eA; };
+cell tC C2 { cA = P1.eA; };
+cell tD D2 { cX = P1.eA; cY = P1.eA; };
+"""
+    model, diags = resolve(_units(text, "h.cdl"))
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "h.cdl:5:15: error[heterogeneous-binding-unsupported]: call port 'cA' of "
+        "celltype 'tC' binds cells of different celltypes (tP, tQ)",
+        "h.cdl:7:5: error[heterogeneous-binding-unsupported]: call port 'cX' of "
+        "celltype 'tD' binds cells of different celltypes (tP, tQ)",
+    ]
