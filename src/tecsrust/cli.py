@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import emit_core, emit_rtos, header_const
-from .emit_core import EmissionError, GeneratedFile, WritePolicy
+from .emit_core import GeneratedFile, WritePolicy
 from .frontend import parse_unit
 from .linker import EmissionPlan, GenerationReport, ResolvedModel, plan_emission, resolve
 from .model import Diagnostic, KNOWN_PLUGINS, has_errors, validate_unit
@@ -53,15 +53,9 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
     for sig in plan.contract_sigs:
         files.append(emit_core.emit_contract(sig))
     for ct in plan.definition_cts:
-        try:
-            files.append(emit_core.emit_definition(ct, model.cells_of(ct.name), model))
-        except EmissionError as exc:
-            diags.append(exc.diagnostic)
+        files.append(emit_core.emit_definition(ct, model.cells_of(ct.name), model))
     for ct in plan.skeleton_cts:
-        try:
-            files.append(emit_core.emit_skeleton(ct, model))
-        except EmissionError as exc:
-            diags.append(exc.diagnostic)
+        files.append(emit_core.emit_skeleton(ct, model))
 
     config_writes, rtos_diags = emit_rtos.run_factory(model, plan)
     diags.extend(rtos_diags)

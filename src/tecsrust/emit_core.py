@@ -2,22 +2,21 @@
 
 One contract file per signature, one definition/instantiation file per
 celltype, one impl skeleton per celltype with entry ports. All emitters
-are pure model -> text functions; output is deterministic, LF-terminated,
-and ends with exactly one trailing newline.
+are pure, total model -> text functions: `linker.resolve` has already
+reported everything that could stop them, so they never raise. Output is
+deterministic, LF-terminated, and ends with exactly one trailing newline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from . import naming
-from .emit_rtos import (
-    MacroError, build_env, emit_preamble, substitute_macros, uses_kernel_wrappers,
-)
+from .emit_rtos import KERNEL_PREAMBLE_LINES, uses_kernel_wrappers
 from .linker import ResolvedCell, ResolvedModel
-from .model import CelltypeDef, Diagnostic, InitKind, SignatureDef, SourceLoc, error
+from .model import CelltypeDef, SignatureDef
 
 INDENT = "  "
 
@@ -34,20 +33,14 @@ class GeneratedFile:
     policy: WritePolicy
 
 
-class EmissionError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(str(diag))
-        self.diagnostic = diag
-
-
 def _finish(lines: List[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _method_sig(fn, declaration: bool) -> str:
+def _method_sig(fn) -> str:
     params = ["&self"]
     for p in fn.params:
-        params.append(f"{p.name}: {naming.map_param_type(p.c_type, p.pointer_depth, p.specifier)}")
+        params.append(f"{p.name}: {naming.map_param_type(p.c_type, p.specifier)}")
     ret = ""
     if fn.return_type != "void":
         ret = f" -> {naming.map_base_type(fn.return_type)}"
@@ -58,7 +51,7 @@ def emit_contract(sig: SignatureDef) -> GeneratedFile:
     """Render the public interface contract (trait) for a signature."""
     lines = [f"pub trait {naming.contract_name(sig.name)} {{"]
     for fn in sig.functions:
-        lines.append(f"{INDENT}{_method_sig(fn, True)};")
+        lines.append(f"{INDENT}{_method_sig(fn)};")
     lines.append("}")
     return GeneratedFile(naming.file_name("contract", sig.name), _finish(lines),
                          WritePolicy.OVERWRITE)
@@ -80,19 +73,11 @@ class _DefinitionContext:
             self.type_params = ["T"]
         else:
             self.type_params = [f"T{i + 1}" for i in range(len(ct.call_ports))]
-        # concrete entry type per call port, from the (homogeneous) bindings
+        # concrete entry type per call port, from the (homogeneous) bindings;
+        # a celltype with call ports has cells, each binding every call port
         self.concrete = {}
         for port in ct.call_ports:
-            rb = None
-            for rc in cells:
-                rb = rc.bindings.get(port.port_name)
-                if rb is not None:
-                    break
-            if rb is None:
-                raise EmissionError(error(
-                    "no-binding-context",
-                    f"celltype '{ct.name}' has call port '{port.port_name}' but no "
-                    f"bound cell to fix its concrete entry type", port.location))
+            rb = cells[0].bindings[port.port_name]
             self.concrete[port.port_name] = (
                 naming.entry_impl_name(rb.target_entry.port_name,
                                        rb.target_cell.celltype.name),
@@ -122,14 +107,11 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
     (RAM side), one entry-port record per entry port, per-cell statics,
     and the inline get_cell_ref accessor returning the access tuple.
     """
-    try:
-        ctx = _DefinitionContext(ct, cells)
-    except naming.NamingError as exc:
-        raise EmissionError(error(exc.code, str(exc), ct.location))
+    ctx = _DefinitionContext(ct, cells)
     lines: List[str] = []
 
     if uses_kernel_wrappers(model, ct):
-        lines.extend(emit_preamble().splitlines())
+        lines.extend(KERNEL_PREAMBLE_LINES)
     if ct.vars:
         lines.append("use spin::Mutex;")
     imports = _definition_imports(ctx)
@@ -204,25 +186,6 @@ def _render_entry_structs(ctx: _DefinitionContext, lines: List[str]) -> None:
         lines.append("")
 
 
-def _resolved_attr_text(ctx: _DefinitionContext, rc: ResolvedCell, attr) -> str:
-    init = rc.cell.init_for(attr.name)
-    if init is None:
-        init = attr.default
-    if init is None:
-        raise EmissionError(error(
-            "uninitialized-attribute",
-            f"attr '{attr.name}' of cell '{rc.cell.name}' has neither a default "
-            f"nor a cell initializer", rc.cell.location))
-    text = init.text
-    if init.kind is InitKind.C_EXP and "$" in text:
-        env = build_env(ctx.ct, rc.cell)
-        try:
-            text = substitute_macros(text, env)
-        except MacroError as exc:
-            raise EmissionError(error(exc.code, str(exc), rc.cell.location))
-    return text
-
-
 def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
                          lines: List[str]) -> None:
     instance = naming.static_instance_name(rc.cell.name)
@@ -236,8 +199,8 @@ def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
         target = naming.static_entry_name(rb.target_entry.port_name,
                                           rb.target_cell.cell.name)
         lines.append(f"{INDENT}{naming.field_name(port.port_name)}: &{target},")
-    for attr in ctx.visible_attrs:
-        lines.append(f"{INDENT}{attr.name}: {_resolved_attr_text(ctx, rc, attr)},")
+    for attr, text in zip(ctx.visible_attrs, rc.attr_texts):
+        lines.append(f"{INDENT}{attr.name}: {text},")
     if ctx.var_record:
         lines.append(f"{INDENT}variable: &{naming.static_var_name(rc.cell.name)},")
     lines.append("};")
@@ -248,11 +211,6 @@ def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
         lines.append(f"pub static {var_static}: Mutex<{ctx.var_record}> = "
                      f"Mutex::new({ctx.var_record} {{")
         for v in ctx.ct.vars:
-            if v.default is None:
-                raise EmissionError(error(
-                    "uninitialized-variable",
-                    f"var '{v.name}' of celltype '{ctx.ct.name}' has no initializer",
-                    v.location))
             lines.append(f"{INDENT}{v.name}: {v.default.text},")
         lines.append("});")
         lines.append("")
@@ -327,7 +285,7 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
         lines.append(f"impl {trait} for {entry_type}<'_>{{")
         for fn in sig.functions:
             lines.append(f"{INDENT}#[inline]")
-            lines.append(f"{INDENT}{_method_sig(fn, False)} {{")
+            lines.append(f"{INDENT}{_method_sig(fn)} {{")
             lines.append(f"{INDENT * 2}let cell_ref = self.cell.get_cell_ref();")
             lines.append(f"{INDENT}}}")
         lines.append("}")

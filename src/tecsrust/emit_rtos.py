@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .linker import EmissionPlan, ResolvedModel
-from .model import CellDef, CelltypeDef, Diagnostic, SourceLoc, error
+from .model import CellDef, CelltypeDef, Diagnostic, error
+
+if TYPE_CHECKING:  # annotations only: linker imports this module
+    from .linker import EmissionPlan, ResolvedModel
 
 ITRONRS_PLUGIN = "ItronrsGenPlugin"
 
@@ -17,10 +19,6 @@ KERNEL_PREAMBLE_LINES = (
     "use itron::abi::*;",
     "use itron::TaskRef::*;",
 )
-
-
-def emit_preamble() -> str:
-    return "\n".join(KERNEL_PREAMBLE_LINES) + "\n"
 
 
 class MacroError(ValueError):
@@ -58,8 +56,6 @@ def substitute_macros(template: str, env: MacroEnv) -> str:
     (unbalanced holes, or a hole whose value itself carries holes) is an
     error rather than silent passthrough.
     """
-    if template.count("$") % 2 != 0:
-        raise MacroError("unbalanced-macro", f"unbalanced '$' holes in {template!r}")
     rendered = _HOLE.sub(lambda m: env.lookup(m.group(1)), template)
     if "$" in rendered:
         raise MacroError("unresolved-macro",
@@ -105,8 +101,7 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
             target = substitute_macros(pw.target_template, env)
             line = substitute_macros(pw.line_template, env)
         except MacroError as exc:
-            loc = pw.location if isinstance(pw.location, SourceLoc) else SourceLoc()
-            diags.append(error(exc.code, str(exc), loc))
+            diags.append(error(exc.code, str(exc), pw.location))
             continue
         writes.append(ConfigWrite(target, line))
     return writes, diags

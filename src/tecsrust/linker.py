@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import naming
+from .emit_rtos import MacroError, build_env, substitute_macros
 from .model import (
-    Binding, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope,
-    PortDecl, PortDirection, SignatureDef, error,
+    CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
+    SignatureDef, SourceLoc, error, has_errors,
 )
 
 
@@ -24,11 +25,12 @@ class ResolvedCell:
     cell: CellDef
     celltype: CelltypeDef
     bindings: Dict[str, ResolvedBinding] = field(default_factory=dict)
+    # generating celltypes only: initializer text per visible attr, macros filled
+    attr_texts: Tuple[str, ...] = ()
 
 
 @dataclass
 class ResolvedModel:
-    units: List[CdlUnit]
     cells: List[ResolvedCell]
     signature_index: Dict[str, SignatureDef]
     celltype_index: Dict[str, CelltypeDef]
@@ -46,6 +48,9 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
     Resolution keeps going after a failure so one pass reports every
     problem; the model is returned only when no errors were found.
     `default_plugin` stands in for absent [generate(...)] directives.
+    It also checks, over generating celltypes, every rule the emitters rely
+    on (bad-name, no-binding-context, unrecognized-mangling, uninitialized-
+    attribute/-variable, C_EXP `$macro$` errors), so a clean model renders.
     """
     diags: List[Diagnostic] = []
     sig_index: Dict[str, SignatureDef] = {}
@@ -159,11 +164,11 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                     f"of different celltypes ({names})", port.location))
 
     plugin_by_ct = _assign_plugins(ct_index, cells, default_plugin, diags)
+    _check_generating(_generating(ct_index, plugin_by_ct), sig_index, cells_by_ct, diags)
 
-    if any(d.severity.value == "error" for d in diags):
+    if has_errors(diags):
         return None, diags
-    return ResolvedModel(list(units), cells, sig_index, ct_index, plugin_by_ct,
-                         cells_by_ct), diags
+    return ResolvedModel(cells, sig_index, ct_index, plugin_by_ct, cells_by_ct), diags
 
 
 def _assign_plugins(ct_index, cells, default_plugin, diags) -> Dict[str, str]:
@@ -189,13 +194,77 @@ def _assign_plugins(ct_index, cells, default_plugin, diags) -> Dict[str, str]:
     return plugin_by_ct
 
 
+def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
+    return [ct for ct in ct_index.values() if ct.name in plugin_by_ct]
+
+
+def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
+    """Report every entity that would stop an emitter, and keep each cell's
+    rendered attr texts. Order: bad names, each once; then per celltype its
+    var types, call ports without cells, attrs cell by cell, and vars."""
+    short = {(kind, e.name): e.location
+             for kind, e in _named(generating, sig_index, cells_by_ct) if len(e.name) < 2}
+    for (kind, name), loc in short.items():
+        diags.append(error("bad-name", f"{kind} name '{name}' too short", loc))
+
+    for ct in generating:
+        for v in ct.vars:
+            residue = naming.unrecognized_mangling(v.type_text)
+            if residue is not None:
+                diags.append(error("unrecognized-mangling",
+                                   f"cannot demangle var type '{residue}'", ct.location))
+        cells = cells_by_ct[ct.name]
+        if not cells:
+            for port in ct.call_ports:
+                diags.append(error(
+                    "no-binding-context",
+                    f"celltype '{ct.name}' has call port '{port.port_name}' but no "
+                    f"bound cell to fix its concrete entry type", port.location))
+            continue
+        visible = [a for a in ct.attrs if not a.omit]
+        for rc in cells:
+            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
+        for v in ct.vars:
+            if v.default is None:
+                diags.append(error(
+                    "uninitialized-variable",
+                    f"var '{v.name}' of celltype '{ct.name}' has no initializer",
+                    v.location))
+
+
+def _named(generating, sig_index, cells_by_ct):
+    """The celltypes and signatures whose names the emitters map."""
+    for ct in generating:
+        yield "celltype", ct
+        yield from (("signature", sig_index[p.signature_name])
+                    for p in ct.ports if p.signature_name in sig_index)
+        yield from (("celltype", rb.target_cell.celltype)
+                    for rc in cells_by_ct[ct.name] for rb in rc.bindings.values())
+
+
+def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
+    init = cell.init_for(attr.name) or attr.default
+    if init is None:
+        diags.append(error(
+            "uninitialized-attribute",
+            f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
+            f"nor a cell initializer", cell.location))
+        return ""
+    if init.kind is InitKind.C_EXP and "$" in init.text:
+        try:
+            return substitute_macros(init.text, build_env(ct, cell))
+        except MacroError as exc:
+            diags.append(error(exc.code, str(exc), cell.location))
+    return init.text
+
+
 @dataclass
 class PlannedWrite:
     celltype: CelltypeDef
     cell: Optional[CellDef]  # None for per-celltype FACTORY writes
     target_template: str
     line_template: str
-    location: object
+    location: SourceLoc
 
 
 @dataclass
@@ -241,8 +310,7 @@ def plan_emission(model: ResolvedModel) -> EmissionPlan:
     per-celltype FACTORY writes first, then per-cell factory writes in
     cell declaration order.
     """
-    generating = [ct for ct in _declaration_order(model)
-                  if ct.name in model.plugin_by_celltype]
+    generating = _generating(model.celltype_index, model.plugin_by_celltype)
 
     contract_sigs: List[SignatureDef] = []
     seen = set()
@@ -273,9 +341,3 @@ def plan_emission(model: ResolvedModel) -> EmissionPlan:
                                                w.location))
 
     return EmissionPlan(contract_sigs, definition_cts, skeleton_cts, writes)
-
-
-def _declaration_order(model: ResolvedModel):
-    for unit in model.units:
-        for ct in unit.celltypes:
-            yield ct

@@ -304,7 +304,7 @@ def validate_unit(unit: CdlUnit) -> list:
                     diags.append(error(
                         "empty-write-target",
                         "factory write has an empty target file", w.location))
-                if not _balanced_holes(w.template):
+                if not (_balanced_holes(w.target_file) and _balanced_holes(w.template)):
                     diags.append(error(
                         "unbalanced-macro",
                         f"unbalanced '$' holes in write to '{w.target_file}'",

@@ -1,20 +1,17 @@
 """Identifier, type, and file-name mapping rules for the emitted Rust code.
 
-All functions are pure and total except where noted; bad inputs raise
-NamingError, which emitters turn into located diagnostics.
+All functions are pure and total: they never raise. The names and var
+types they cannot map well (one-character signature and celltype names,
+unrecognized manglings) are rejected with located diagnostics by
+`linker.resolve` before any emitter runs.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .model import ParamSpecifier
-
-
-class NamingError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 # Fixed C -> Rust scalar table; unknown names pass through verbatim on the
@@ -41,15 +38,11 @@ def _camel(name: str) -> str:
 
 def contract_name(signature_name: str) -> str:
     """sSensor -> SSensor, sTask_body -> STaskBody."""
-    if len(signature_name) < 2:
-        raise NamingError("bad-name", f"signature name '{signature_name}' too short")
     return _camel(signature_name)
 
 
 def record_name(celltype_name: str) -> str:
     """tSensor -> TSensor, tTask_rs -> TTaskRs."""
-    if len(celltype_name) < 2:
-        raise NamingError("bad-name", f"celltype name '{celltype_name}' too short")
     return _camel(celltype_name)
 
 
@@ -82,13 +75,6 @@ def static_entry_name(entry_port: str, cell_name: str) -> str:
     return entry_port.upper() + "FOR" + cell_name.upper()
 
 
-def static_names(cell_name: str, entry_ports) -> tuple:
-    instance = static_instance_name(cell_name)
-    var_instance = static_var_name(cell_name)
-    entries = [static_entry_name(p, cell_name) for p in entry_ports]
-    return instance, var_instance, entries
-
-
 _FILE_SUFFIX = {"contract": ".rs", "definition": ".rs", "skeleton": "_impl.rs"}
 
 
@@ -105,7 +91,7 @@ def map_base_type(c_type: str) -> str:
     return SCALAR_TYPES.get(c_type, c_type)
 
 
-def map_param_type(c_type: str, pointer_depth: int, specifier: ParamSpecifier) -> str:
+def map_param_type(c_type: str, specifier: ParamSpecifier) -> str:
     """[in] T -> &T, [out] T* -> &mut T; one pointer level is consumed by the borrow."""
     base = map_base_type(c_type)
     if specifier is ParamSpecifier.OUT:
@@ -117,13 +103,15 @@ _REF_A_MUT = re.compile(r"^Ref_a_mut__(.+)__$")
 
 
 def demangle_var_type(mangled: str) -> str:
-    """Option_Ref_a_mut__pup_device_t__ -> Option<&'a mut pup_device_t>."""
+    """Option_Ref_a_mut__pup_device_t__ -> Option<&'a mut pup_device_t>; else verbatim."""
     if mangled.startswith("Option_"):
         return "Option<" + demangle_var_type(mangled[len("Option_"):]) + ">"
     m = _REF_A_MUT.match(mangled)
-    if m:
-        return "&'a mut " + m.group(1)
-    if "__" in mangled or mangled.startswith("Ref_"):
-        raise NamingError("unrecognized-mangling",
-                          f"cannot demangle var type '{mangled}'")
-    return mangled
+    return "&'a mut " + m.group(1) if m else mangled
+
+
+def unrecognized_mangling(mangled: str) -> Optional[str]:
+    """The part under the Option_ wrappers that looks mangled yet does not demangle."""
+    inner = re.sub(r"^(Option_)*", "", mangled)
+    looks_mangled = "__" in inner or inner.startswith("Ref_")
+    return inner if looks_mangled and not _REF_A_MUT.match(inner) else None

@@ -6,6 +6,8 @@ Names are counter-derived (unique by construction); hypothesis drives the
 shape: counts, port wiring, defaults, modifiers, and directives.
 """
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from tecsrust.model import (
@@ -114,6 +116,20 @@ def cdl_units(draw) -> CdlUnit:
                    tuple(sigs),
                    tuple(providers) + tuple(ct for ct, _ in consumers),
                    tuple(cells))
+
+
+@st.composite
+def cdl_units_with_gaps(draw) -> CdlUnit:
+    """A cdl_units unit with random attr defaults and var initializers
+    dropped, so some cells reach generation with a value missing."""
+    unit = draw(cdl_units())
+
+    def drop(decl):
+        return replace(decl, default=None) if draw(st.booleans()) else decl
+
+    return replace(unit, celltypes=tuple(
+        replace(ct, attrs=tuple(map(drop, ct.attrs)), vars=tuple(map(drop, ct.vars)))
+        for ct in unit.celltypes))
 
 
 def VarDeclFactory(i):

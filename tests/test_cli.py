@@ -1,11 +1,16 @@
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+
 from conftest import GOLDENS, golden
+from strategies import cdl_units_with_gaps
 from tecsrust.cli import (
     EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run,
 )
-from tecsrust.frontend import parse_unit
+from tecsrust.frontend import parse_unit, render_unit
 from tecsrust.linker import resolve
+from tecsrust.model import Severity
 
 SAMPLE = str(GOLDENS / "sample.cdl")
 
@@ -70,6 +75,54 @@ def test_diagnostic_line_format(tmp_path, capsys):
     assert path.endswith("bad.cdl")
     assert lineno.isdigit() and col.isdigit()
     assert rest.strip().startswith("error[")
+
+
+@pytest.mark.parametrize("text", [
+    """
+signature s { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA { entry s eA; };
+""", """
+signature sA { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype t { entry sA eA; };
+cell t T1 {};
+"""], ids=["signature", "celltype"])
+def test_one_character_name_is_a_located_error(tmp_path, capsys, text):
+    src = tmp_path / "short.cdl"
+    src.write_text(text)
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out)]) == EXIT_DIAGNOSTICS
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [l for l in err.splitlines() if "error[bad-name]" in l]
+    assert len(lines) == 1
+    path, lineno, col, _ = lines[0].split(":", 3)
+    assert path.endswith("short.cdl") and int(lineno) > 0 and int(col) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(cdl_units_with_gaps())
+def test_generate_is_total_on_units_with_gaps(unit):
+    files, plan, model, diags = generate([("gaps.cdl", render_unit(unit))])
+    errors = [d for d in diags if d.severity is Severity.ERROR]
+    # brute force: one error per (cell, visible attr) and per var left without a value
+    directed = {ct.name for ct in unit.celltypes if ct.generate_directive}
+    by_name = {ct.name: ct for ct in unit.celltypes}
+    cells = [c for c in unit.cells if c.celltype_name in directed]
+    expected = sum(1 for c in cells for a in by_name[c.celltype_name].attrs
+                   if not a.omit and a.default is None and c.init_for(a.name) is None)
+    expected += sum(1 for name in {c.celltype_name for c in cells}
+                    for v in by_name[name].vars if v.default is None)
+    assert len(errors) == expected
+    if errors:
+        assert files == []
+        assert all(d.location.line > 0 for d in errors)
+        assert {d.code for d in errors} <= {"uninitialized-attribute",
+                                            "uninitialized-variable"}
+    else:
+        assert set(plan.definition_files()) <= {f.path for f in files}
 
 
 def test_diagram_two_nodes_one_edge(sample_text):

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from conftest import golden
+from tecsrust import emit_core
 from tecsrust.cli import generate
-from tecsrust.emit_core import EmissionError, WritePolicy, emit_contract
+from tecsrust.emit_core import WritePolicy, emit_contract
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import resolve
 from tecsrust.model import SignatureDef
@@ -148,3 +152,12 @@ def test_trailing_newline_invariant(sample_outputs):
     for f in files.values():
         assert f.content.endswith("\n")
         assert not f.content.endswith("\n\n")
+
+
+def test_emitters_are_total():
+    # resolve reports everything an emitter could trip over, so emit_core
+    # neither raises nor catches
+    tree = ast.parse(Path(emit_core.__file__).read_text(encoding="utf-8"))
+    handlers = (ast.Raise, ast.Try, getattr(ast, "TryStar", ast.Try))
+    found = [(type(n).__name__, n.lineno) for n in ast.walk(tree) if isinstance(n, handlers)]
+    assert found == []

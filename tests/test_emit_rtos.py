@@ -4,10 +4,11 @@ import pytest
 
 from tecsrust.emit_rtos import (
     KERNEL_PREAMBLE_LINES, MacroEnv, MacroError, build_env, config_files,
-    emit_preamble, run_factory, substitute_macros,
+    run_factory, substitute_macros,
 )
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import plan_emission, resolve
+from tecsrust.model import validate_unit
 
 
 def test_substitute_attr_macro():
@@ -32,9 +33,14 @@ def test_unknown_macro_is_an_error():
 
 
 def test_unbalanced_holes_are_rejected():
-    with pytest.raises(MacroError) as exc:
-        substitute_macros("TSKID_$id", MacroEnv(ct="tX", attr_values={"id": "1"}))
-    assert exc.value.code == "unbalanced-macro"
+    # validate_unit is the one place that checks '$' balance, for write
+    # targets and templates alike, located at the write
+    for target, template in [("$ct.cfg", "A_$ct$"), ("x.cfg", "TSKID_$id")]:
+        text = f'celltype tX {{\n  factory {{ write("{target}", "{template}"); }};\n}};\n'
+        diags = validate_unit(parse_unit(text, "w.cdl").unit)
+        assert [(d.code, d.location.line, d.location.column) for d in diags] == [
+            ("unbalanced-macro", 2, 13)], (target, template)
+        assert f"write to '{target}'" in diags[0].message
 
 
 def test_single_pass_no_rescan():
@@ -60,7 +66,7 @@ def test_omit_attrs_feed_the_env(kernel_text):
 def test_preamble_lines(kernel_outputs):
     files, _, _ = kernel_outputs
     content = files["t_task_rs.rs"].content
-    assert content.startswith(emit_preamble())
+    assert content.startswith("\n".join(KERNEL_PREAMBLE_LINES) + "\n")
     assert content.count(KERNEL_PREAMBLE_LINES[0]) == 1
 
 

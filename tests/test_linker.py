@@ -255,3 +255,58 @@ cell tD D2 { cX = P1.eA; cY = P1.eA; };
         "h.cdl:7:5: error[heterogeneous-binding-unsupported]: call port 'cX' of "
         "celltype 'tD' binds cells of different celltypes (tP, tQ)",
     ]
+
+
+EVERY_PROBLEM = """
+signature sA { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tP { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tM {
+    attr { int32_t a; int32_t b; int32_t c = 1; };
+    var { Ref_b_const__x__ odd = C_EXP("None"); int32_t n; };
+};
+[generate(RustGenPlugin, "lib")]
+celltype tIdle { call sA cA; };
+[generate(RustGenPlugin, "lib")]
+celltype tC { call sA cA; };
+cell tP P {};
+cell tM M1 {};
+cell tM M2 { c = C_EXP("K_$nope$"); };
+cell tC C {};
+"""
+
+
+def test_one_pass_reports_every_problem():
+    files, plan, model, diags = generate([("every.cdl", EVERY_PROBLEM)])
+    assert files == [] and model is None
+    assert [(d.code, d.location.line) for d in diags] == [
+        ("unbound-call-port", 17),       # linking first
+        ("unrecognized-mangling", 6),    # then tM, at the celltype
+        ("uninitialized-attribute", 15),  # M1.a
+        ("uninitialized-attribute", 15),  # M1.b
+        ("uninitialized-attribute", 16),  # M2.a
+        ("uninitialized-attribute", 16),  # M2.b
+        ("unresolved-macro", 16),        # M2.c
+        ("uninitialized-variable", 8),   # tM.n, once for both cells
+        ("no-binding-context", 11),      # tIdle.cA: no cell fixes its type
+    ]
+    assert "attr 'b' of cell 'M2' has neither a default" in diags[5].message
+
+
+def test_bad_name_is_reported_once_per_entity():
+    # a non-generating target celltype is reached through every binding to it
+    text = """
+signature sA { void f( void ); };
+celltype p { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tC { call sA cA; };
+cell p P1 {};
+cell p P2 {};
+cell tC C1 { cA = P1.eA; };
+cell tC C2 { cA = P2.eA; };
+"""
+    model, diags = resolve(_units(text, "b.cdl"))
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "b.cdl:3:1: error[bad-name]: celltype name 'p' too short"]

@@ -1,7 +1,14 @@
 import pytest
 
 from tecsrust import naming
-from tecsrust.model import ParamSpecifier
+from tecsrust.emit_core import emit_contract
+from tecsrust.frontend import parse_unit
+from tecsrust.linker import resolve
+from tecsrust.model import FunctionDecl, ParamDecl, ParamSpecifier, SignatureDef
+
+
+def _resolve_diags(text):
+    return resolve([parse_unit(text, "n.cdl").unit])
 
 
 @pytest.mark.parametrize("sig,expected", [
@@ -23,8 +30,16 @@ def test_record_name(ct, expected):
 
 
 def test_short_names_are_rejected():
-    with pytest.raises(naming.NamingError):
-        naming.contract_name("s")
+    # naming maps any name; resolve rejects the one-character ones it would map
+    assert naming.contract_name("s") == "S"
+    model, diags = _resolve_diags("""
+signature s { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA { entry s eA; };
+""")
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "n.cdl:2:1: error[bad-name]: signature name 's' too short"]
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -46,17 +61,22 @@ def test_entry_impl_name(entry, ct, expected):
 
 
 def test_static_names_sensor():
-    assert naming.static_names("Sensor", ["eSensor"]) == \
-        ("SENSOR", "SENSORVAR", ["ESENSORFORSENSOR"])
+    assert naming.static_instance_name("Sensor") == "SENSOR"
+    assert naming.static_var_name("Sensor") == "SENSORVAR"
+    assert naming.static_entry_name("eSensor", "Sensor") == "ESENSORFORSENSOR"
 
 
 def test_static_names_powerdown():
-    assert naming.static_names("Powerdown", ["ePowerdown2"]) == \
-        ("POWERDOWN", "POWERDOWNVAR", ["EPOWERDOWN2FORPOWERDOWN"])
+    assert naming.static_instance_name("Powerdown") == "POWERDOWN"
+    assert naming.static_var_name("Powerdown") == "POWERDOWNVAR"
+    assert naming.static_entry_name("ePowerdown2", "Powerdown") == \
+        "EPOWERDOWN2FORPOWERDOWN"
 
 
 def test_static_names_no_entries():
-    assert naming.static_names("X2go", []) == ("X2GO", "X2GOVAR", [])
+    # a cell without entry ports still owes its instance and var statics
+    assert naming.static_instance_name("X2go") == "X2GO"
+    assert naming.static_var_name("X2go") == "X2GOVAR"
 
 
 def test_static_names_keep_underscores():
@@ -80,7 +100,11 @@ def test_file_name(kind, name, expected):
     ("double", 1, ParamSpecifier.OUT, "&mut f64"),
 ])
 def test_map_param_type(c_type, depth, spec, expected):
-    assert naming.map_param_type(c_type, depth, spec) == expected
+    assert naming.map_param_type(c_type, spec) == expected
+    # the declared pointer level is consumed by the borrow, never added to it
+    param = ParamDecl(spec, c_type, depth, "x")
+    sig = SignatureDef("sX", (FunctionDecl("f", "void", (param,)),))
+    assert f"fn f(&self, x: {expected});" in emit_contract(sig).content
 
 
 @pytest.mark.parametrize("mangled,expected", [
@@ -94,8 +118,21 @@ def test_demangle_var_type(mangled, expected):
 
 
 def test_demangle_rejects_residue():
-    with pytest.raises(naming.NamingError):
-        naming.demangle_var_type("Ref_b_const__x__")
+    # demangling passes the residue through; resolve reports it, located at
+    # the celltype, naming the part under the Option_ wrappers
+    assert naming.demangle_var_type("Ref_b_const__x__") == "Ref_b_const__x__"
+    assert naming.unrecognized_mangling("Option_Ref_b_const__x__") == "Ref_b_const__x__"
+    assert naming.unrecognized_mangling("Option_Ref_a_mut__x__") is None
+    model, diags = _resolve_diags("""
+[generate(RustGenPlugin, "lib")]
+celltype tV {
+    var { Option_Ref_b_const__x__ v = C_EXP("None"); };
+};
+""")
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "n.cdl:3:1: error[unrecognized-mangling]: cannot demangle var type "
+        "'Ref_b_const__x__'"]
 
 
 def test_snake_case_is_idempotent():
