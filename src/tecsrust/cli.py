@@ -7,6 +7,7 @@ diagnostic suppresses all file writes.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -205,6 +206,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
+    gc.disable()  # one build per process, and the model it builds lives until exit
     raise SystemExit(run())
 
 

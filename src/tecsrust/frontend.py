@@ -6,16 +6,28 @@ modifiers. Anything outside that subset is a clean, located error. The
 parser recovers at the next top-level ';' or '}' so one pass can report
 several errors.
 
-`tokenize` scans a text with one compiled regex. A `Token` keeps its kind,
-text and start offset plus a reference to the source's `LineIndex`;
-`Token.location` builds the `SourceLoc` on demand, on each access, by
-bisecting the line starts. Lines end at '\n' only, and columns count
+`tokenize` scans a text with one compiled regex into a `Tokens` stream:
+parallel sequences of tags, texts and start offsets, plus the source's
+`LineIndex`. It makes no object per token beyond a string literal's
+text: keywords, punctuation and names are interned, so each distinct text
+exists once, and the offsets sit in an `array`. A tag is the token's text
+for keywords and punctuation, and its kind ("identifier", "string",
+"integer") otherwise, so the parser tests a token with one comparison.
+Indexing the stream builds a `Token` view on demand; `Token.location`
+bisects the line starts. Lines end at '\n' only, and columns count
 characters from 1.
+
+`_Parser` walks the stream by index: its helpers compare entries and
+return token indices, and an `EOF` tag after the last token spares them a
+bounds check. A `SourceLoc` is built only where the AST or a diagnostic
+keeps one.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -31,26 +43,27 @@ KEYWORDS = {
     "signature", "celltype", "cell", "call", "entry", "attr", "var",
     "factory", "FACTORY", "generate", "C_EXP", "write",
 }
+PUNCT = frozenset("{}()[];,=*.")
+EOF = None  # the tag after the last token
 
 
 # One alternative per token class; the named group that matched is the
-# token kind, and whitespace and comments match unnamed. `other` takes a
-# bad character, or the start of a token with non-ASCII letters or digits,
+# token class, and whitespace and comments match unnamed. `fixed` is a
+# keyword or punctuation, whose text is its tag. `other` takes a bad
+# character, or the start of a token with non-ASCII letters or digits,
 # which `_scan_other` finishes with the str predicates.
 _TOKEN = re.compile(r"""
     [ \t\r\n]+
   | //[^\n]*
   | /\*.*?\*/
-  | (?P<keyword>(?:%s)(?!\w))
+  | (?P<fixed>(?:%s)(?!\w)|[{}()\[\];,=*.])
   | (?P<identifier>[A-Za-z_]\w*)
-  | (?P<punct>[{}()\[\];,=*.])
   | (?P<integer>-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f])))
   | "(?P<string>(?:\\.|[^"\\\n])*)"
   | (?P<open_string>"(?:\\.|[^"\\\n])*\\?)
   | (?P<open_comment>/\*)
   | (?P<other>.)
 """ % "|".join(sorted(KEYWORDS)), re.DOTALL | re.VERBOSE)
-_PLAIN = {"keyword", "identifier", "punct", "integer"}  # token text is the match
 _WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPE = {"n": "\n", "t": "\t"}
@@ -71,7 +84,7 @@ class LineIndex:
 
 
 class Token:
-    """kind is keyword | identifier | string | integer | punct."""
+    """A view of one token; kind is keyword | identifier | string | integer | punct."""
 
     __slots__ = ("kind", "text", "offset", "lines")
 
@@ -86,44 +99,81 @@ class Token:
         return self.lines.locate(self.offset)
 
 
-def tokenize(text: str, source_name: str = "<memory>") -> Tuple[List[Token], List[Diagnostic]]:
-    lines = LineIndex(text, source_name)
-    tokens: List[Token] = []
+class Tokens:
+    """The token stream of one source, as parallel sequences.
+
+    Token i has tag `tags[i]`, text `texts[i]` and start offset
+    `offsets[i]`. `tags` and `offsets` hold one entry more than there are
+    tokens: the `EOF` tag, and the last token's offset (0 if none), so
+    the parser can look one token past the end and locate it.
+    """
+
+    __slots__ = ("tags", "texts", "offsets", "lines")
+
+    def __init__(self, lines: LineIndex):
+        self.tags: List[Optional[str]] = []
+        self.texts: List[str] = []
+        self.offsets = array("q")
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self.texts))[i]  # IndexError past the end ends iteration
+        tag = self.tags[i]
+        kind = "keyword" if tag in KEYWORDS else "punct" if tag in PUNCT else tag
+        return Token(kind, self.texts[i], self.offsets[i], self.lines)
+
+
+def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Diagnostic]]:
+    tokens = Tokens(LineIndex(text, source_name))
+    tag, add_text, add_offset = tokens.tags.append, tokens.texts.append, tokens.offsets.append
     diags: List[Diagnostic] = []
+    intern = sys.intern
     pos, n = 0, len(text)
     while pos < n:
         for m in _TOKEN.finditer(text, pos):
             kind = m.lastgroup
-            if kind in _PLAIN:
-                tokens.append(Token(kind, m.group(), m.start(), lines))
-                continue
             if kind is None:
                 continue
-            start = m.start()
-            if kind == "string":
-                body = m.group(kind)
-                if "\\" in body:
-                    body = _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), body)
-                tokens.append(Token(kind, body, start, lines))
+            if kind == "fixed":
+                word = intern(m.group())
+                tag(word)
+            elif kind == "identifier" or kind == "integer":
+                word = intern(m.group())
+                tag(kind)
+            elif kind == "string":
+                word = m.group(kind)
+                if "\\" in word:
+                    word = _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), word)
+                tag(kind)
             elif kind == "open_string":
                 diags.append(error("unterminated-string", "unterminated string literal",
-                                   lines.locate(start)))
+                                   tokens.lines.locate(m.start())))
+                continue
             elif kind == "open_comment":
                 diags.append(error("unterminated-comment", "unterminated '/*' comment",
-                                   lines.locate(start)))
+                                   tokens.lines.locate(m.start())))
                 pos = n
                 break
             else:
-                end = _scan_other(text, start, lines, tokens, diags)
+                start = m.start()
+                end = _scan_other(text, start, tokens, diags)
                 if end > start + 1:  # resume the scan after a longer token
                     pos = end
                     break
+                continue
+            add_text(word)
+            add_offset(m.start())
         else:
             pos = n
+    tag(EOF)
+    add_offset(tokens.offsets[-1] if tokens.offsets else 0)
     return tokens, diags
 
 
-def _scan_other(text, i, lines, tokens, diags) -> int:
+def _scan_other(text, i, tokens, diags) -> int:
     """Scan the token at text[i] with the str predicates; return its end."""
     c = text[i]
     if c.isdigit() or (c == "-" and text[i + 1:i + 2].isdigit()):
@@ -131,14 +181,18 @@ def _scan_other(text, i, lines, tokens, diags) -> int:
         j = i + 1
         while j < len(text) and text[j].isdigit():
             j += 1
-        tokens.append(Token("integer", text[i:j], i, lines))
-        return j
-    if c.isalpha():  # keywords are ASCII, so this is an identifier
+        kind = "integer"
+    elif c.isalpha():  # keywords are ASCII, so this is an identifier
         j = _WORD_TAIL.match(text, i + 1).end()
-        tokens.append(Token("identifier", text[i:j], i, lines))
-        return j
-    diags.append(error("bad-character", f"unexpected character {c!r}", lines.locate(i)))
-    return i + 1
+        kind = "identifier"
+    else:
+        diags.append(error("bad-character", f"unexpected character {c!r}",
+                           tokens.lines.locate(i)))
+        return i + 1
+    tokens.tags.append(kind)
+    tokens.texts.append(text[i:j])
+    tokens.offsets.append(i)
+    return j
 
 
 @dataclass
@@ -152,318 +206,305 @@ class _ParseError(Exception):
         self.diag = diag
 
 
+_TOP_LEVEL = {"signature", "celltype", "cell", EOF}
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token], source_name: str):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, source_name: str):
+        self.tags, self.texts = tokens.tags, tokens.texts
+        self.offsets, self.lines = tokens.offsets, tokens.lines
         self.pos = 0
         self.source_name = source_name
         self.diags: List[Diagnostic] = []
 
     # --- token helpers -------------------------------------------------
-
-    def peek(self, offset=0) -> Optional[Token]:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    # Each tests or takes the token at `pos`, and `take`, `expect` and
+    # `expect_ident` return its index. `EOF` ends every loop: no check
+    # matches it, and `take` only follows a check that matched.
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tags[self.pos] is EOF
 
-    def loc(self) -> SourceLoc:
-        tok = self.peek()
-        if tok is not None:
-            return tok.location
-        if self.tokens:
-            return self.tokens[-1].location
-        return SourceLoc(self.source_name, 1, 1)
+    def loc(self, i: Optional[int] = None) -> SourceLoc:
+        """Where token i (default: the current one) starts; at EOF, the last token."""
+        return self.lines.locate(self.offsets[self.pos if i is None else i])
 
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise _ParseError(error("unexpected-eof", "unexpected end of input", self.loc()))
+    def found(self) -> str:
+        return "end of input" if self.at_end() else self.texts[self.pos]
+
+    def unexpected(self, want: str) -> _ParseError:
+        if self.at_end():
+            return _ParseError(error(
+                "unexpected-eof", f"expected {want}, found end of input", self.loc()))
+        return _ParseError(error(
+            "unexpected-token", f"expected {want}, found '{self.texts[self.pos]}'",
+            self.loc()))
+
+    def take(self) -> int:
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+    def check(self, tag: str, offset: int = 0) -> bool:
+        return self.tags[self.pos + offset] == tag
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, text):
-            return self.take()
-        return None
+    def accept(self, tag: str) -> bool:
+        if self.tags[self.pos] == tag:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            want = text or kind
-            raise _ParseError(error("unexpected-eof", f"expected '{want}', found end of input", self.loc()))
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
+    def expect(self, tag: str) -> int:
+        i = self.pos
+        if self.tags[i] != tag:
+            raise self.unexpected(f"'{tag}'")
+        self.pos = i + 1
+        return i
+
+    def expect_ident(self, what: str) -> int:
+        i = self.pos
+        if self.tags[i] != "identifier":
             raise _ParseError(error(
-                "unexpected-token",
-                f"expected '{want}', found '{tok.text}'", tok.location))
-        return self.take()
-
-    def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "identifier":
-            found = tok.text if tok else "end of input"
-            raise _ParseError(error(
-                "unexpected-token", f"expected {what}, found '{found}'",
-                self.loc()))
-        return self.take()
+                "unexpected-token", f"expected {what}, found '{self.found()}'", self.loc()))
+        self.pos = i + 1
+        return i
 
     def sync_top_level(self):
         """Skip forward to the next top-level description or directive."""
-        while not self.at_end():
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.text in ("signature", "celltype", "cell"):
+        tags = self.tags
+        while tags[self.pos] not in _TOP_LEVEL:
+            if tags[self.pos] == "[" and tags[self.pos + 1] == "generate":
                 return
-            if self.check("punct", "[") and self.check("keyword", "generate", 1):
-                return
-            self.take()
+            self.pos += 1
 
     # --- grammar -------------------------------------------------------
+    # Token indices are kept until a node is built; `texts[i]` is the text.
 
     def parse_unit(self) -> CdlUnit:
         signatures, celltypes, cells = [], [], []
         while not self.at_end():
             try:
                 directive = None
-                if self.check("punct", "["):
+                if self.check("["):
                     directive = self.parse_directive()
-                if self.check("keyword", "signature"):
+                if self.check("signature"):
                     if directive is not None:
                         self.diags.append(error(
                             "misplaced-directive",
                             "[generate(...)] cannot precede a signature",
                             directive.location))
                     signatures.append(self.parse_signature())
-                elif self.check("keyword", "celltype"):
+                elif self.check("celltype"):
                     celltypes.append(self.parse_celltype(directive))
-                elif self.check("keyword", "cell"):
+                elif self.check("cell"):
                     cells.append(self.parse_cell(directive))
                 else:
-                    tok = self.peek()
-                    raise _ParseError(error(
-                        "unexpected-token",
-                        f"expected 'signature', 'celltype', or 'cell', found '{tok.text}'",
-                        tok.location))
+                    raise self.unexpected("'signature', 'celltype', or 'cell'")
             except _ParseError as exc:
                 self.diags.append(exc.diag)
                 self.sync_top_level()
         return CdlUnit(self.source_name, tuple(signatures), tuple(celltypes), tuple(cells))
 
     def parse_directive(self) -> PluginDirective:
-        start = self.expect("punct", "[").location
-        self.expect("keyword", "generate")
-        self.expect("punct", "(")
+        start = self.expect("[")
+        self.expect("generate")
+        self.expect("(")
         name = self.expect_ident("plugin name")
-        self.expect("punct", ",")
+        self.expect(",")
         arg = self.expect("string")
-        self.expect("punct", ")")
-        self.expect("punct", "]")
-        return PluginDirective(name.text, arg.text, start)
+        self.expect(")")
+        self.expect("]")
+        return PluginDirective(self.texts[name], self.texts[arg], self.loc(start))
 
     def parse_signature(self) -> SignatureDef:
-        start = self.expect("keyword", "signature").location
+        start = self.expect("signature")
         name = self.expect_ident("signature name")
-        self.expect("punct", "{")
+        self.expect("{")
         functions = []
-        while not self.check("punct", "}"):
+        while not self.check("}"):
             functions.append(self.parse_function())
-        self.expect("punct", "}")
-        self.expect("punct", ";")
-        return SignatureDef(name.text, tuple(functions), start)
+        self.expect("}")
+        self.expect(";")
+        return SignatureDef(self.texts[name], tuple(functions), self.loc(start))
 
     def parse_function(self) -> FunctionDecl:
         ret = self.expect_ident("return type")
         name = self.expect_ident("function name")
-        self.expect("punct", "(")
+        self.expect("(")
         params = []
-        if self.check("identifier", "void") and self.check("punct", ")", 1):
+        if self.check("identifier") and self.texts[self.pos] == "void" and self.check(")", 1):
             self.take()
         else:
-            while not self.check("punct", ")"):
+            while not self.check(")"):
                 params.append(self.parse_param())
-                if not self.accept("punct", ","):
+                if not self.accept(","):
                     break
-        self.expect("punct", ")")
-        self.expect("punct", ";")
-        return FunctionDecl(name.text, ret.text, tuple(params), name.location)
+        self.expect(")")
+        self.expect(";")
+        return FunctionDecl(self.texts[name], self.texts[ret], tuple(params), self.loc(name))
 
     def parse_param(self) -> ParamDecl:
-        open_tok = self.expect("punct", "[")
-        spec_tok = self.expect_ident("parameter specifier")
-        if spec_tok.text not in ("in", "out"):
+        start = self.expect("[")
+        spec = self.texts[self.expect_ident("parameter specifier")]
+        if spec not in ("in", "out"):
             raise _ParseError(error(
-                "unknown-specifier",
-                f"unknown parameter specifier '[{spec_tok.text}]'",
-                spec_tok.location))
-        self.expect("punct", "]")
+                "unknown-specifier", f"unknown parameter specifier '[{spec}]'",
+                self.loc(start + 1)))
+        self.expect("]")
         c_type = self.expect_ident("parameter type")
         depth = 0
-        while self.accept("punct", "*"):
+        while self.accept("*"):
             depth += 1
         name = self.expect_ident("parameter name")
-        spec = ParamSpecifier.IN if spec_tok.text == "in" else ParamSpecifier.OUT
-        return ParamDecl(spec, c_type.text, depth, name.text, open_tok.location)
+        specifier = ParamSpecifier.IN if spec == "in" else ParamSpecifier.OUT
+        return ParamDecl(specifier, self.texts[c_type], depth, self.texts[name], self.loc(start))
 
     def parse_celltype(self, directive) -> CelltypeDef:
-        start = self.expect("keyword", "celltype").location
+        start = self.expect("celltype")
         name = self.expect_ident("celltype name")
-        self.expect("punct", "{")
+        self.expect("{")
         call_ports, entry_ports, attrs, vars_, blocks = [], [], [], [], []
-        while not self.check("punct", "}"):
+        while not self.check("}"):
             modifiers = []
-            mod_loc = self.loc()
-            while self.check("punct", "["):
-                self.take()
+            member = self.pos
+            while self.accept("["):
                 mod = self.expect_ident("port modifier")
-                if mod.text not in ("inline", "omit"):
+                if self.texts[mod] not in ("inline", "omit"):
                     raise _ParseError(error(
-                        "unknown-modifier",
-                        f"unknown modifier '[{mod.text}]'", mod.location))
-                modifiers.append(mod.text)
-                self.expect("punct", "]")
-            if self.check("keyword", "call") or self.check("keyword", "entry"):
+                        "unknown-modifier", f"unknown modifier '[{self.texts[mod]}]'",
+                        self.loc(mod)))
+                modifiers.append(self.texts[mod])
+                self.expect("]")
+            if self.check("call") or self.check("entry"):
                 port = self.parse_port(frozenset(modifiers))
                 (call_ports if port.direction is PortDirection.CALL else entry_ports).append(port)
-            elif self.check("keyword", "attr"):
+            elif self.check("attr"):
                 if modifiers:
                     raise _ParseError(error(
-                        "misplaced-modifier", "modifiers go on individual attrs", mod_loc))
+                        "misplaced-modifier", "modifiers go on individual attrs",
+                        self.loc(member)))
                 attrs.extend(self.parse_attr_block())
-            elif self.check("keyword", "var"):
+            elif self.check("var"):
                 vars_.extend(self.parse_var_block())
-            elif self.check("keyword", "factory") or self.check("keyword", "FACTORY"):
+            elif self.check("factory") or self.check("FACTORY"):
                 blocks.append(self.parse_factory_block())
             elif "omit" in modifiers:
                 # [omit] directly on an attr outside an attr{} block is not a thing;
                 # but [omit]TYPE name appears inside attr blocks only.
                 raise _ParseError(error(
-                    "unexpected-token", "expected celltype member", mod_loc))
+                    "unexpected-token", "expected celltype member", self.loc(member)))
             else:
-                tok = self.peek()
-                raise _ParseError(error(
-                    "unexpected-token",
-                    f"expected celltype member, found '{tok.text}'", tok.location))
-        self.expect("punct", "}")
-        self.expect("punct", ";")
+                raise self.unexpected("celltype member")
+        self.expect("}")
+        self.expect(";")
         return CelltypeDef(
-            name.text, tuple(call_ports), tuple(entry_ports), tuple(attrs),
-            tuple(vars_), tuple(blocks), directive, start)
+            self.texts[name], tuple(call_ports), tuple(entry_ports), tuple(attrs),
+            tuple(vars_), tuple(blocks), directive, self.loc(start))
 
     def parse_port(self, modifiers) -> PortDecl:
         kw = self.take()
-        direction = PortDirection.CALL if kw.text == "call" else PortDirection.ENTRY
+        direction = PortDirection.CALL if self.tags[kw] == "call" else PortDirection.ENTRY
         sig = self.expect_ident("signature name")
         port = self.expect_ident("port name")
-        self.expect("punct", ";")
-        return PortDecl(direction, sig.text, port.text, modifiers, kw.location)
+        self.expect(";")
+        return PortDecl(direction, self.texts[sig], self.texts[port], modifiers, self.loc(kw))
 
     def parse_attr_block(self):
-        self.expect("keyword", "attr")
-        self.expect("punct", "{")
+        self.expect("attr")
+        self.expect("{")
         attrs = []
-        while not self.check("punct", "}"):
-            omit = False
-            loc = self.loc()
-            if self.accept("punct", "["):
+        while not self.check("}"):
+            start = self.pos
+            omit = self.accept("[")
+            if omit:
                 mod = self.expect_ident("attr modifier")
-                if mod.text != "omit":
+                if self.texts[mod] != "omit":
                     raise _ParseError(error(
-                        "unknown-modifier", f"unknown modifier '[{mod.text}]'",
-                        mod.location))
-                omit = True
-                self.expect("punct", "]")
+                        "unknown-modifier", f"unknown modifier '[{self.texts[mod]}]'",
+                        self.loc(mod)))
+                self.expect("]")
             c_type = self.expect_ident("attr type")
             name = self.expect_ident("attr name")
-            default = None
-            if self.accept("punct", "="):
-                default = self.parse_initializer()
-            self.expect("punct", ";")
-            attrs.append(AttrDecl(name.text, c_type.text, default, omit, loc))
-        self.expect("punct", "}")
-        self.expect("punct", ";")
+            default = self.parse_initializer() if self.accept("=") else None
+            self.expect(";")
+            attrs.append(AttrDecl(
+                self.texts[name], self.texts[c_type], default, omit, self.loc(start)))
+        self.expect("}")
+        self.expect(";")
         return attrs
 
     def parse_var_block(self):
-        self.expect("keyword", "var")
-        self.expect("punct", "{")
+        self.expect("var")
+        self.expect("{")
         vars_ = []
-        while not self.check("punct", "}"):
-            loc = self.loc()
+        while not self.check("}"):
+            start = self.pos
             type_text = self.expect_ident("var type")
             name = self.expect_ident("var name")
-            default = None
-            if self.accept("punct", "="):
-                default = self.parse_initializer()
-            self.expect("punct", ";")
-            vars_.append(VarDecl(name.text, type_text.text, default, loc))
-        self.expect("punct", "}")
-        self.expect("punct", ";")
+            default = self.parse_initializer() if self.accept("=") else None
+            self.expect(";")
+            vars_.append(VarDecl(
+                self.texts[name], self.texts[type_text], default, self.loc(start)))
+        self.expect("}")
+        self.expect(";")
         return vars_
 
     def parse_factory_block(self) -> FactoryBlock:
         kw = self.take()
-        scope = FactoryScope.PER_CELL if kw.text == "factory" else FactoryScope.PER_CELLTYPE
-        self.expect("punct", "{")
+        scope = FactoryScope.PER_CELL if self.tags[kw] == "factory" else FactoryScope.PER_CELLTYPE
+        self.expect("{")
         writes = []
-        while not self.check("punct", "}"):
-            w = self.expect("keyword", "write")
-            self.expect("punct", "(")
+        while not self.check("}"):
+            w = self.expect("write")
+            self.expect("(")
             target = self.expect("string")
-            self.expect("punct", ",")
+            self.expect(",")
             template = self.expect("string")
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            writes.append(FactoryWrite(target.text, template.text, w.location))
-        self.expect("punct", "}")
-        self.expect("punct", ";")
+            self.expect(")")
+            self.expect(";")
+            writes.append(FactoryWrite(self.texts[target], self.texts[template], self.loc(w)))
+        self.expect("}")
+        self.expect(";")
         return FactoryBlock(scope, tuple(writes))
 
     def parse_cell(self, directive) -> CellDef:
-        start = self.expect("keyword", "cell").location
+        start = self.expect("cell")
         ct_name = self.expect_ident("celltype name")
         name = self.expect_ident("cell name")
-        self.expect("punct", "{")
+        self.expect("{")
         bindings, inits = [], []
-        while not self.check("punct", "}"):
+        while not self.check("}"):
             lhs = self.expect_ident("port or attr name")
-            self.expect("punct", "=")
-            if self.check("identifier") and self.check("punct", ".", 1):
+            self.expect("=")
+            if self.check("identifier") and self.check(".", 1):
                 target_cell = self.take()
                 self.take()  # '.'
                 target_port = self.expect_ident("binding target")
                 bindings.append(Binding(
-                    lhs.text, target_cell.text, target_port.text, lhs.location))
-            elif self.check("punct", ";") or self.check("punct", "}"):
+                    self.texts[lhs], self.texts[target_cell], self.texts[target_port],
+                    self.loc(lhs)))
+            elif self.check(";") or self.check("}"):
                 raise _ParseError(error(
                     "expected-binding-target",
-                    f"expected binding target or initializer after '{lhs.text} ='",
+                    f"expected binding target or initializer after '{self.texts[lhs]} ='",
                     self.loc()))
             else:
-                inits.append(AttrInit(lhs.text, self.parse_initializer(), lhs.location))
-            self.expect("punct", ";")
-        self.expect("punct", "}")
-        self.expect("punct", ";")
-        return CellDef(name.text, ct_name.text, tuple(bindings), tuple(inits),
-                       directive, start)
+                inits.append(AttrInit(self.texts[lhs], self.parse_initializer(), self.loc(lhs)))
+            self.expect(";")
+        self.expect("}")
+        self.expect(";")
+        return CellDef(self.texts[name], self.texts[ct_name], tuple(bindings), tuple(inits),
+                       directive, self.loc(start))
 
     def parse_initializer(self) -> Initializer:
-        if self.accept("keyword", "C_EXP"):
-            self.expect("punct", "(")
+        if self.accept("C_EXP"):
+            self.expect("(")
             text = self.expect("string")
-            self.expect("punct", ")")
-            return Initializer(InitKind.C_EXP, text.text)
-        tok = self.peek()
-        if tok is not None and tok.kind in ("integer", "identifier"):
-            self.take()
-            return Initializer(InitKind.LITERAL, tok.text)
-        found = tok.text if tok else "end of input"
+            self.expect(")")
+            return Initializer(InitKind.C_EXP, self.texts[text])
+        if self.check("integer") or self.check("identifier"):
+            return Initializer(InitKind.LITERAL, self.texts[self.take()])
         raise _ParseError(error(
-            "expected-initializer", f"expected initializer, found '{found}'",
+            "expected-initializer", f"expected initializer, found '{self.found()}'",
             self.loc()))
 
 

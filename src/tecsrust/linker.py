@@ -202,10 +202,15 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
     """Report every entity that would stop an emitter, and keep each cell's
     rendered attr texts. Order: bad names, each once; then per celltype its
     var types, call ports without cells, attrs cell by cell, and vars."""
-    short = {(kind, e.name): e.location
-             for kind, e in _named(generating, sig_index, cells_by_ct) if len(e.name) < 2}
-    for (kind, name), loc in short.items():
-        diags.append(error("bad-name", f"{kind} name '{name}' too short", loc))
+    named = {(kind, e.name): e.location
+             for kind, e in _named(generating, sig_index, cells_by_ct)}
+    for (kind, name), loc in named.items():
+        if len(name) < 2:
+            diags.append(error("bad-name", f"{kind} name '{name}' too short", loc))
+        elif not (naming.contract_name(name) if kind == "signature"
+                  else naming.record_name(name)).isidentifier():  # '__' maps to ''
+            diags.append(error(
+                "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", loc))
 
     for ct in generating:
         for v in ct.vars:

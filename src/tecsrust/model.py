@@ -242,6 +242,13 @@ def _balanced_holes(text: str) -> bool:
     return text.count("$") % 2 == 0
 
 
+def _check_literal(init, where: str, location, diags) -> None:
+    """The tokenizer takes '0x' as an integer; Rust needs a digit after it."""
+    if init is not None and init.kind is InitKind.LITERAL and init.text.lower() in ("0x", "-0x"):
+        diags.append(error(
+            "bad-integer", f"integer literal '{init.text}' in {where} has no digits", location))
+
+
 def validate_unit(unit: CdlUnit) -> list:
     """Check structural rules on a parsed unit.
 
@@ -298,6 +305,9 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in default of attr '{a.name}'",
                     a.location))
+            _check_literal(a.default, f"default of attr '{a.name}'", a.location, diags)
+        for v in ct.vars:
+            _check_literal(v.default, f"default of var '{v.name}'", v.location, diags)
         for block in ct.factory_blocks:
             for w in block.writes:
                 if not w.target_file:
@@ -328,6 +338,8 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in initializer of '{init.attr_name}'",
                     init.location))
+            _check_literal(init.value, f"initializer of '{init.attr_name}'",
+                           init.location, diags)
         _check_directive(cell.generate_directive, diags)
 
     return diags

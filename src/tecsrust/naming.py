@@ -1,9 +1,9 @@
 """Identifier, type, and file-name mapping rules for the emitted Rust code.
 
 All functions are pure and total: they never raise. The names and var
-types they cannot map well (one-character signature and celltype names,
-unrecognized manglings) are rejected with located diagnostics by
-`linker.resolve` before any emitter runs.
+types they cannot map well (signature and celltype names of one character
+or with no Rust identifier form, unrecognized manglings) are rejected with
+located diagnostics by `linker.resolve` before any emitter runs.
 """
 
 from __future__ import annotations

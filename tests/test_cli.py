@@ -102,6 +102,19 @@ def test_one_character_name_is_a_located_error(tmp_path, capsys, text):
     assert path.endswith("short.cdl") and int(lineno) > 0 and int(col) > 0
 
 
+def test_all_underscore_name_is_a_located_error(tmp_path, capsys):
+    src = tmp_path / "under.cdl"
+    src.write_text("""signature __ { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA { entry __ eA; };
+""")
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out)]) == EXIT_DIAGNOSTICS
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:1:1: error[bad-name]: signature name '__' does not map to a Rust identifier"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(cdl_units_with_gaps())
 def test_generate_is_total_on_units_with_gaps(unit):

@@ -1,3 +1,6 @@
+import gc
+
+import pytest
 from hypothesis import given, settings
 
 from strategies import cdl_units
@@ -19,7 +22,29 @@ def test_tokenize_signature_header():
 
 
 def test_tokenize_empty_input():
-    assert tokenize("") == ([], [])
+    tokens, diags = tokenize("")
+    assert len(tokens) == 0 and diags == []
+
+
+def test_tokens_index_as_views():
+    tokens, _ = tokenize('cell\n  tX "s"', "v.cdl")
+    last = tokens[-1]
+    assert (last.kind, last.text, str(last.location)) == ("string", "s", "v.cdl:2:6")
+    with pytest.raises(IndexError):
+        tokens[3]
+
+
+def test_tokenize_makes_no_object_per_token():
+    text = 'cell tX a { b = "m"; c = 0x1F; d = e.f; };\n' * 500
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tokens, diags = tokenize(text)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(tokens) == 10_000 and diags == []
+    assert grown <= 10
 
 
 def test_tokenize_c_exp_call():
@@ -101,6 +126,18 @@ def test_recovery_reports_multiple_errors():
     errors = [d for d in result.diagnostics if d.severity is Severity.ERROR]
     assert len(errors) == 2
     assert {d.location.line for d in errors} == {1, 2}
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("celltype tX {", "expected celltype member, found end of input", 13),
+    ('[generate(RustGenPlugin, "x")]',
+     "expected 'signature', 'celltype', or 'cell', found end of input", 30),
+], ids=["celltype", "directive"])
+def test_truncated_input_is_a_located_error(text, message, column):
+    result = parse_unit(text, "cut.cdl")
+    assert result.unit is None
+    assert [(d.code, d.message, str(d.location)) for d in result.diagnostics] == [
+        ("unexpected-eof", message, f"cut.cdl:1:{column}")]
 
 
 def test_diagnostic_location_points_at_lexeme():

@@ -1,3 +1,5 @@
+import pytest
+
 from tecsrust.frontend import parse_unit
 from tecsrust.model import (
     CdlUnit, FunctionDecl, ParamDecl, ParamSpecifier, PluginDirective,
@@ -76,3 +78,18 @@ def test_units_compare_structurally():
     a = parse_unit(SIG_TEXT, "a.cdl").unit
     b = parse_unit(SIG_TEXT, "b.cdl").unit
     assert a == b
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("celltype tA { attr { int32_t x = 0x; }; };",
+     "integer literal '0x' in default of attr 'x' has no digits", 22),
+    ("celltype tA { var { int32_t x = -0X; }; };",
+     "integer literal '-0X' in default of var 'x' has no digits", 21),
+    ("celltype tA { attr { int32_t x; }; };\ncell tA A { x = -0x; };",
+     "integer literal '-0x' in initializer of 'x' has no digits", 13),
+], ids=["attr-default", "var-default", "cell-initializer"])
+def test_integer_literal_without_digits_is_rejected(text, message, column):
+    diags = validate_unit(parse_unit(text, "lit.cdl").unit)
+    assert [(d.code, d.message) for d in diags] == [("bad-integer", message)]
+    assert (diags[0].location.file, diags[0].location.column) == ("lit.cdl", column)
+    assert validate_unit(parse_unit(text.replace("0x", "0x1").replace("0X", "0X1")).unit) == []
