@@ -66,13 +66,8 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
     if has_errors(diags):
         return [], plan, model, diags
 
-    report = GenerationReport()
-    skeleton_paths = set(plan.skeleton_files())
-    for f in files:
-        report.file_lines[f.path] = f.content.count("\n")
-        if f.path in skeleton_paths:
-            report.skeleton_files.add(f.path)
-    plan.report = report
+    plan.report = GenerationReport({f.path: f.content.count("\n") for f in files},
+                                   set(plan.skeleton_files()))
     return files, plan, model, diags
 
 
@@ -188,17 +183,17 @@ def run(argv: Optional[List[str]] = None) -> int:
     out_dir = Path(args.out)
     try:
         written = write_files(files, out_dir)
-        if args.diagram and model is not None:
+        if args.diagram:
             Path(args.diagram).write_text(emit_diagram(model), encoding="utf-8",
                                           newline="\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.report and plan is not None:
+    if args.report:
         print(report(plan), end="")
     else:
-        rep = plan.report if plan is not None else GenerationReport()
+        rep = plan.report
         print(f"generated {len(files)} files ({len(written)} written, "
               f"{rep.auto_total} generated lines, {rep.skeleton_total} stub lines) "
               f"under {out_dir}")

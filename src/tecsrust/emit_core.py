@@ -62,7 +62,6 @@ class _DefinitionContext:
 
     def __init__(self, ct: CelltypeDef, cells: List[ResolvedCell]):
         self.ct = ct
-        self.cells = cells
         self.record = naming.record_name(ct.name)
         self.visible_attrs = [a for a in ct.attrs if not a.omit]
         self.var_types = {v.name: naming.demangle_var_type(v.type_text) for v in ct.vars}

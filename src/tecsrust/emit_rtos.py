@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from .model import CellDef, CelltypeDef, Diagnostic, error
 
@@ -22,9 +22,7 @@ KERNEL_PREAMBLE_LINES = (
 
 
 class MacroError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+    """A `$macro$` hole that cannot be filled; reported as `unresolved-macro`."""
 
 
 @dataclass
@@ -38,12 +36,11 @@ class MacroEnv:
             return self.ct
         if name == "cell":
             if self.cell is None:
-                raise MacroError("unresolved-macro",
-                                 "$cell$ is not available outside a cell context")
+                raise MacroError("$cell$ is not available outside a cell context")
             return self.cell
         if name in self.attr_values:
             return self.attr_values[name]
-        raise MacroError("unresolved-macro", f"unresolved macro '${name}$'")
+        raise MacroError(f"unresolved macro '${name}$'")
 
 
 _HOLE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)\$")
@@ -58,8 +55,7 @@ def substitute_macros(template: str, env: MacroEnv) -> str:
     """
     rendered = _HOLE.sub(lambda m: env.lookup(m.group(1)), template)
     if "$" in rendered:
-        raise MacroError("unresolved-macro",
-                         f"residual '$' after substitution in {rendered!r}")
+        raise MacroError(f"residual '$' after substitution in {rendered!r}")
     return rendered
 
 
@@ -91,18 +87,31 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
     """Render every planned factory write in plan order.
 
     Writes aimed at the same target file stay in that order; the CLI joins
-    them into one file per target.
+    them into one file per target. Each distinct target is checked once, at
+    its first write: it must name a file inside `--out` that no core
+    emitter writes.
     """
     writes: List[ConfigWrite] = []
     diags: List[Diagnostic] = []
+    core_files = set(plan.contract_files() + plan.definition_files() + plan.skeleton_files())
+    checked: Set[str] = set()
     for pw in plan.config_writes:
         env = build_env(pw.celltype, pw.cell)
         try:
             target = substitute_macros(pw.target_template, env)
             line = substitute_macros(pw.line_template, env)
         except MacroError as exc:
-            diags.append(error(exc.code, str(exc), pw.location))
+            diags.append(error("unresolved-macro", str(exc), pw.location))
             continue
+        if target not in checked:
+            checked.add(target)
+            parts = [p for p in target.split("/") if p not in ("", ".")]
+            if target.startswith("/") or ".." in parts or not parts:
+                diags.append(error("write-outside-out", f"factory target '{target}' "
+                                   "is not a file inside --out", pw.location))
+            elif "/".join(parts) in core_files:
+                diags.append(error("path-collision", f"factory target '{target}' "
+                                   "names a file the core emitters write", pw.location))
         writes.append(ConfigWrite(target, line))
     return writes, diags
 

@@ -13,9 +13,8 @@ text: keywords, punctuation and names are interned, so each distinct text
 exists once, and the offsets sit in an `array`. A tag is the token's text
 for keywords and punctuation, and its kind ("identifier", "string",
 "integer") otherwise, so the parser tests a token with one comparison.
-Indexing the stream builds a `Token` view on demand; `Token.location`
-bisects the line starts. Lines end at '\n' only, and columns count
-characters from 1.
+`LineIndex.locate` bisects the line starts to turn an offset into a
+`SourceLoc`. Lines end at '\n' only, and columns count characters from 1.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
@@ -43,7 +42,6 @@ KEYWORDS = {
     "signature", "celltype", "cell", "call", "entry", "attr", "var",
     "factory", "FACTORY", "generate", "C_EXP", "write",
 }
-PUNCT = frozenset("{}()[];,=*.")
 EOF = None  # the tag after the last token
 
 
@@ -83,22 +81,6 @@ class LineIndex:
         return SourceLoc(self.source_name, line, offset - self.starts[line - 1] + 1)
 
 
-class Token:
-    """A view of one token; kind is keyword | identifier | string | integer | punct."""
-
-    __slots__ = ("kind", "text", "offset", "lines")
-
-    def __init__(self, kind: str, text: str, offset: int, lines: LineIndex):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self.lines = lines
-
-    @property
-    def location(self) -> SourceLoc:
-        return self.lines.locate(self.offset)
-
-
 class Tokens:
     """The token stream of one source, as parallel sequences.
 
@@ -118,12 +100,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def __getitem__(self, i: int) -> Token:
-        i = range(len(self.texts))[i]  # IndexError past the end ends iteration
-        tag = self.tags[i]
-        kind = "keyword" if tag in KEYWORDS else "punct" if tag in PUNCT else tag
-        return Token(kind, self.texts[i], self.offsets[i], self.lines)
 
 
 def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Diagnostic]]:
@@ -210,11 +186,10 @@ _TOP_LEVEL = {"signature", "celltype", "cell", EOF}
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens, source_name: str):
+    def __init__(self, tokens: Tokens):
         self.tags, self.texts = tokens.tags, tokens.texts
         self.offsets, self.lines = tokens.offsets, tokens.lines
         self.pos = 0
-        self.source_name = source_name
         self.diags: List[Diagnostic] = []
 
     # --- token helpers -------------------------------------------------
@@ -302,7 +277,8 @@ class _Parser:
             except _ParseError as exc:
                 self.diags.append(exc.diag)
                 self.sync_top_level()
-        return CdlUnit(self.source_name, tuple(signatures), tuple(celltypes), tuple(cells))
+        return CdlUnit(self.lines.source_name, tuple(signatures), tuple(celltypes),
+                       tuple(cells))
 
     def parse_directive(self) -> PluginDirective:
         start = self.expect("[")
@@ -512,7 +488,7 @@ def parse_unit(text: str, source_name: str = "<memory>") -> ParseResult:
     tokens, diags = tokenize(text, source_name)
     if has_errors(diags):
         return ParseResult(None, diags)
-    parser = _Parser(tokens, source_name)
+    parser = _Parser(tokens)
     unit = parser.parse_unit()
     diags = diags + parser.diags
     if has_errors(diags):

@@ -201,7 +201,8 @@ def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
 def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
     """Report every entity that would stop an emitter, and keep each cell's
     rendered attr texts. Order: bad names, each once; then per celltype its
-    var types, call ports without cells, attrs cell by cell, and vars."""
+    var types, call ports without cells, attrs and statics cell by cell,
+    and vars."""
     named = {(kind, e.name): e.location
              for kind, e in _named(generating, sig_index, cells_by_ct)}
     for (kind, name), loc in named.items():
@@ -227,8 +228,17 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
                     f"bound cell to fix its concrete entry type", port.location))
             continue
         visible = [a for a in ct.attrs if not a.omit]
+        first_cell: Dict[str, str] = {}  # static name -> the first cell that emits it
         for rc in cells:
             rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
+            name = rc.cell.name
+            statics = [naming.static_instance_name(name)] + [
+                naming.static_entry_name(p.port_name, name) for p in ct.entry_ports]
+            for static in statics + ([naming.static_var_name(name)] if ct.vars else []):
+                if first_cell.setdefault(static, name) != name:
+                    diags.append(error("duplicate-static", f"cell '{name}' emits static "
+                                       f"'{static}', as cell '{first_cell[static]}' does",
+                                       rc.cell.location))
         for v in ct.vars:
             if v.default is None:
                 diags.append(error(
@@ -259,7 +269,7 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
         try:
             return substitute_macros(init.text, build_env(ct, cell))
         except MacroError as exc:
-            diags.append(error(exc.code, str(exc), cell.location))
+            diags.append(error("unresolved-macro", str(exc), cell.location))
     return init.text
 
 

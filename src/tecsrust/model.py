@@ -1,8 +1,8 @@
 """Abstract syntax for the supported CDL subset and the resolved component graph.
 
-Pure value types: no I/O, no mutation after construction. Source locations
-are carried for diagnostics but excluded from equality so that a rendered
-and re-parsed unit compares equal to the original.
+Pure value types: no I/O, no mutation after construction. Source locations,
+and a unit's source name, are carried for diagnostics but excluded from
+equality so that a rendered and re-parsed unit compares equal to the original.
 """
 
 from __future__ import annotations
@@ -204,28 +204,10 @@ class CellDef:
 
 @dataclass(frozen=True)
 class CdlUnit:
-    source_name: str = "<memory>"
+    source_name: str = field(default="<memory>", compare=False)
     signatures: tuple = ()
     celltypes: tuple = ()
     cells: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "signatures", tuple(self.signatures))
-        object.__setattr__(self, "celltypes", tuple(self.celltypes))
-        object.__setattr__(self, "cells", tuple(self.cells))
-
-    def __eq__(self, other):
-        if not isinstance(other, CdlUnit):
-            return NotImplemented
-        # source_name is provenance, not content
-        return (
-            self.signatures == other.signatures
-            and self.celltypes == other.celltypes
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((self.signatures, self.celltypes, self.cells))
 
 
 def _dupes(names):

@@ -115,6 +115,61 @@ celltype tA { entry __ eA; };
         f"{src}:1:1: error[bad-name]: signature name '__' does not map to a Rust identifier"]
 
 
+FACTORY_UNIT = """signature sP {{ void f( void ); }};
+[generate(RustGenPlugin, "lib")]
+celltype tP {{
+    entry sP eP;
+    attr {{ [omit] char_t dst = C_EXP("{dst}"); }};
+    factory {{ write("{target}", "LINE_$cell$"); }};
+}};
+cell tP P1 {{}};
+"""
+
+
+@pytest.mark.parametrize("target, dst, rendered", [
+    ("{tmp}/abs/x.cfg", "d", "{tmp}/abs/x.cfg"),
+    ("../x.cfg", "d", "../x.cfg"),
+    ("a/../../x.cfg", "d", "a/../../x.cfg"),
+    ("$dst$.cfg", "../via_attr", "../via_attr.cfg"),
+    ("$dst$", "", ""),
+], ids=["absolute", "parent", "nested-parent", "from-attr", "empty"])
+def test_factory_target_outside_out_is_a_located_error(tmp_path, capsys, target, dst,
+                                                       rendered):
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target=target.format(tmp=tmp_path), dst=dst))
+    assert run([str(src), "--out", str(tmp_path / "gen" / "sub")]) == EXIT_DIAGNOSTICS
+    assert list(tmp_path.rglob("*")) == [src]
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:15: error[write-outside-out]: factory target "
+        f"'{rendered.format(tmp=tmp_path)}' is not a file inside --out"]
+
+
+def test_factory_target_in_a_subdirectory_is_written(tmp_path):
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="sub/x.cfg", dst="d"))
+    out = tmp_path / "gen" / "sub"
+    assert run([str(src), "--out", str(out)]) == EXIT_OK
+    assert (out / "sub" / "x.cfg").read_text() == "LINE_P1\n"
+
+
+@pytest.mark.parametrize("target", ["t_p_impl.rs", "t_p.rs", "./s_p.rs"])
+def test_factory_target_may_not_name_a_core_file(tmp_path, capsys, target):
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d"))
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out)]) == EXIT_OK
+    impl = out / "t_p_impl.rs"
+    impl.write_text(impl.read_text() + "// hand edit\n")
+    before = {p: p.read_bytes() for p in out.rglob("*")}
+    capsys.readouterr()
+    src.write_text(FACTORY_UNIT.format(target=target, dst="d"))
+    assert run([str(src), "--out", str(out)]) == EXIT_DIAGNOSTICS
+    assert {p: p.read_bytes() for p in out.rglob("*")} == before
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:15: error[path-collision]: factory target '{target}' "
+        "names a file the core emitters write"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(cdl_units_with_gaps())
 def test_generate_is_total_on_units_with_gaps(unit):

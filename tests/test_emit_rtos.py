@@ -26,10 +26,14 @@ def test_substitute_without_holes():
 
 
 def test_unknown_macro_is_an_error():
-    with pytest.raises(MacroError) as exc:
+    with pytest.raises(MacroError, match=r"^unresolved macro '\$nope\$'$"):
         substitute_macros("$nope$", MacroEnv(ct="tX"))
-    assert exc.value.code == "unresolved-macro"
-    assert "nope" in str(exc.value)
+    text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
+            '  factory { write("x.cfg", "$nope$"); };\n};\ncell tX X1 {};\n')
+    model, _ = resolve([parse_unit(text, "m.cdl").unit])
+    _, diags = run_factory(model, plan_emission(model))
+    assert [str(d) for d in diags] == [
+        "m.cdl:3:13: error[unresolved-macro]: unresolved macro '$nope$'"]
 
 
 def test_unbalanced_holes_are_rejected():

@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import cdl_units
-from tecsrust.frontend import parse_unit, render_unit, tokenize
+from tecsrust.frontend import EOF, parse_unit, render_unit, tokenize
 from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity
 
 from test_model import SIG_TEXT
 
 
-def kinds_and_texts(tokens):
-    return [(t.kind, t.text) for t in tokens]
+def tags_and_texts(tokens):
+    return list(zip(tokens.tags, tokens.texts))
 
 
 def test_tokenize_signature_header():
     tokens, diags = tokenize("signature sSensor {")
     assert diags == []
-    assert kinds_and_texts(tokens) == [
-        ("keyword", "signature"), ("identifier", "sSensor"), ("punct", "{")]
+    assert tags_and_texts(tokens) == [
+        ("signature", "signature"), ("identifier", "sSensor"), ("{", "{")]
 
 
 def test_tokenize_empty_input():
@@ -26,12 +26,13 @@ def test_tokenize_empty_input():
     assert len(tokens) == 0 and diags == []
 
 
-def test_tokens_index_as_views():
+def test_tokens_are_parallel_sequences():
     tokens, _ = tokenize('cell\n  tX "s"', "v.cdl")
-    last = tokens[-1]
-    assert (last.kind, last.text, str(last.location)) == ("string", "s", "v.cdl:2:6")
-    with pytest.raises(IndexError):
-        tokens[3]
+    assert len(tokens) == 3
+    assert tokens.tags == ["cell", "identifier", "string", EOF]
+    assert tokens.texts == ["cell", "tX", "s"]
+    assert [str(tokens.lines.locate(o)) for o in tokens.offsets] == [
+        "v.cdl:1:1", "v.cdl:2:3", "v.cdl:2:6", "v.cdl:2:6"]  # EOF: the last token
 
 
 def test_tokenize_makes_no_object_per_token():
@@ -50,14 +51,13 @@ def test_tokenize_makes_no_object_per_token():
 def test_tokenize_c_exp_call():
     tokens, diags = tokenize('C_EXP("TSKID_$id$")')
     assert diags == []
-    assert kinds_and_texts(tokens) == [
-        ("keyword", "C_EXP"), ("punct", "("), ("string", "TSKID_$id$"),
-        ("punct", ")")]
+    assert tags_and_texts(tokens) == [
+        ("C_EXP", "C_EXP"), ("(", "("), ("string", "TSKID_$id$"), (")", ")")]
 
 
 def test_tokenize_skips_comments():
     tokens, _ = tokenize("// line\ncell /* block\nstill */ tX")
-    assert kinds_and_texts(tokens) == [("keyword", "cell"), ("identifier", "tX")]
+    assert tags_and_texts(tokens) == [("cell", "cell"), ("identifier", "tX")]
 
 
 def test_unterminated_string_is_located():
@@ -173,4 +173,6 @@ def test_parse_is_deterministic(sample_text):
 @settings(max_examples=60, deadline=None)
 @given(cdl_units())
 def test_round_trip_property(unit):
-    assert parse_unit(render_unit(unit), "gen.cdl").unit == unit
+    reparsed = parse_unit(render_unit(unit), "gen.cdl").unit
+    assert reparsed.source_name != unit.source_name
+    assert reparsed == unit and hash(reparsed) == hash(unit)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 
 from strategies import brute_force_counts, cdl_units
@@ -310,3 +311,21 @@ cell tC C2 { cA = P2.eA; };
     assert model is None
     assert [str(d) for d in diags] == [
         "b.cdl:3:1: error[bad-name]: celltype name 'p' too short"]
+
+
+@pytest.mark.parametrize("members, first, second, static", [
+    ("", "ab", "AB", "AB"),
+    ("entry sA eA; var { int32_t n = 0; };", "a", "aVAR", "AVAR"),
+], ids=["instance", "var"])
+def test_duplicate_static_is_a_located_error(members, first, second, static):
+    text = f"""signature sA {{ void f( void ); }};
+[generate(RustGenPlugin, "lib")]
+celltype tA {{ {members} }};
+cell tA {first} {{}};
+cell tA {second} {{}};
+"""
+    files, _, model, diags = generate([("s.cdl", text)])
+    assert files == [] and model is None
+    assert [str(d) for d in diags] == [
+        f"s.cdl:5:1: error[duplicate-static]: cell '{second}' emits static "
+        f"'{static}', as cell '{first}' does"]

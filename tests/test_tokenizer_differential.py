@@ -1,12 +1,13 @@
 """The production tokenizer against the reference one, on every input.
 
 `reference_tokenizer.tokenize` is the original char-at-a-time scanner.
-Both must yield the same (kind, text, file, line, column) per token and
-the same diagnostics. The alphabet mixes the token starts with the
-characters where a regex and the str predicates disagree: `str.isalpha`
-letters (é, ß), `isdigit` but not `\\d` (²), `\\d` but not ASCII (٣),
-numeric but not a digit (½), and whitespace the tokenizer does not skip
-(\\f, \\v, no-break space, line separator).
+Both must yield the same (tag, text, location) per token and the same
+diagnostics, where the reference's tag is the text of a keyword or
+punctuation token and its kind otherwise. The alphabet mixes the token
+starts with the characters where a regex and the str predicates disagree:
+`str.isalpha` letters (é, ß), `isdigit` but not `\\d` (²), `\\d` but not
+ASCII (٣), numeric but not a digit (½), and whitespace the tokenizer does
+not skip (\\f, \\v, no-break space, line separator).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tokenizer
-from tecsrust.frontend import tokenize
+from tecsrust.frontend import EOF, tokenize
 
 FRAGMENTS = [
     *"{}()[];,=*./-\"\\_", "//", "/*", "*/", "\\n", '\\"', "\\\\",
@@ -24,15 +25,23 @@ FRAGMENTS = [
 ]
 
 
-def stream(result):
-    tokens, diags = result
-    return [(t.kind, t.text, t.location.file, t.location.line, t.location.column)
+def stream(text):
+    tokens, diags = tokenize(text, "f.cdl")
+    n = len(tokens)
+    assert tokens.tags[n:] == [EOF]
+    assert list(tokens.offsets[n:]) == [tokens.offsets[n - 1] if n else 0]
+    return [(tag, word, tokens.lines.locate(offset))
+            for tag, word, offset in zip(tokens.tags, tokens.texts, tokens.offsets)], diags
+
+
+def reference_stream(text):
+    tokens, diags = reference_tokenizer.tokenize(text, "f.cdl")
+    return [(t.text if t.kind in ("keyword", "punct") else t.kind, t.text, t.location)
             for t in tokens], diags
 
 
 def assert_same(text):
-    assert stream(tokenize(text, "f.cdl")) == \
-        stream(reference_tokenizer.tokenize(text, "f.cdl"))
+    assert stream(text) == reference_stream(text)
 
 
 @pytest.mark.parametrize("text", [
