@@ -181,6 +181,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_DIAGNOSTICS
 
     out_dir = Path(args.out)
+    if args.diagram and Path(args.diagram).resolve() in {(out_dir / f.path).resolve()
+                                                         for f in files}:
+        print(f"error: --diagram {args.diagram} names a generated file", file=sys.stderr)
+        return EXIT_USAGE
     try:
         written = write_files(files, out_dir)
         if args.diagram:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .model import CellDef, CelltypeDef, Diagnostic, error
 
@@ -89,12 +89,12 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
     Writes aimed at the same target file stay in that order; the CLI joins
     them into one file per target. Each distinct target is checked once, at
     its first write: it must name a file inside `--out` that no core
-    emitter writes.
+    emitter writes. `target_file` is the target without empty or '.' parts.
     """
     writes: List[ConfigWrite] = []
     diags: List[Diagnostic] = []
     core_files = set(plan.contract_files() + plan.definition_files() + plan.skeleton_files())
-    checked: Set[str] = set()
+    paths: Dict[str, str] = {}  # rendered target -> `target_file`
     for pw in plan.config_writes:
         env = build_env(pw.celltype, pw.cell)
         try:
@@ -103,16 +103,16 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
         except MacroError as exc:
             diags.append(error("unresolved-macro", str(exc), pw.location))
             continue
-        if target not in checked:
-            checked.add(target)
+        if target not in paths:
             parts = [p for p in target.split("/") if p not in ("", ".")]
+            paths[target] = "/".join(parts)
             if target.startswith("/") or ".." in parts or not parts:
                 diags.append(error("write-outside-out", f"factory target '{target}' "
                                    "is not a file inside --out", pw.location))
-            elif "/".join(parts) in core_files:
+            elif paths[target] in core_files:
                 diags.append(error("path-collision", f"factory target '{target}' "
                                    "names a file the core emitters write", pw.location))
-        writes.append(ConfigWrite(target, line))
+        writes.append(ConfigWrite(paths[target], line))
     return writes, diags
 
 

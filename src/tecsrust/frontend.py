@@ -20,6 +20,12 @@ for keywords and punctuation, and its kind ("identifier", "string",
 return token indices, and an `EOF` tag after the last token spares them a
 bounds check. A `SourceLoc` is built only where the AST or a diagnostic
 keeps one.
+
+A `cell` declaration of the common shape (`_CELL`) is one token: tag
+`CELL`, text its source slice, offset its start, match in `Tokens.cells`.
+The parser takes it at top level only and builds the nodes the token
+grammar would. If that pass reports anything, `parse_unit` parses the text
+again from plain tokens, so the token grammar alone reports and recovers.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import (
     AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, Diagnostic,
@@ -45,26 +51,53 @@ KEYWORDS = {
 EOF = None  # the tag after the last token
 
 
+_KEYWORD = "(?:%s)(?!\\w)" % "|".join(sorted(KEYWORDS))
+_INTEGER = r"-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f]))"
+_STRING = r'(?:\\.|[^"\\\n])*'
+
 # One alternative per token class; the named group that matched is the
-# token class, and whitespace and comments match unnamed. `fixed` is a
-# keyword or punctuation, whose text is its tag. `other` takes a bad
-# character, or the start of a token with non-ASCII letters or digits,
-# which `_scan_other` finishes with the str predicates.
+# token class, and whitespace and comments match unnamed. `cell` is where a
+# `_CELL` may start; its first character is outside the group, so that the
+# regex engine rejects it at any other character without entering it.
+# `fixed` is a keyword or punctuation, whose text is its tag. `other` takes
+# a bad character, or the start of a token with non-ASCII letters or
+# digits, which `_scan_other` finishes with the str predicates.
 _TOKEN = re.compile(r"""
     [ \t\r\n]+
   | //[^\n]*
   | /\*.*?\*/
-  | (?P<fixed>(?:%s)(?!\w)|[{}()\[\];,=*.])
+  | [c\[](?P<cell>(?<=c)ell(?!\w)|(?<=\[)(?=[ \t\r\n]*generate(?!\w)))
+  | (?P<fixed>%s|[{}()\[\];,=*.])
   | (?P<identifier>[A-Za-z_]\w*)
-  | (?P<integer>-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f])))
-  | "(?P<string>(?:\\.|[^"\\\n])*)"
-  | (?P<open_string>"(?:\\.|[^"\\\n])*\\?)
+  | (?P<integer>%s)
+  | "(?P<string>%s)"
+  | (?P<open_string>"%s\\?)
   | (?P<open_comment>/\*)
   | (?P<other>.)
-""" % "|".join(sorted(KEYWORDS)), re.DOTALL | re.VERBOSE)
+""" % (_KEYWORD, _INTEGER, _STRING, _STRING), re.DOTALL | re.VERBOSE)
 _WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPE = {"n": "\n", "t": "\t"}
+
+# An optional `[generate(P, "...")]`, then `cell T N { m* };`, each `m` a
+# binding, a C_EXP or a literal. Its names are not keywords and only
+# [ \t\r\n] separates its tokens, so a plain scan splits it alike.
+_PARTS = {"s": r"[ \t\r\n]*", "name": r"(?!%s)[A-Za-z_]\w*" % _KEYWORD,
+          "string": _STRING, "integer": _INTEGER}
+_MEMBER = re.compile(r"""%(s)s(%(name)s)%(s)s=%(s)s
+    (?: (%(name)s)%(s)s\.%(s)s(%(name)s) | C_EXP%(s)s\(%(s)s"(%(string)s)"%(s)s\)
+      | (%(integer)s|%(name)s) )%(s)s;""" % _PARTS, re.DOTALL | re.VERBOSE)
+_CELL = re.compile(r"""
+    (?:\[%(s)sgenerate%(s)s\(%(s)s(?P<plugin>%(name)s)%(s)s,%(s)s"(?P<arg>%(string)s)"
+       %(s)s\)%(s)s\]%(s)s)?
+    (?P<cell>cell)[ \t\r\n]+(?P<celltype>%(name)s)[ \t\r\n]+(?P<name>%(name)s)%(s)s\{
+    (?P<body>(?:%(member)s)*)%(s)s\}%(s)s;
+""" % dict(_PARTS, member=_MEMBER.pattern), re.DOTALL | re.VERBOSE)
+CELL = "cell declaration"
+
+
+def _unescape(string: str) -> str:
+    return _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), string) if "\\" in string else string
 
 
 class LineIndex:
@@ -90,20 +123,26 @@ class Tokens:
     the parser can look one token past the end and locate it.
     """
 
-    __slots__ = ("tags", "texts", "offsets", "lines")
+    __slots__ = ("tags", "texts", "offsets", "lines", "cells")
 
-    def __init__(self, lines: LineIndex):
+    def __init__(self, lines: LineIndex, size: int):
         self.tags: List[Optional[str]] = []
         self.texts: List[str] = []
-        self.offsets = array("q")
+        self.offsets = array("I" if size < 1 << 32 else "q")  # 4 bytes each where they fit
         self.lines = lines
+        self.cells: Dict[int, re.Match] = {}
 
     def __len__(self) -> int:
         return len(self.texts)
 
 
 def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Diagnostic]]:
-    tokens = Tokens(LineIndex(text, source_name))
+    return _tokenize(text, source_name, True)
+
+
+def _tokenize(text: str, source_name: str, cells: bool) -> Tuple[Tokens, List[Diagnostic]]:
+    """Scan `text`; with `cells`, each `_CELL` match becomes one `CELL` token."""
+    tokens = Tokens(LineIndex(text, source_name), len(text))
     tag, add_text, add_offset = tokens.tags.append, tokens.texts.append, tokens.offsets.append
     diags: List[Diagnostic] = []
     intern = sys.intern
@@ -120,10 +159,19 @@ def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Dia
                 word = intern(m.group())
                 tag(kind)
             elif kind == "string":
-                word = m.group(kind)
-                if "\\" in word:
-                    word = _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), word)
+                word = _unescape(m.group(kind))
                 tag(kind)
+            elif kind == "cell":
+                decl = cells and _CELL.match(text, m.start())
+                if decl:  # resume the scan after the declaration
+                    tokens.cells[len(tokens.texts)] = decl
+                    tag(CELL)
+                    add_text(decl.group())
+                    add_offset(m.start())
+                    pos = decl.end()
+                    break
+                word = intern(m.group())
+                tag(word)
             elif kind == "open_string":
                 diags.append(error("unterminated-string", "unterminated string literal",
                                    tokens.lines.locate(m.start())))
@@ -188,7 +236,7 @@ _TOP_LEVEL = {"signature", "celltype", "cell", EOF}
 class _Parser:
     def __init__(self, tokens: Tokens):
         self.tags, self.texts = tokens.tags, tokens.texts
-        self.offsets, self.lines = tokens.offsets, tokens.lines
+        self.offsets, self.lines, self.cells = tokens.offsets, tokens.lines, tokens.cells
         self.pos = 0
         self.diags: List[Diagnostic] = []
 
@@ -272,6 +320,8 @@ class _Parser:
                     celltypes.append(self.parse_celltype(directive))
                 elif self.check("cell"):
                     cells.append(self.parse_cell(directive))
+                elif self.check(CELL) and directive is None:  # else the plain pass parses it
+                    cells.append(self.build_cell())
                 else:
                     raise self.unexpected("'signature', 'celltype', or 'cell'")
             except _ParseError as exc:
@@ -471,6 +521,24 @@ class _Parser:
         return CellDef(self.texts[name], self.texts[ct_name], tuple(bindings), tuple(inits),
                        directive, self.loc(start))
 
+    def build_cell(self) -> CellDef:
+        """The node of a `CELL` token, as `parse_directive` and `parse_cell` build it."""
+        m, locate, intern = self.cells[self.take()], self.lines.locate, sys.intern
+        directive = m["plugin"] and PluginDirective(
+            intern(m["plugin"]), _unescape(m["arg"]), locate(m.start()))
+        bindings, inits = [], []
+        for member in _MEMBER.finditer(m.string, m.start("body"), m.end("body")):
+            lhs, target_cell, target_port, c_exp, literal = member.groups()
+            lhs, loc = intern(lhs), locate(member.start(1))
+            if target_cell is not None:
+                bindings.append(Binding(lhs, intern(target_cell), intern(target_port), loc))
+            elif c_exp is not None:
+                inits.append(AttrInit(lhs, Initializer(InitKind.C_EXP, _unescape(c_exp)), loc))
+            else:
+                inits.append(AttrInit(lhs, Initializer(InitKind.LITERAL, intern(literal)), loc))
+        return CellDef(intern(m["name"]), intern(m["celltype"]), tuple(bindings), tuple(inits),
+                       directive, locate(m.start("cell")))
+
     def parse_initializer(self) -> Initializer:
         if self.accept("C_EXP"):
             self.expect("(")
@@ -485,15 +553,18 @@ class _Parser:
 
 
 def parse_unit(text: str, source_name: str = "<memory>") -> ParseResult:
-    tokens, diags = tokenize(text, source_name)
-    if has_errors(diags):
-        return ParseResult(None, diags)
-    parser = _Parser(tokens)
-    unit = parser.parse_unit()
-    diags = diags + parser.diags
-    if has_errors(diags):
-        return ParseResult(None, diags)
-    return ParseResult(unit, diags)
+    result = _parse(*tokenize(text, source_name))
+    if result.diagnostics:  # the plain token parser alone reports and recovers
+        result = _parse(*_tokenize(text, source_name, False))
+    return result
+
+
+def _parse(tokens: Tokens, diags: List[Diagnostic]) -> ParseResult:
+    if not has_errors(diags):
+        parser = _Parser(tokens)
+        unit = parser.parse_unit()
+        diags = diags + parser.diags
+    return ParseResult(None if has_errors(diags) else unit, diags)
 
 
 # --- canonical renderer ------------------------------------------------

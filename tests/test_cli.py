@@ -152,6 +152,19 @@ def test_factory_target_in_a_subdirectory_is_written(tmp_path):
     assert (out / "sub" / "x.cfg").read_text() == "LINE_P1\n"
 
 
+def test_two_spellings_of_a_factory_target_are_one_file(tmp_path, capsys):
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d").replace(
+        'write("x.cfg", "LINE_$cell$");',
+        'write("x.cfg", "A_$cell$"); write("./x.cfg", "B_$cell$");').replace(
+        "cell tP P1 {};", "cell tP P1 {};\ncell tP P2 {};"))
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out), "--report"]) == EXIT_OK
+    assert (out / "x.cfg").read_text() == "A_P1\nB_P1\nA_P2\nB_P2\n"
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows.count("x.cfg") == 1 and not any("./" in row for row in rows)
+
+
 @pytest.mark.parametrize("target", ["t_p_impl.rs", "t_p.rs", "./s_p.rs"])
 def test_factory_target_may_not_name_a_core_file(tmp_path, capsys, target):
     src = tmp_path / "w.cdl"
@@ -228,6 +241,28 @@ def test_diagram_flag_writes_dot(tmp_path):
     assert run([SAMPLE, "--out", str(tmp_path / "gen"),
                 "--diagram", str(dot_path)]) == EXIT_OK
     assert dot_path.read_text().startswith("digraph components {")
+
+
+@pytest.mark.parametrize("diagram", ["gen/t_sensor_impl.rs", "gen/sub/../t_sensor.rs",
+                                     "./gen/s_sensor.rs"])
+def test_diagram_may_not_name_a_generated_file(tmp_path, monkeypatch, capsys, diagram):
+    monkeypatch.chdir(tmp_path)
+    assert run([SAMPLE, "--out", "gen"]) == EXIT_OK
+    impl = tmp_path / "gen" / "t_sensor_impl.rs"
+    impl.write_text(impl.read_text() + "// hand edit\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run([SAMPLE, "--out", "gen", "--diagram", diagram]) == EXIT_USAGE
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --diagram {diagram} names a generated file"]
+
+
+def test_diagram_inside_out_is_written(tmp_path):
+    out = tmp_path / "gen"
+    assert run([SAMPLE, "--out", str(out), "--diagram", str(out / "components.dot")]) == EXIT_OK
+    assert (out / "components.dot").read_text().startswith("digraph components {")
+    assert EXPECTED_SAMPLE_FILES <= {p.name for p in out.iterdir()}
 
 
 def test_report_totals(sample_text):

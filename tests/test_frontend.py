@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import cdl_units
-from tecsrust.frontend import EOF, parse_unit, render_unit, tokenize
+from tecsrust.frontend import CELL, EOF, parse_unit, render_unit, tokenize
 from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity
 
 from test_model import SIG_TEXT
@@ -46,6 +46,28 @@ def test_tokenize_makes_no_object_per_token():
         gc.enable()
     assert len(tokens) == 10_000 and diags == []
     assert grown <= 10
+
+
+# One cell in each shape the benchmark workloads declare in bulk: an
+# app_16k consumer and provider, an rtos_tasks task, an api_regen server.
+BENCHMARK_CELLS = [
+    '[generate(RustGenPlugin, "lib")]\ncell tConsumer0007 Cons0007x03 {\n'
+    '    cProvide = Prov11.eProvide;\n    tag = C_EXP("K0badf00d_$cell$");\n};',
+    '[generate(RustGenPlugin, "lib")]\ncell tProvider Prov04 {\n    level = 512;\n};',
+    '[generate(ItronrsGenPlugin, "lib")]\ncell tTask3 Task3_0042 {\n    id = 1234;\n'
+    '    attribute = C_EXP("TA_ACT");\n    priority = C_EXP("PRI_7");\n'
+    '    stackSize = C_EXP("STK_1024");\n};',
+    '[generate(RustGenPlugin, "lib")]\ncell tServer017 Server017 {\n};',
+]
+
+
+@pytest.mark.parametrize("decl", BENCHMARK_CELLS)
+def test_benchmark_cell_shapes_are_one_token(decl):
+    tokens, diags = tokenize("\n" + decl + "\n", "w.cdl")
+    assert diags == []
+    assert tokens.tags == [CELL, EOF]
+    assert tokens.texts == [decl] and tokens.offsets[0] == 1
+    assert len(parse_unit(decl).unit.cells) == 1
 
 
 def test_tokenize_c_exp_call():

@@ -8,7 +8,10 @@ they are collected by walking the dataclass fields.
 
 The inputs are the golden CDL files, rendered `strategies.cdl_units`, and
 token-level mutants of both: a token dropped, duplicated or swapped with
-another, or the text cut after a token.
+another, or the text cut after a token. Cell declarations are also drawn
+at the edges of the one-token `CELL` path: odd separators and comments
+between their tokens, escaped strings, odd literals and names, a second
+directive, a cell inside a celltype body, and truncation.
 """
 
 import dataclasses
@@ -92,4 +95,70 @@ def test_rendered_units(unit):
 @settings(max_examples=400, deadline=None)
 @given(mutants())
 def test_token_mutants(text):
+    assert_same(text)
+
+
+# Cell-declaration pieces: each list is the common shape's choices, then
+# the edge cases that must leave the `CELL` path, drawn once in a while.
+NAMES = (["a", "tT", "c_1"], ["éa", "xé", "write", "cell", "C_EXP"])
+LITERALS = (["0", "42", "-7", "0x1F", "x"], ["0x", "-0x1F", "12²", "0X"])
+STRINGS = (['""', '"TAG_$cell$"', '"a\\"b"', '"\\n\\t"', '"x\\\\"', '"s;}"'], [])
+SEPARATORS = ([" ", "\n", "\n    ", "\t", "\r\n", "  "],
+              ["", "\f", "\v", "/* c */", "// c\n"])
+
+
+@st.composite
+def cell_texts(draw):
+    def pick(choices):
+        common, odd = choices
+        return draw(st.sampled_from(odd if odd and draw(st.integers(0, 24)) == 24 else common))
+
+    lexemes = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        lexemes += ["[", "generate", "(", pick(NAMES), ",", pick(STRINGS), ")", "]"]
+    lexemes += ["cell", pick(NAMES), pick(NAMES), "{"]
+    for _ in range(draw(st.integers(0, 4))):
+        lexemes += [pick(NAMES), "="]
+        kind = draw(st.sampled_from(["binding", "c_exp", "literal"]))
+        if kind == "binding":
+            lexemes += [pick(NAMES), ".", pick(NAMES)]
+        elif kind == "c_exp":
+            lexemes += ["C_EXP", "(", pick(STRINGS), ")"]
+        else:
+            lexemes.append(pick(LITERALS))
+        lexemes.append(";")
+    lexemes += ["}", ";"]
+    return "".join(lexeme + pick(SEPARATORS) for lexeme in lexemes)
+
+
+@st.composite
+def cell_units(draw):
+    text = "\n".join(draw(st.lists(cell_texts(), min_size=1, max_size=3)))
+    if draw(st.integers(0, 9)) == 0:
+        text = "celltype tX {\n" + text + "\n};\n"
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_units())
+def test_cell_declarations(text):
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text", [
+    'cell tT c {\n  x = C_EXP("a\\"b\\\\");\n};',
+    '[generate(P, "l\\ib")] cell tT c { x = 0x; y = -0x1F; };',
+    'cell tT c { x = 12²; };',
+    'cell tT c { x = 1; // c\n};',
+    '[generate(P, "lib")] /* c */ cell tT c {};',
+    '[generate(P, "a")]\n[generate(Q, "b")]\ncell tT c {};',
+    'cell tT write {};',
+    'cell tÉ cé { é = x.é; };',
+    'cell tT c { x = 1;\f};',
+    'celltype tX { cell tT c {}; };',
+    'cell tT c { x = 1; }',
+])
+def test_cell_declaration_edges(text):
     assert_same(text)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tokenizer
-from tecsrust.frontend import EOF, tokenize
+from tecsrust.frontend import CELL, EOF, _tokenize, tokenize
 
 FRAGMENTS = [
     *"{}()[];,=*./-\"\\_", "//", "/*", "*/", "\\n", '\\"', "\\\\",
@@ -26,12 +26,23 @@ FRAGMENTS = [
 
 
 def stream(text):
+    """The token stream, with each `CELL` token expanded into the plain
+    tokens of its text, located as if scanned in place."""
     tokens, diags = tokenize(text, "f.cdl")
     n = len(tokens)
     assert tokens.tags[n:] == [EOF]
     assert list(tokens.offsets[n:]) == [tokens.offsets[n - 1] if n else 0]
-    return [(tag, word, tokens.lines.locate(offset))
-            for tag, word, offset in zip(tokens.tags, tokens.texts, tokens.offsets)], diags
+    out = []
+    for tag, word, offset in zip(tokens.tags, tokens.texts, tokens.offsets):
+        if tag != CELL:
+            out.append((tag, word, tokens.lines.locate(offset)))
+            continue
+        assert text.startswith(word, offset)
+        plain, plain_diags = _tokenize(word, "f.cdl", False)
+        assert plain_diags == []
+        out += [(t, w, tokens.lines.locate(offset + o))
+                for t, w, o in zip(plain.tags[:-1], plain.texts, plain.offsets)]
+    return out, diags
 
 
 def reference_stream(text):
@@ -62,4 +73,15 @@ def test_fragment_strings(text):
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=60))
 def test_arbitrary_text(text):
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text", [
+    'cell tT c {};',
+    '[generate(P, "a\\"b")]\ncell tT c {\n\tx = y.e;\r\n  v = C_EXP("q\\\\n");\n  n = -0x1F;\n};',
+    'cell tT c { x = y . e ; } ; cell tU d {};',
+])
+def test_cell_declarations_expand_to_plain_tokens(text):
+    tokens, _ = tokenize(text, "f.cdl")
+    assert CELL in tokens.tags
     assert_same(text)
