@@ -38,21 +38,16 @@ def _finish(lines: List[str]) -> str:
 
 
 def _method_sig(fn) -> str:
-    params = ["&self"]
-    for p in fn.params:
-        params.append(f"{p.name}: {naming.map_param_type(p.c_type, p.specifier)}")
-    ret = ""
-    if fn.return_type != "void":
-        ret = f" -> {naming.map_base_type(fn.return_type)}"
-    return f"fn {fn.name}({', '.join(params)}){ret}"
+    args = "".join([f", {naming.rust_name(p.name)}: {naming.map_param_type(p.c_type, p.specifier)}"
+                    for p in fn.params])
+    ret = f" -> {naming.map_base_type(fn.return_type)}" if fn.return_type != "void" else ""
+    return f"fn {naming.rust_name(fn.name)}(&self{args}){ret}"
 
 
 def emit_contract(sig: SignatureDef) -> GeneratedFile:
     """Render the public interface contract (trait) for a signature."""
-    lines = [f"pub trait {naming.contract_name(sig.name)} {{"]
-    for fn in sig.functions:
-        lines.append(f"{INDENT}{_method_sig(fn)};")
-    lines.append("}")
+    lines = [f"pub trait {naming.contract_name(sig.name)} {{",
+             *(f"{INDENT}{_method_sig(fn)};" for fn in sig.functions), "}"]
     return GeneratedFile(naming.file_name("contract", sig.name), _finish(lines),
                          WritePolicy.OVERWRITE)
 
@@ -146,7 +141,8 @@ def _render_main_struct(ctx: _DefinitionContext, lines: List[str]) -> None:
     for tp, port in zip(ctx.type_params, ctx.ct.call_ports):
         lines.append(f"{INDENT}pub {naming.field_name(port.port_name)}: &'a {tp},")
     for attr in ctx.visible_attrs:
-        lines.append(f"{INDENT}pub {attr.name}: {naming.map_base_type(attr.c_type)},")
+        lines.append(f"{INDENT}pub {naming.rust_name(attr.name)}: "
+                     f"{naming.map_base_type(attr.c_type)},")
     if ctx.var_record:
         lt = "<'a>" if ctx.var_has_lifetime else ""
         lines.append(f"{INDENT}pub variable: &'a Mutex<{ctx.var_record}{lt}>,")
@@ -160,7 +156,7 @@ def _render_var_struct(ctx: _DefinitionContext, lines: List[str]) -> None:
     lt = "<'a>" if ctx.var_has_lifetime else ""
     lines.append(f"pub struct {ctx.var_record}{lt}{{")
     for v in ctx.ct.vars:
-        lines.append(f"{INDENT}pub {v.name}: {ctx.var_types[v.name]},")
+        lines.append(f"{INDENT}pub {naming.rust_name(v.name)}: {ctx.var_types[v.name]},")
     lines.append("}")
     lines.append("")
 
@@ -199,7 +195,7 @@ def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
                                           rb.target_cell.cell.name)
         lines.append(f"{INDENT}{naming.field_name(port.port_name)}: &{target},")
     for attr, text in zip(ctx.visible_attrs, rc.attr_texts):
-        lines.append(f"{INDENT}{attr.name}: {text},")
+        lines.append(f"{INDENT}{naming.rust_name(attr.name)}: {text},")
     if ctx.var_record:
         lines.append(f"{INDENT}variable: &{naming.static_var_name(rc.cell.name)},")
     lines.append("};")
@@ -210,7 +206,7 @@ def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
         lines.append(f"pub static {var_static}: Mutex<{ctx.var_record}> = "
                      f"Mutex::new({ctx.var_record} {{")
         for v in ctx.ct.vars:
-            lines.append(f"{INDENT}{v.name}: {v.default.text},")
+            lines.append(f"{INDENT}{naming.rust_name(v.name)}: {v.default.text},")
         lines.append("});")
         lines.append("")
 
@@ -246,7 +242,7 @@ def _render_accessor(ctx: _DefinitionContext, lines: List[str]) -> None:
         tuple_exprs.append(f"&self.{naming.field_name(port.port_name)}")
     for attr in ctx.visible_attrs:
         tuple_types.append(f"&{naming.map_base_type(attr.c_type)}")
-        tuple_exprs.append(f"&self.{attr.name}")
+        tuple_exprs.append(f"&self.{naming.rust_name(attr.name)}")
     if ctx.var_record:
         lt = "<'a>" if ctx.var_has_lifetime else ""
         tuple_types.append(f"&Mutex<{ctx.var_record}{lt}>")

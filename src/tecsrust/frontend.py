@@ -21,15 +21,17 @@ return token indices, and an `EOF` tag after the last token spares them a
 bounds check. A `SourceLoc` is built only where the AST or a diagnostic
 keeps one.
 
-A `cell` declaration of the common shape (`_CELL`) is one token: tag
-`CELL`, text its source slice, offset its start, match in `Tokens.cells`.
-The parser takes it at top level only and builds the nodes the token
-grammar would. If that pass reports anything, `parse_unit` parses the text
-again from plain tokens, so the token grammar alone reports and recovers.
+A `cell` or `signature` declaration of the common shape is one token: tag
+`CELL` or `SIGNATURE`, text its source slice, offset its start, match
+(`_CELL`, `_SIGNATURE`) in `Tokens.decls`. The parser takes it at top level
+only, with no directive before it, and builds the nodes the token grammar
+would. If that pass reports anything, `parse_unit` parses the text again from
+plain tokens, so the token grammar alone reports and recovers.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from array import array
@@ -56,17 +58,17 @@ _INTEGER = r"-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f]))"
 _STRING = r'(?:\\.|[^"\\\n])*'
 
 # One alternative per token class; the named group that matched is the
-# token class, and whitespace and comments match unnamed. `cell` is where a
-# `_CELL` may start; its first character is outside the group, so that the
-# regex engine rejects it at any other character without entering it.
-# `fixed` is a keyword or punctuation, whose text is its tag. `other` takes
-# a bad character, or the start of a token with non-ASCII letters or
-# digits, which `_scan_other` finishes with the str predicates.
-_TOKEN = re.compile(r"""
+# token class, and whitespace and comments match unnamed. `decl` is where a
+# `_CELL` or a `_SIGNATURE` may start; its first character is outside the
+# group, so that the regex engine rejects it at any other character without
+# entering it. `fixed` is a keyword or punctuation, whose text is its tag.
+# `other` takes a bad character, or the start of a token with non-ASCII
+# letters or digits, which `_scan_other` finishes with the str predicates.
+_TOKEN = r"""
     [ \t\r\n]+
   | //[^\n]*
   | /\*.*?\*/
-  | [c\[](?P<cell>(?<=c)ell(?!\w)|(?<=\[)(?=[ \t\r\n]*generate(?!\w)))
+  | [cs\[](?P<decl>(?<=c)ell(?!\w)|(?<=s)ignature(?!\w)|(?<=\[)(?=[ \t\r\n]*generate(?!\w)))
   | (?P<fixed>%s|[{}()\[\];,=*.])
   | (?P<identifier>[A-Za-z_]\w*)
   | (?P<integer>%s)
@@ -74,26 +76,35 @@ _TOKEN = re.compile(r"""
   | (?P<open_string>"%s\\?)
   | (?P<open_comment>/\*)
   | (?P<other>.)
-""" % (_KEYWORD, _INTEGER, _STRING, _STRING), re.DOTALL | re.VERBOSE)
+""" % (_KEYWORD, _INTEGER, _STRING, _STRING)
 _WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPE = {"n": "\n", "t": "\t"}
 
-# An optional `[generate(P, "...")]`, then `cell T N { m* };`, each `m` a
-# binding, a C_EXP or a literal. Its names are not keywords and only
-# [ \t\r\n] separates its tokens, so a plain scan splits it alike.
+# `_CELL` is an optional `[generate(P, "...")]`, then `cell T N { m* };`, each `m` a
+# binding, a C_EXP or a literal. `_SIGNATURE` is `signature S { f* };`, each `f` `R F(
+# void );` or `R F( p, ... );` with 0 or more `p` `[in|out] T *... P`, a trailing comma
+# allowed. Names are not keywords and only [ \t\r\n] separates tokens, so a plain scan
+# splits them alike; T ends at a word boundary, or backtracking would split `Tp` in two.
 _PARTS = {"s": r"[ \t\r\n]*", "name": r"(?!%s)[A-Za-z_]\w*" % _KEYWORD,
           "string": _STRING, "integer": _INTEGER}
-_MEMBER = re.compile(r"""%(s)s(%(name)s)%(s)s=%(s)s
+_MEMBER = r"""%(s)s(%(name)s)%(s)s=%(s)s
     (?: (%(name)s)%(s)s\.%(s)s(%(name)s) | C_EXP%(s)s\(%(s)s"(%(string)s)"%(s)s\)
-      | (%(integer)s|%(name)s) )%(s)s;""" % _PARTS, re.DOTALL | re.VERBOSE)
-_CELL = re.compile(r"""
+      | (%(integer)s|%(name)s) )%(s)s;""" % _PARTS
+_CELL = r"""
     (?:\[%(s)sgenerate%(s)s\(%(s)s(?P<plugin>%(name)s)%(s)s,%(s)s"(?P<arg>%(string)s)"
        %(s)s\)%(s)s\]%(s)s)?
     (?P<cell>cell)[ \t\r\n]+(?P<celltype>%(name)s)[ \t\r\n]+(?P<name>%(name)s)%(s)s\{
     (?P<body>(?:%(member)s)*)%(s)s\}%(s)s;
-""" % dict(_PARTS, member=_MEMBER.pattern), re.DOTALL | re.VERBOSE)
-CELL = "cell declaration"
+""" % dict(_PARTS, member=_MEMBER)
+_PARAM = r"\[%(s)s(in|out)%(s)s\]%(s)s(%(name)s)(?!\w)%(s)s((?:\*%(s)s)*)(%(name)s)" % _PARTS
+_SIGNATURE = r"""signature[ \t\r\n]+(?P<name>%(name)s)%(s)s\{(?P<body>(?:%(s)s%(name)s[ \t\r\n]+
+    %(name)s%(s)s\(%(s)s(?:void%(s)s|(?:%(param)s%(s)s(?:,%(s)s|(?=\))))*)\)%(s)s;)*)%(s)s\}%(s)s;
+""" % dict(_PARTS, param=_PARAM)
+_FUNCTION = r"(\w+)[ \t\r\n]+(\w+)[ \t\r\n]*\(([^)]*)"  # a function of a `_SIGNATURE` body
+CELL, SIGNATURE = "cell declaration", "signature declaration"
+_DECLS = {"c": (_CELL, CELL), "[": (_CELL, CELL), "s": (_SIGNATURE, SIGNATURE)}
+_compiled = functools.cache(lambda p: re.compile(p, re.DOTALL | re.VERBOSE))  # at first use
 
 
 def _unescape(string: str) -> str:
@@ -123,14 +134,14 @@ class Tokens:
     the parser can look one token past the end and locate it.
     """
 
-    __slots__ = ("tags", "texts", "offsets", "lines", "cells")
+    __slots__ = ("tags", "texts", "offsets", "lines", "decls")
 
     def __init__(self, lines: LineIndex, size: int):
         self.tags: List[Optional[str]] = []
         self.texts: List[str] = []
         self.offsets = array("I" if size < 1 << 32 else "q")  # 4 bytes each where they fit
         self.lines = lines
-        self.cells: Dict[int, re.Match] = {}
+        self.decls: Dict[int, re.Match] = {}  # token index -> `_DECLS` match
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -140,15 +151,15 @@ def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Dia
     return _tokenize(text, source_name, True)
 
 
-def _tokenize(text: str, source_name: str, cells: bool) -> Tuple[Tokens, List[Diagnostic]]:
-    """Scan `text`; with `cells`, each `_CELL` match becomes one `CELL` token."""
+def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Diagnostic]]:
+    """Scan `text`; with `decls`, each `_CELL` or `_SIGNATURE` match is one token."""
     tokens = Tokens(LineIndex(text, source_name), len(text))
     tag, add_text, add_offset = tokens.tags.append, tokens.texts.append, tokens.offsets.append
     diags: List[Diagnostic] = []
-    intern = sys.intern
+    intern, scan = sys.intern, _compiled(_TOKEN).finditer
     pos, n = 0, len(text)
     while pos < n:
-        for m in _TOKEN.finditer(text, pos):
+        for m in scan(text, pos):
             kind = m.lastgroup
             if kind is None:
                 continue
@@ -161,11 +172,12 @@ def _tokenize(text: str, source_name: str, cells: bool) -> Tuple[Tokens, List[Di
             elif kind == "string":
                 word = _unescape(m.group(kind))
                 tag(kind)
-            elif kind == "cell":
-                decl = cells and _CELL.match(text, m.start())
+            elif kind == "decl":
+                pattern, decl_tag = _DECLS[text[m.start()]]
+                decl = decls and _compiled(pattern).match(text, m.start())
                 if decl:  # resume the scan after the declaration
-                    tokens.cells[len(tokens.texts)] = decl
-                    tag(CELL)
+                    tokens.decls[len(tokens.texts)] = decl
+                    tag(decl_tag)
                     add_text(decl.group())
                     add_offset(m.start())
                     pos = decl.end()
@@ -236,7 +248,7 @@ _TOP_LEVEL = {"signature", "celltype", "cell", EOF}
 class _Parser:
     def __init__(self, tokens: Tokens):
         self.tags, self.texts = tokens.tags, tokens.texts
-        self.offsets, self.lines, self.cells = tokens.offsets, tokens.lines, tokens.cells
+        self.offsets, self.lines, self.decls = tokens.offsets, tokens.lines, tokens.decls
         self.pos = 0
         self.diags: List[Diagnostic] = []
 
@@ -256,12 +268,9 @@ class _Parser:
         return "end of input" if self.at_end() else self.texts[self.pos]
 
     def unexpected(self, want: str) -> _ParseError:
-        if self.at_end():
-            return _ParseError(error(
-                "unexpected-eof", f"expected {want}, found end of input", self.loc()))
-        return _ParseError(error(
-            "unexpected-token", f"expected {want}, found '{self.texts[self.pos]}'",
-            self.loc()))
+        code = "unexpected-eof" if self.at_end() else "unexpected-token"
+        found = "end of input" if self.at_end() else f"'{self.texts[self.pos]}'"
+        return _ParseError(error(code, f"expected {want}, found {found}", self.loc()))
 
     def take(self) -> int:
         self.pos += 1
@@ -322,6 +331,8 @@ class _Parser:
                     cells.append(self.parse_cell(directive))
                 elif self.check(CELL) and directive is None:  # else the plain pass parses it
                     cells.append(self.build_cell())
+                elif self.check(SIGNATURE) and directive is None:
+                    signatures.append(self.build_signature())
                 else:
                     raise self.unexpected("'signature', 'celltype', or 'cell'")
             except _ParseError as exc:
@@ -523,11 +534,11 @@ class _Parser:
 
     def build_cell(self) -> CellDef:
         """The node of a `CELL` token, as `parse_directive` and `parse_cell` build it."""
-        m, locate, intern = self.cells[self.take()], self.lines.locate, sys.intern
+        m, locate, intern = self.decls[self.take()], self.lines.locate, sys.intern
         directive = m["plugin"] and PluginDirective(
             intern(m["plugin"]), _unescape(m["arg"]), locate(m.start()))
         bindings, inits = [], []
-        for member in _MEMBER.finditer(m.string, m.start("body"), m.end("body")):
+        for member in _compiled(_MEMBER).finditer(m.string, m.start("body"), m.end("body")):
             lhs, target_cell, target_port, c_exp, literal = member.groups()
             lhs, loc = intern(lhs), locate(member.start(1))
             if target_cell is not None:
@@ -538,6 +549,16 @@ class _Parser:
                 inits.append(AttrInit(lhs, Initializer(InitKind.LITERAL, intern(literal)), loc))
         return CellDef(intern(m["name"]), intern(m["celltype"]), tuple(bindings), tuple(inits),
                        directive, locate(m.start("cell")))
+
+    def build_signature(self) -> SignatureDef:
+        """The node of a `SIGNATURE` token, as `parse_signature` builds it."""
+        m, locate, intern, functions = self.decls[self.take()], self.lines.locate, sys.intern, []
+        for f in _compiled(_FUNCTION).finditer(m.string, m.start("body"), m.end("body")):
+            functions.append(FunctionDecl(intern(f[2]), intern(f[1]), tuple([
+                ParamDecl(ParamSpecifier.IN if p[1] == "in" else ParamSpecifier.OUT,
+                          intern(p[2]), p[3].count("*"), intern(p[4]), locate(p.start()))
+                for p in _compiled(_PARAM).finditer(m.string, *f.span(3))]), locate(f.start(2))))
+        return SignatureDef(intern(m["name"]), tuple(functions), locate(m.start()))
 
     def parse_initializer(self) -> Initializer:
         if self.accept("C_EXP"):

@@ -212,6 +212,8 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
                   else naming.record_name(name)).isidentifier():  # '__' maps to ''
             diags.append(error(
                 "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", loc))
+    for kind, name, loc in _unwritable(generating, named, sig_index):
+        diags.append(error("bad-name", f"{kind} name '{name}' is not a Rust identifier", loc))
 
     for ct in generating:
         for v in ct.vars:
@@ -255,6 +257,20 @@ def _named(generating, sig_index, cells_by_ct):
                     for p in ct.ports if p.signature_name in sig_index)
         yield from (("celltype", rb.target_cell.celltype)
                     for rc in cells_by_ct[ct.name] for rb in rc.bindings.values())
+
+
+def _unwritable(generating, named, sig_index):
+    """(kind, name, location) of each emitted member whose Rust name `r#` cannot write."""
+    bad = naming.NOT_RAW
+    for ct in generating:
+        yield from (("port", p.port_name, p.location) for p in ct.call_ports
+                    if naming.snake_case(p.port_name) in bad)
+        yield from (("attr", a.name, a.location) for a in ct.attrs if not a.omit and a.name in bad)
+        yield from (("var", v.name, v.location) for v in ct.vars if v.name in bad)
+    for sig in (sig_index[n] for kind, n in named if kind == "signature"):
+        yield from (("function", f.name, f.location) for f in sig.functions if f.name in bad)
+        yield from (("parameter", p.name, p.location)
+                    for f in sig.functions for p in f.params if p.name in bad)
 
 
 def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:

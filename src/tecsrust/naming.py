@@ -1,9 +1,9 @@
 """Identifier, type, and file-name mapping rules for the emitted Rust code.
 
-All functions are pure and total: they never raise. The names and var
-types they cannot map well (signature and celltype names of one character
-or with no Rust identifier form, unrecognized manglings) are rejected with
-located diagnostics by `linker.resolve` before any emitter runs.
+All functions are pure and total: they never raise. The names and var types
+they cannot map well (signature and celltype names of one character or with no
+Rust identifier form, member names in NOT_RAW, unrecognized manglings) are
+rejected with located diagnostics by `linker.resolve` before any emitter runs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ SCALAR_TYPES = {
 }
 
 
+RUST_KEYWORDS = frozenset("""as async await break const continue crate dyn else enum extern
+    false fn for if impl in let loop match mod move mut pub ref return self Self static struct
+    super trait true type unsafe use where while abstract become box do final macro override
+    priv try typeof unsized virtual yield""".split())
+NOT_RAW = frozenset({"self", "Self", "super", "crate", "_"})  # no Rust identifier spells these
+
+
+def rust_name(name: str) -> str:
+    """match -> r#match: a Rust 2021 strict or reserved keyword is written raw."""
+    return "r#" + name if name in RUST_KEYWORDS else name
+
+
 def _camel(name: str) -> str:
     parts = [p for p in name.split("_") if p]
     return "".join(p[0].upper() + p[1:] for p in parts)
@@ -53,9 +65,9 @@ def snake_case(name: str) -> str:
     return s.lower()
 
 
-def field_name(port_or_attr_name: str) -> str:
-    """cPowerdown -> c_powerdown."""
-    return snake_case(port_or_attr_name)
+def field_name(port_name: str) -> str:
+    """cPowerdown -> c_powerdown, Type -> r#type."""
+    return rust_name(snake_case(port_name))
 
 
 def entry_impl_name(entry_port: str, celltype: str) -> str:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import golden
+from rustc_check import rustc_check
 from tecsrust import emit_core
 from tecsrust.cli import generate
 from tecsrust.emit_core import WritePolicy, emit_contract
@@ -34,6 +35,42 @@ def test_contract_single_out_param():
     sig = parse_unit(text).unit.signatures[0]
     assert emit_contract(sig).content == (
         "pub trait SOne {\n  fn f(&self, x: &mut i32);\n}\n")
+
+
+def test_golden_contract_compiles(tmp_path):
+    rustc_check(golden("s_sensor.rs"), tmp_path)
+
+
+def test_rustc_check_rejects_a_bare_keyword(tmp_path):
+    with pytest.raises(AssertionError, match="expected identifier, found keyword"):
+        rustc_check("pub trait SKw {\n  fn match(&self);\n}\n", tmp_path)
+
+
+KEYWORD_TEXT = """signature sKw {
+    void match( [in] int32_t type );
+};
+[generate(RustGenPlugin, "lib")]
+celltype tKw {
+    entry sKw eKw;
+    call sKw Type;
+    attr { int32_t loop = 1; [omit] int32_t fn = 2; };
+    var { int32_t dyn = 0; };
+};
+cell tKw Kw { Type = Kw.eKw; };
+"""
+
+
+def test_rust_keywords_are_raw_identifiers(tmp_path):
+    files = _gen(KEYWORD_TEXT)
+    contract = files["s_kw.rs"].content
+    assert contract == "pub trait SKw {\n  fn r#match(&self, r#type: &i32);\n}\n"
+    rustc_check(contract, tmp_path)
+    definition = files["t_kw.rs"].content
+    for line in ["  pub r#type: &'a T,", "  pub r#loop: i32,", "  pub r#dyn: int32_t,",
+                 "  r#type: &EKWFORKW,", "  r#loop: 1,", "  r#dyn: 0,",
+                 "    (&self.r#type, &self.r#loop, self.variable)"]:
+        assert line in definition.splitlines()
+    assert "fn r#match(&self, r#type: &i32) {" in files["t_kw_impl.rs"].content
 
 
 def test_definition_matches_figure(sample_outputs):

@@ -1,10 +1,16 @@
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import tecsrust
+from conftest import golden
 from strategies import cdl_units
-from tecsrust.frontend import CELL, EOF, parse_unit, render_unit, tokenize
+from tecsrust.frontend import CELL, EOF, SIGNATURE, parse_unit, render_unit, tokenize
 from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity
 
 from test_model import SIG_TEXT
@@ -68,6 +74,48 @@ def test_benchmark_cell_shapes_are_one_token(decl):
     assert tokens.tags == [CELL, EOF]
     assert tokens.texts == [decl] and tokens.offsets[0] == 1
     assert len(parse_unit(decl).unit.cells) == 1
+
+
+# The signature shape of each benchmark workload: an api_regen signature
+# (cut to two functions), app_16k's sProvide and rtos_tasks' sTask.
+BENCHMARK_SIGNATURES = [
+    "signature sApi017 {\n"
+    "    int32_t op00_get( [out] uint8_t* p0, [in] int32_t p1, [in] uint16_t* p2, "
+    "[out] int64_t* p3 );\n"
+    "    void op01_poll( [in] double p0, [in] float* p1, [out] int32_t* p2, [in] uint8_t p3 );\n"
+    "};",
+    "signature sProvide {\n    int32_t get( [in] int32_t key, [out] int32_t* value );\n"
+    "    void reset( void );\n};",
+    "signature sTask {\n    void wakeup( void );\n    void activate( [in] int32_t code );\n};",
+]
+
+
+@pytest.mark.parametrize("decl", BENCHMARK_SIGNATURES)
+def test_benchmark_signature_shapes_are_one_token(decl):
+    tokens, diags = tokenize("\n" + decl + "\n", "w.cdl")
+    assert diags == []
+    assert tokens.tags == [SIGNATURE, EOF]
+    assert tokens.texts == [decl] and tokens.offsets[0] == 1
+    assert len(parse_unit(decl).unit.signatures) == 1
+
+
+@pytest.mark.parametrize("name", ["sample.cdl", "kernel_rs.cdl"])
+def test_golden_signatures_are_one_token_each(name):
+    tokens, _ = tokenize(golden(name), name)
+    assert tokens.tags.count(SIGNATURE) == 2
+    assert "signature" not in tokens.tags
+
+
+def test_scanner_patterns_compile_at_first_use():
+    # a process that never scans, such as bindgen-lite, compiles none of them
+    code = ("import tecsrust.cli\n"
+            "from tecsrust import frontend\n"
+            "assert frontend._compiled.cache_info().currsize == 0\n"
+            "frontend.tokenize('cell tT c {};')\n"
+            "assert frontend._compiled.cache_info().currsize == 2  # _TOKEN, _CELL\n")
+    src = str(Path(tecsrust.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_tokenize_c_exp_call():

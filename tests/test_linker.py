@@ -313,6 +313,34 @@ cell tC C2 { cA = P2.eA; };
         "b.cdl:3:1: error[bad-name]: celltype name 'p' too short"]
 
 
+def test_names_rust_cannot_write_are_located_bad_names():
+    # `r#` makes any other keyword an identifier, but not these five; a
+    # keyword in an [omit] attr or a non-generating celltype is never emitted
+    text = """signature sK {
+    void self( [in] int32_t _, [in] int32_t super );
+    void f( void );
+};
+celltype tOther { entry sK eK; attr { int32_t crate = 1; }; };
+[generate(RustGenPlugin, "lib")]
+celltype tK {
+    entry sK eK;
+    call sK Self;
+    attr { int32_t crate = 1; [omit] int32_t self = 2; };
+    var { int32_t Self = 0; };
+};
+cell tK K { Self = K.eK; };
+"""
+    model, diags = resolve(_units(text, "k.cdl"))
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "k.cdl:9:5: error[bad-name]: port name 'Self' is not a Rust identifier",
+        "k.cdl:10:12: error[bad-name]: attr name 'crate' is not a Rust identifier",
+        "k.cdl:11:11: error[bad-name]: var name 'Self' is not a Rust identifier",
+        "k.cdl:2:10: error[bad-name]: function name 'self' is not a Rust identifier",
+        "k.cdl:2:16: error[bad-name]: parameter name '_' is not a Rust identifier",
+        "k.cdl:2:32: error[bad-name]: parameter name 'super' is not a Rust identifier"]
+
+
 @pytest.mark.parametrize("members, first, second, static", [
     ("", "ab", "AB", "AB"),
     ("entry sA eA; var { int32_t n = 0; };", "a", "aVAR", "AVAR"),

@@ -11,7 +11,11 @@ token-level mutants of both: a token dropped, duplicated or swapped with
 another, or the text cut after a token. Cell declarations are also drawn
 at the edges of the one-token `CELL` path: odd separators and comments
 between their tokens, escaped strings, odd literals and names, a second
-directive, a cell inside a celltype body, and truncation.
+directive, a cell inside a celltype body, and truncation. Signature
+declarations are drawn at the edges of the `SIGNATURE` path the same way:
+odd separators and comments, odd parameter lists, specifiers and pointer
+spellings, keywords and non-ASCII letters in names, a directive before a
+signature, a signature inside a celltype body, and truncation.
 """
 
 import dataclasses
@@ -161,4 +165,86 @@ def test_cell_declarations(text):
     'cell tT c { x = 1; }',
 ])
 def test_cell_declaration_edges(text):
+    assert_same(text)
+
+
+# Signature-declaration pieces, as for cells. Two word lexemes are always
+# separated (an empty separator between them is an odd case, which merges
+# them); next to punctuation no separator is as common as any other.
+TYPES = (["int32_t", "void", "T", "uint8_t"], ["é", "tÉ", "signature", "in"])
+SPECIFIERS = (["in", "out"], ["inout", "In", "x", ""])
+TIGHT = (["", " ", "\n", "\t", "\r\n", "  "], ["\f", "\v", "/* c */", "// c\n"])
+PARAM_LISTS = ["void", "", "params", "params", "params", "void x", "params,"]
+
+
+@st.composite
+def signature_texts(draw):
+    rarity = draw(st.sampled_from([0, 15, 60]))  # 0: the common shape only
+
+    def pick(choices):
+        common, odd = choices
+        rare = rarity and odd and draw(st.integers(0, rarity)) == rarity
+        return draw(st.sampled_from(odd if rare else common))
+
+    lexemes = ["signature", pick(NAMES), "{"]
+    for _ in range(draw(st.integers(0, 3))):
+        lexemes += [pick(TYPES), pick(NAMES), "("]
+        params = draw(st.sampled_from(PARAM_LISTS))
+        if params.startswith("void"):
+            lexemes += params.split()
+        elif params:
+            for i in range(draw(st.integers(1, 3))):
+                lexemes += [","] * (i > 0) + ["[", pick(SPECIFIERS), "]", pick(TYPES)]
+                lexemes += ["*"] * draw(st.integers(0, 2)) + [pick(NAMES)]
+            lexemes += [","] * params.endswith(",")
+        lexemes += [")", ";"]
+    lexemes += ["}", ";"]
+    words = [re.match(r"\w", lexeme[-1:]) for lexeme in lexemes]
+    return "".join(lexeme + pick(SEPARATORS if word and after else TIGHT)
+                   for lexeme, word, after in zip(lexemes, words, words[1:] + [None]))
+
+
+@st.composite
+def signature_units(draw):
+    text = "\n".join(draw(st.lists(signature_texts(), min_size=1, max_size=3)))
+    if draw(st.integers(0, 9)) == 0:
+        text = '[generate(P, "lib")]\n' + text
+    if draw(st.integers(0, 9)) == 0:
+        text = "celltype tX {\n" + text + "\n};\n"
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(signature_units())
+def test_signature_declarations(text):
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text", [
+    "signature sS { void f( [out] int32_tdistance ); };",
+    "signature sS { void f( [ in ] int32_t*p, [out] T * * q ); };",
+    "signature sS {};",
+    "signature sS { void f( ); int32_t g(void); };",
+    "signature sS { void f( void x ); };",
+    "signature sS { void f( [in] int32_t a, ); };",
+    "signature sS { void f( [inout] int32_t a ); };",
+    "signature sS { void f( [in] int32_t a b ); };",
+    "signature sS { voidf( void ); };",
+    "signature sS { void f( /* c */ void ); };",
+    "signature sS { // c\n  void f( void ); };",
+    "signature sS { void f( [in] int32_t a /* c */ ); };",
+    "signature sS {\fvoid f( void ); };",
+    "signature sS { void f( [in] int32_t cell ); };",
+    "signature cell { void f( void ); };",
+    "signature sé { void fé( [in] tÉ é ); };",
+    "signature sS { void éf( void ); };",
+    '[generate(P, "lib")] signature sS { void f( void ); };',
+    "celltype tX { signature sS { void f( void ); }; };",
+    "signature sS { void f( void ); }",
+    "signature sS { void f( void ) };",
+    "signature sS { void f( void ); }; signature sT { void g( [in] int8_t* p ); };",
+])
+def test_signature_declaration_edges(text):
     assert_same(text)

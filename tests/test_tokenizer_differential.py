@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tokenizer
-from tecsrust.frontend import CELL, EOF, _tokenize, tokenize
+from tecsrust.frontend import CELL, EOF, SIGNATURE, _tokenize, tokenize
 
 FRAGMENTS = [
     *"{}()[];,=*./-\"\\_", "//", "/*", "*/", "\\n", '\\"', "\\\\",
@@ -26,15 +26,15 @@ FRAGMENTS = [
 
 
 def stream(text):
-    """The token stream, with each `CELL` token expanded into the plain
-    tokens of its text, located as if scanned in place."""
+    """The token stream, with each `CELL` or `SIGNATURE` token expanded into
+    the plain tokens of its text, located as if scanned in place."""
     tokens, diags = tokenize(text, "f.cdl")
     n = len(tokens)
     assert tokens.tags[n:] == [EOF]
     assert list(tokens.offsets[n:]) == [tokens.offsets[n - 1] if n else 0]
     out = []
     for tag, word, offset in zip(tokens.tags, tokens.texts, tokens.offsets):
-        if tag != CELL:
+        if tag != CELL and tag != SIGNATURE:
             out.append((tag, word, tokens.lines.locate(offset)))
             continue
         assert text.startswith(word, offset)
@@ -84,4 +84,16 @@ def test_arbitrary_text(text):
 def test_cell_declarations_expand_to_plain_tokens(text):
     tokens, _ = tokenize(text, "f.cdl")
     assert CELL in tokens.tags
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text", [
+    "signature sS {};",
+    "signature sS {\n\tvoid f( void );\r\n  int32_t g( );\n};",
+    "signature sS{int32_t f([in]T*p,[ out ]int8_t * * q);}; signature sT { void g(void); };",
+    "signature sS { void f( [in] T a, ); void g( ); };",
+])
+def test_signature_declarations_expand_to_plain_tokens(text):
+    tokens, _ = tokenize(text, "f.cdl")
+    assert SIGNATURE in tokens.tags
     assert_same(text)
