@@ -53,12 +53,19 @@ def emit_contract(sig: SignatureDef) -> GeneratedFile:
 
 
 class _DefinitionContext:
-    """Everything emit_definition needs that goes beyond the celltype itself."""
+    """What emit_definition derives from a celltype, once per celltype: names,
+    types and field lists the same for every cell. `_render_cell_statics`
+    reads per cell only its static names, bindings and attr texts."""
 
     def __init__(self, ct: CelltypeDef, cells: List[ResolvedCell]):
         self.ct = ct
         self.record = naming.record_name(ct.name)
         self.visible_attrs = [a for a in ct.attrs if not a.omit]
+        self.attr_fields = [naming.rust_name(a.name) for a in self.visible_attrs]
+        self.call_fields = [naming.field_name(p.port_name) for p in ct.call_ports]
+        self.entry_types = [naming.entry_impl_name(p.port_name, ct.name) for p in ct.entry_ports]
+        self.var_inits = [f"{INDENT}{naming.rust_name(v.name)}: {v.default.text},"
+                          for v in ct.vars]
         self.var_types = {v.name: naming.demangle_var_type(v.type_text) for v in ct.vars}
         self.var_record = self.record + "Var" if ct.vars else None
         self.var_has_lifetime = any("'a" in t for t in self.var_types.values())
@@ -67,29 +74,24 @@ class _DefinitionContext:
             self.type_params = ["T"]
         else:
             self.type_params = [f"T{i + 1}" for i in range(len(ct.call_ports))]
-        # concrete entry type per call port, from the (homogeneous) bindings;
-        # a celltype with call ports has cells, each binding every call port
-        self.concrete = {}
-        for port in ct.call_ports:
-            rb = cells[0].bindings[port.port_name]
-            self.concrete[port.port_name] = (
-                naming.entry_impl_name(rb.target_entry.port_name,
-                                       rb.target_cell.celltype.name),
-                rb.target_cell.celltype.name,
-            )
+        # concrete entry type and celltype per call port, from the (homogeneous)
+        # bindings; a celltype with call ports has cells, each binding every call port
+        bound = [cells[0].bindings[p.port_name] for p in ct.call_ports]
+        self.bound_cts = [rb.target_cell.celltype.name for rb in bound]
+        self.bound_types = [naming.entry_impl_name(rb.target_entry.port_name, name)
+                            for rb, name in zip(bound, self.bound_cts)]
+        self.static_type = self.record + ("<" + ", ".join(self.bound_types) + ">" if bound else "")
 
     def generic_params(self) -> List[str]:
         return (["'a"] if self.has_lifetime else []) + self.type_params
 
 
 def _definition_imports(ctx: _DefinitionContext) -> List[str]:
-    call_contracts = sorted({naming.module_name(p.signature_name)
-                             for p in ctx.ct.call_ports})
-    bound_cts = sorted({naming.module_name(ct_name)
-                        for _, ct_name in ctx.concrete.values()})
-    entry_contracts = sorted({naming.module_name(p.signature_name)
-                              for p in ctx.ct.entry_ports})
-    return list(dict.fromkeys(call_contracts + bound_cts + entry_contracts))
+    call_contracts = sorted({naming.module_name(p.signature_name) for p in ctx.ct.call_ports})
+    bound_cts = sorted({naming.module_name(ct_name) for ct_name in ctx.bound_cts})
+    entry_contracts = sorted({naming.module_name(p.signature_name) for p in ctx.ct.entry_ports})
+    return [naming.rust_name(m)
+            for m in dict.fromkeys(call_contracts + bound_cts + entry_contracts)]
 
 
 def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
@@ -138,11 +140,10 @@ def _render_main_struct(ctx: _DefinitionContext, lines: List[str]) -> None:
         lines.append("{")
     else:
         lines.append(head + " {")
-    for tp, port in zip(ctx.type_params, ctx.ct.call_ports):
-        lines.append(f"{INDENT}pub {naming.field_name(port.port_name)}: &'a {tp},")
-    for attr in ctx.visible_attrs:
-        lines.append(f"{INDENT}pub {naming.rust_name(attr.name)}: "
-                     f"{naming.map_base_type(attr.c_type)},")
+    for tp, field in zip(ctx.type_params, ctx.call_fields):
+        lines.append(f"{INDENT}pub {field}: &'a {tp},")
+    for attr, field in zip(ctx.visible_attrs, ctx.attr_fields):
+        lines.append(f"{INDENT}pub {field}: {naming.map_base_type(attr.c_type)},")
     if ctx.var_record:
         lt = "<'a>" if ctx.var_has_lifetime else ""
         lines.append(f"{INDENT}pub variable: &'a Mutex<{ctx.var_record}{lt}>,")
@@ -162,9 +163,7 @@ def _render_var_struct(ctx: _DefinitionContext, lines: List[str]) -> None:
 
 
 def _entry_record_inner_type(ctx: _DefinitionContext) -> str:
-    args = (["'a"] if ctx.has_lifetime else [])
-    for port in ctx.ct.call_ports:
-        args.append(ctx.concrete[port.port_name][0] + "<'a>")
+    args = (["'a"] if ctx.has_lifetime else []) + [t + "<'a>" for t in ctx.bound_types]
     inner = ctx.record
     if args:
         inner += "<" + ", ".join(args) + ">"
@@ -173,8 +172,7 @@ def _entry_record_inner_type(ctx: _DefinitionContext) -> str:
 
 def _render_entry_structs(ctx: _DefinitionContext, lines: List[str]) -> None:
     inner = _entry_record_inner_type(ctx)
-    for port in ctx.ct.entry_ports:
-        name = naming.entry_impl_name(port.port_name, ctx.ct.name)
+    for name in ctx.entry_types:
         lines.append(f"pub struct {name}<'a>{{")
         lines.append(f"{INDENT}pub cell: &'a {inner},")
         lines.append("}")
@@ -184,35 +182,29 @@ def _render_entry_structs(ctx: _DefinitionContext, lines: List[str]) -> None:
 def _render_cell_statics(ctx: _DefinitionContext, rc: ResolvedCell,
                          lines: List[str]) -> None:
     instance = naming.static_instance_name(rc.cell.name)
-    static_type = ctx.record
-    if ctx.ct.call_ports:
-        static_type += "<" + ", ".join(
-            ctx.concrete[p.port_name][0] for p in ctx.ct.call_ports) + ">"
-    lines.append(f"pub static {instance}: {static_type} = {ctx.record} {{")
-    for port in ctx.ct.call_ports:
+    lines.append(f"pub static {instance}: {ctx.static_type} = {ctx.record} {{")
+    for port, field in zip(ctx.ct.call_ports, ctx.call_fields):
         rb = rc.bindings[port.port_name]
         target = naming.static_entry_name(rb.target_entry.port_name,
                                           rb.target_cell.cell.name)
-        lines.append(f"{INDENT}{naming.field_name(port.port_name)}: &{target},")
-    for attr, text in zip(ctx.visible_attrs, rc.attr_texts):
-        lines.append(f"{INDENT}{naming.rust_name(attr.name)}: {text},")
+        lines.append(f"{INDENT}{field}: &{target},")
+    for field, text in zip(ctx.attr_fields, rc.attr_texts):
+        lines.append(f"{INDENT}{field}: {text},")
     if ctx.var_record:
-        lines.append(f"{INDENT}variable: &{naming.static_var_name(rc.cell.name)},")
+        var_static = naming.static_var_name(rc.cell.name)
+        lines.append(f"{INDENT}variable: &{var_static},")
     lines.append("};")
     lines.append("")
 
     if ctx.var_record:
-        var_static = naming.static_var_name(rc.cell.name)
         lines.append(f"pub static {var_static}: Mutex<{ctx.var_record}> = "
                      f"Mutex::new({ctx.var_record} {{")
-        for v in ctx.ct.vars:
-            lines.append(f"{INDENT}{naming.rust_name(v.name)}: {v.default.text},")
+        lines.extend(ctx.var_inits)
         lines.append("});")
         lines.append("")
 
-    for port in ctx.ct.entry_ports:
+    for port, entry_type in zip(ctx.ct.entry_ports, ctx.entry_types):
         entry_static = naming.static_entry_name(port.port_name, rc.cell.name)
-        entry_type = naming.entry_impl_name(port.port_name, ctx.ct.name)
         lines.append(f"pub static {entry_static}: {entry_type} = {entry_type} {{")
         lines.append(f"{INDENT}cell: &{instance},")
         lines.append("};")
@@ -237,12 +229,12 @@ def _render_accessor(ctx: _DefinitionContext, lines: List[str]) -> None:
 
     tuple_types: List[str] = []
     tuple_exprs: List[str] = []
-    for tp, port in zip(ctx.type_params, ctx.ct.call_ports):
+    for tp, field in zip(ctx.type_params, ctx.call_fields):
         tuple_types.append(f"&{tp}")
-        tuple_exprs.append(f"&self.{naming.field_name(port.port_name)}")
-    for attr in ctx.visible_attrs:
+        tuple_exprs.append(f"&self.{field}")
+    for attr, field in zip(ctx.visible_attrs, ctx.attr_fields):
         tuple_types.append(f"&{naming.map_base_type(attr.c_type)}")
-        tuple_exprs.append(f"&self.{naming.rust_name(attr.name)}")
+        tuple_exprs.append(f"&self.{field}")
     if ctx.var_record:
         lt = "<'a>" if ctx.var_has_lifetime else ""
         tuple_types.append(f"&Mutex<{ctx.var_record}{lt}>")
@@ -267,7 +259,7 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
     own = [naming.module_name(ct.name)]
     call_contracts = sorted({naming.module_name(p.signature_name) for p in ct.call_ports})
     entry_contracts = sorted({naming.module_name(p.signature_name) for p in ct.entry_ports})
-    imports = list(dict.fromkeys(own + call_contracts + entry_contracts))
+    imports = [naming.rust_name(m) for m in dict.fromkeys(own + call_contracts + entry_contracts)]
     lines.append("use crate::{" + ", ".join(m + "::*" for m in imports) + "};")
     lines.append("")
 

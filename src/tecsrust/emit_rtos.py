@@ -53,24 +53,38 @@ def substitute_macros(template: str, env: MacroEnv) -> str:
     (unbalanced holes, or a hole whose value itself carries holes) is an
     error rather than silent passthrough.
     """
-    rendered = _HOLE.sub(lambda m: env.lookup(m.group(1)), template)
+    return _fill(template, env, {})
+
+
+def _fill(template: str, env: MacroEnv, pieces: Dict[str, List[str]]) -> str:
+    """substitute_macros, splitting a template at its holes once per `pieces` table."""
+    split = pieces.get(template)
+    if split is None:
+        split = pieces[template] = _HOLE.split(template)  # text, hole name, text, ...
+    parts = split[:]
+    for i in range(1, len(parts), 2):
+        parts[i] = env.lookup(parts[i])
+    rendered = "".join(parts)
     if "$" in rendered:
         raise MacroError(f"residual '$' after substitution in {rendered!r}")
     return rendered
 
 
 def build_env(ct: CelltypeDef, cell: Optional[CellDef]) -> MacroEnv:
-    """Macro environment for one cell (or celltype scope when cell is None).
+    """Macro environment of one scope: a cell, or its celltype when cell is None.
 
     Attr values are the raw initializer texts: the cell's initializer when
     present, else the celltype default. [omit] attrs participate; they
     exist to feed the factory even though they never reach emitted records.
+    One dict holds the cell's initializers, the first of an attr winning as
+    in `CellDef.init_for`, so an env costs O(attrs + initializers).
     """
+    inits = {}  # reversed, so the first initializer of an attr wins
+    for i in reversed(cell.attr_inits if cell is not None else ()):
+        inits[i.attr_name] = i.value
     values: Dict[str, str] = {}
     for attr in ct.attrs:
-        init = cell.init_for(attr.name) if cell is not None else None
-        if init is None:
-            init = attr.default
+        init = inits.get(attr.name, attr.default)
         if init is not None:
             values[attr.name] = init.text
     return MacroEnv(ct.name, cell.name if cell is not None else None, values)
@@ -90,16 +104,22 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
     them into one file per target. Each distinct target is checked once, at
     its first write: it must name a file inside `--out` that no core
     emitter writes. `target_file` is the target without empty or '.' parts.
+    The plan keeps a scope's writes together, so the macro environment is
+    built once per celltype for its FACTORY writes and once per cell for its
+    factory writes, and each distinct template is split at its holes once.
     """
     writes: List[ConfigWrite] = []
     diags: List[Diagnostic] = []
     core_files = set(plan.contract_files() + plan.definition_files() + plan.skeleton_files())
     paths: Dict[str, str] = {}  # rendered target -> `target_file`
+    pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
+    scope = None  # the first write of the current (celltype, cell) scope
     for pw in plan.config_writes:
-        env = build_env(pw.celltype, pw.cell)
+        if scope is None or pw.celltype is not scope.celltype or pw.cell is not scope.cell:
+            scope, env = pw, build_env(pw.celltype, pw.cell)
         try:
-            target = substitute_macros(pw.target_template, env)
-            line = substitute_macros(pw.line_template, env)
+            target = _fill(pw.target_template, env, pieces)
+            line = _fill(pw.line_template, env, pieces)
         except MacroError as exc:
             diags.append(error("unresolved-macro", str(exc), pw.location))
             continue

@@ -100,13 +100,15 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
             cells.append(rc)
             cells_by_ct[ct.name].append(rc)
 
+    # per celltype, once: call ports, entry ports (the first of a name wins) and attr names
+    facts = {name: ({p.port_name: p for p in ct.call_ports},
+                    {p.port_name: p for p in reversed(ct.entry_ports)}, {a.name for a in ct.attrs})
+             for name, ct in ct_index.items()}
     for rc in cells:
-        ct = rc.celltype
-        call_ports = {p.port_name: p for p in ct.call_ports}
-        entry_names = {p.port_name for p in ct.entry_ports}
+        call_ports, entries, attr_names = facts[rc.celltype.name]
         for b in rc.cell.bindings:
             if b.call_port_name not in call_ports:
-                code = ("not-a-call-port" if b.call_port_name in entry_names
+                code = ("not-a-call-port" if b.call_port_name in entries
                         else "unknown-call-port")
                 diags.append(error(
                     code,
@@ -120,8 +122,7 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                     f"binding target cell '{b.target_cell_name}' does not exist",
                     b.location))
                 continue
-            entry = next((p for p in target.celltype.entry_ports
-                          if p.port_name == b.target_entry_port_name), None)
+            entry = facts[target.celltype.name][1].get(b.target_entry_port_name)
             if entry is None:
                 diags.append(error(
                     "unknown-entry-port",
@@ -138,13 +139,13 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                 continue
             rc.bindings[b.call_port_name] = ResolvedBinding(call_port, target, entry)
         for port_name in call_ports:
-            if rc.cell.binding_for(port_name) is None:
+            if port_name not in rc.bindings and rc.cell.binding_for(port_name) is None:
                 diags.append(error(
                     "unbound-call-port",
                     f"call port '{port_name}' of cell '{rc.cell.name}' is not bound",
                     rc.cell.location))
         for init in rc.cell.attr_inits:
-            if not any(a.name == init.attr_name for a in ct.attrs):
+            if init.attr_name not in attr_names:
                 diags.append(error(
                     "unknown-attribute",
                     f"cell '{rc.cell.name}' initializes unknown attr '{init.attr_name}'",
@@ -201,20 +202,22 @@ def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
 def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
     """Report every entity that would stop an emitter, and keep each cell's
     rendered attr texts. Order: bad names, each once; then per celltype its
-    var types, call ports without cells, attrs and statics cell by cell,
-    and vars."""
+    var types, call ports without cells, attrs and statics cell by cell (a
+    static against those of every earlier cell, of any celltype), and vars."""
     named = {(kind, e.name): e.location
              for kind, e in _named(generating, sig_index, cells_by_ct)}
     for (kind, name), loc in named.items():
+        mapped = naming.contract_name(name) if kind == "signature" else naming.record_name(name)
         if len(name) < 2:
             diags.append(error("bad-name", f"{kind} name '{name}' too short", loc))
-        elif not (naming.contract_name(name) if kind == "signature"
-                  else naming.record_name(name)).isidentifier():  # '__' maps to ''
+        # '__' maps to ''; 'self' to module `self` and type `Self`, which `r#` cannot write
+        elif not mapped.isidentifier() or {mapped, naming.module_name(name)} & naming.NOT_RAW:
             diags.append(error(
                 "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", loc))
     for kind, name, loc in _unwritable(generating, named, sig_index):
         diags.append(error("bad-name", f"{kind} name '{name}' is not a Rust identifier", loc))
 
+    first_cell: Dict[str, str] = {}  # static -> its first cell; modules glob-import each other
     for ct in generating:
         for v in ct.vars:
             residue = naming.unrecognized_mangling(v.type_text)
@@ -230,9 +233,8 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
                     f"bound cell to fix its concrete entry type", port.location))
             continue
         visible = [a for a in ct.attrs if not a.omit]
-        first_cell: Dict[str, str] = {}  # static name -> the first cell that emits it
         for rc in cells:
-            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
+            rc.attr_texts = _attr_texts(ct, rc.cell, visible, diags)
             name = rc.cell.name
             statics = [naming.static_instance_name(name)] + [
                 naming.static_entry_name(p.port_name, name) for p in ct.entry_ports]
@@ -273,20 +275,25 @@ def _unwritable(generating, named, sig_index):
                     for f in sig.functions for p in f.params if p.name in bad)
 
 
-def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
-    init = cell.init_for(attr.name) or attr.default
-    if init is None:
-        diags.append(error(
-            "uninitialized-attribute",
-            f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
-            f"nor a cell initializer", cell.location))
-        return ""
-    if init.kind is InitKind.C_EXP and "$" in init.text:
-        try:
-            return substitute_macros(init.text, build_env(ct, cell))
-        except MacroError as exc:
-            diags.append(error("unresolved-macro", str(exc), cell.location))
-    return init.text
+def _attr_texts(ct: CelltypeDef, cell: CellDef, visible, diags) -> Tuple[str, ...]:
+    """Each visible attr's initializer text, its macros filled from one env per cell."""
+    texts, env = [], None
+    for attr in visible:
+        init = cell.init_for(attr.name) or attr.default
+        text = "" if init is None else init.text
+        if init is None:
+            diags.append(error(
+                "uninitialized-attribute",
+                f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
+                f"nor a cell initializer", cell.location))
+        elif init.kind is InitKind.C_EXP and "$" in text:
+            env = env or build_env(ct, cell)
+            try:
+                text = substitute_macros(text, env)
+            except MacroError as exc:
+                diags.append(error("unresolved-macro", str(exc), cell.location))
+        texts.append(text)
+    return tuple(texts)
 
 
 @dataclass

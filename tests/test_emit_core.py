@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import golden
-from rustc_check import rustc_check
+from rustc_check import rustc_check, rustc_check_tree
 from tecsrust import emit_core
 from tecsrust.cli import generate
 from tecsrust.emit_core import WritePolicy, emit_contract
@@ -71,6 +71,61 @@ def test_rust_keywords_are_raw_identifiers(tmp_path):
                  "    (&self.r#type, &self.r#loop, self.variable)"]:
         assert line in definition.splitlines()
     assert "fn r#match(&self, r#type: &i32) {" in files["t_kw_impl.rs"].content
+
+
+KEYWORD_MODULE_TEXT = """signature sA { void f( [in] int32_t x ); };
+[generate(RustGenPlugin, "lib")]
+celltype match { entry sA eA; attr { int32_t n = 1; }; };
+[generate(RustGenPlugin, "lib")]
+celltype tUser { call sA cA; };
+cell match M1 {};
+cell tUser U1 { cA = M1.eA; };
+"""
+
+
+def test_keyword_module_names_are_raw_identifiers(tmp_path):
+    files = _gen(KEYWORD_MODULE_TEXT)
+    assert "use crate::{r#match::*, s_a::*};" in files["match_impl.rs"].content.splitlines()
+    assert "use crate::{s_a::*, r#match::*};" in files["t_user.rs"].content.splitlines()
+    rustc_check_tree({path: f.content for path, f in files.items()}, tmp_path)
+
+
+# var-free, so the tree needs no `spin` crate: two providers bound across to one user
+BOUND_ACROSS_TEXT = """signature sSensor {
+    void read( [out] int32_t *value, [in] uint8_t channel );
+    void reset( void );
+};
+signature sLog { void put( [in] int64_t code ); };
+[generate(RustGenPlugin, "lib")]
+celltype tSensor { entry sSensor eSensor; attr { int32_t port = 0; uint8_t gain; }; };
+[generate(RustGenPlugin, "lib")]
+celltype tLog { entry sLog eLog; };
+[generate(RustGenPlugin, "lib")]
+celltype tApp {
+    call sSensor cSensor;
+    call sLog cLog;
+    entry sLog eForward;
+    attr { double scale = C_EXP("1.5"); };
+};
+cell tSensor S1 { gain = 2; };
+cell tSensor S2 { port = 3; gain = 4; };
+cell tLog L {};
+cell tApp A1 { cSensor = S1.eSensor; cLog = L.eLog; };
+cell tApp A2 { cSensor = S2.eSensor; cLog = L.eLog; scale = C_EXP("0.5"); };
+"""
+
+
+def test_tree_bound_across_celltypes_compiles(tmp_path):
+    files = _gen(BOUND_ACROSS_TEXT)
+    assert sorted(files) == ["s_log.rs", "s_sensor.rs", "t_app.rs", "t_app_impl.rs",
+                             "t_log.rs", "t_log_impl.rs", "t_sensor.rs", "t_sensor_impl.rs"]
+    rustc_check_tree({path: f.content for path, f in files.items()}, tmp_path)
+
+
+def test_rustc_check_tree_rejects_a_bare_keyword_module(tmp_path):
+    files = {"match.rs": "pub struct M;\n", "user.rs": "use crate::{match::*};\n"}
+    with pytest.raises(AssertionError, match="expected identifier, found keyword"):
+        rustc_check_tree(files, tmp_path)
 
 
 def test_definition_matches_figure(sample_outputs):

@@ -2,13 +2,16 @@ import re
 
 import pytest
 
+from tecsrust import emit_rtos
 from tecsrust.emit_rtos import (
     KERNEL_PREAMBLE_LINES, MacroEnv, MacroError, build_env, config_files,
     run_factory, substitute_macros,
 )
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import plan_emission, resolve
-from tecsrust.model import validate_unit
+from tecsrust.model import (
+    AttrDecl, AttrInit, CelltypeDef, CellDef, InitKind, Initializer, validate_unit,
+)
 
 
 def test_substitute_attr_macro():
@@ -65,6 +68,38 @@ def test_omit_attrs_feed_the_env(kernel_text):
     env = build_env(ct, cell)
     assert env.attr_values["id"] == "1"
     assert env.attr_values["priority"] == "MID_PRIORITY"
+
+
+def test_build_env_keeps_the_first_of_duplicate_initializers():
+    # validate_unit rejects such a cell, but build_env is public and takes any cell
+    ct = CelltypeDef("tX", attrs=(
+        AttrDecl("id", "int32_t", Initializer(InitKind.LITERAL, "9")), AttrDecl("n", "int32_t")))
+    cell = CellDef("X1", "tX", attr_inits=(AttrInit("id", Initializer(InitKind.LITERAL, "1")),
+                                           AttrInit("id", Initializer(InitKind.LITERAL, "2"))))
+    assert cell.init_for("id").text == "1"
+    assert build_env(ct, cell) == MacroEnv("tX", "X1", {"id": "1"})
+    assert build_env(ct, None) == MacroEnv("tX", None, {"id": "9"})
+
+
+def test_run_factory_builds_one_env_per_scope(kernel_text, monkeypatch):
+    text = kernel_text + """
+[generate(ItronrsGenPlugin, "lib")]
+cell tTask_rs Task2 { cTaskBody = MainBody.eBody; id = 2; priority = 1; stackSize = 2; };
+"""
+    model, diags = resolve([parse_unit(text, "kernel_rs.cdl").unit])
+    assert not diags
+    plan = plan_emission(model)
+    scopes = []
+
+    def counting_build_env(ct, cell):
+        scopes.append((ct.name, cell and cell.name))
+        return build_env(ct, cell)
+
+    monkeypatch.setattr(emit_rtos, "build_env", counting_build_env)
+    writes, w_diags = run_factory(model, plan)
+    assert not w_diags and len(writes) == len(plan.config_writes) == 4
+    # one per celltype with FACTORY writes, then one per cell with factory writes
+    assert scopes == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
 
 
 def test_preamble_lines(kernel_outputs):

@@ -341,19 +341,44 @@ cell tK K { Self = K.eK; };
         "k.cdl:2:32: error[bad-name]: parameter name 'super' is not a Rust identifier"]
 
 
-@pytest.mark.parametrize("members, first, second, static", [
-    ("", "ab", "AB", "AB"),
-    ("entry sA eA; var { int32_t n = 0; };", "a", "aVAR", "AVAR"),
-], ids=["instance", "var"])
-def test_duplicate_static_is_a_located_error(members, first, second, static):
+@pytest.mark.parametrize("members, first, second, statics", [
+    ("", "tA ab", "tA AB", ["AB"]),
+    ("entry sA eA; var { int32_t n = 0; };", "tA a", "tA aVAR", ["AVAR"]),
+    # the generated modules glob-import each other, so cells of two celltypes collide too
+    ("entry sA e;", "tA ab", "tB AB", ["AB", "EFORAB"]),
+], ids=["instance", "var", "across-celltypes"])
+def test_duplicate_static_is_a_located_error(members, first, second, statics):
     text = f"""signature sA {{ void f( void ); }};
 [generate(RustGenPlugin, "lib")]
 celltype tA {{ {members} }};
-cell tA {first} {{}};
-cell tA {second} {{}};
+[generate(RustGenPlugin, "lib")]
+celltype tB {{ {members} }};
+cell {first} {{}};
+cell {second} {{}};
 """
     files, _, model, diags = generate([("s.cdl", text)])
     assert files == [] and model is None
+    first, second = first.split()[1], second.split()[1]
     assert [str(d) for d in diags] == [
-        f"s.cdl:5:1: error[duplicate-static]: cell '{second}' emits static "
-        f"'{static}', as cell '{first}' does"]
+        f"s.cdl:7:1: error[duplicate-static]: cell '{second}' emits static "
+        f"'{static}', as cell '{first}' does" for static in statics]
+
+
+def test_celltype_and_signature_names_no_raw_identifier_writes_are_bad_names():
+    # 'self' maps to module `self` and trait `Self`, 'Super' and 'crate' to modules
+    # `super` and `crate`; `r#` writes none of them. 'match' maps to `r#match`.
+    text = """signature self { void f( void ); };
+signature Super { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype crate { entry self eA; entry Super eB; };
+[generate(RustGenPlugin, "lib")]
+celltype match { entry Super eC; };
+cell crate C1 {};
+cell match M1 {};
+"""
+    model, diags = resolve(_units(text, "n.cdl"))
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "n.cdl:4:1: error[bad-name]: celltype name 'crate' does not map to a Rust identifier",
+        "n.cdl:1:1: error[bad-name]: signature name 'self' does not map to a Rust identifier",
+        "n.cdl:2:1: error[bad-name]: signature name 'Super' does not map to a Rust identifier"]
