@@ -234,7 +234,7 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
             continue
         visible = [a for a in ct.attrs if not a.omit]
         for rc in cells:
-            rc.attr_texts = _attr_texts(ct, rc.cell, visible, diags)
+            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
             name = rc.cell.name
             statics = [naming.static_instance_name(name)] + [
                 naming.static_entry_name(p.port_name, name) for p in ct.entry_ports]
@@ -275,25 +275,20 @@ def _unwritable(generating, named, sig_index):
                     for f in sig.functions for p in f.params if p.name in bad)
 
 
-def _attr_texts(ct: CelltypeDef, cell: CellDef, visible, diags) -> Tuple[str, ...]:
-    """Each visible attr's initializer text, its macros filled from one env per cell."""
-    texts, env = [], None
-    for attr in visible:
-        init = cell.init_for(attr.name) or attr.default
-        text = "" if init is None else init.text
-        if init is None:
-            diags.append(error(
-                "uninitialized-attribute",
-                f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
-                f"nor a cell initializer", cell.location))
-        elif init.kind is InitKind.C_EXP and "$" in text:
-            env = env or build_env(ct, cell)
-            try:
-                text = substitute_macros(text, env)
-            except MacroError as exc:
-                diags.append(error("unresolved-macro", str(exc), cell.location))
-        texts.append(text)
-    return tuple(texts)
+def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
+    init = cell.init_for(attr.name) or attr.default
+    if init is None:
+        diags.append(error(
+            "uninitialized-attribute",
+            f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
+            f"nor a cell initializer", cell.location))
+        return ""
+    if init.kind is InitKind.C_EXP and "$" in init.text:
+        try:
+            return substitute_macros(init.text, build_env(ct, cell))
+        except MacroError as exc:
+            diags.append(error("unresolved-macro", str(exc), cell.location))
+    return init.text
 
 
 @dataclass

@@ -341,13 +341,17 @@ cell tK K { Self = K.eK; };
         "k.cdl:2:32: error[bad-name]: parameter name 'super' is not a Rust identifier"]
 
 
-@pytest.mark.parametrize("members, first, second, statics", [
-    ("", "tA ab", "tA AB", ["AB"]),
-    ("entry sA eA; var { int32_t n = 0; };", "tA a", "tA aVAR", ["AVAR"]),
-    # the generated modules glob-import each other, so cells of two celltypes collide too
-    ("entry sA e;", "tA ab", "tB AB", ["AB", "EFORAB"]),
+@pytest.mark.parametrize("members, first, second, consumer, statics", [
+    ("", "tA ab", "tA AB", "", ["AB"]),
+    ("entry sA eA; var { int32_t n = 0; };", "tA a", "tA aVAR", "", ["AVAR"]),
+    # the generated modules glob-import each other, so `cC`'s two fields would
+    # both have type `&EFORAB`, which rustc rejects as an ambiguous glob import
+    ("entry sA e;", "tA ab", "tB AB", """[generate(RustGenPlugin, "lib")]
+celltype tC { call sA c1; call sA c2; };
+cell tC cC { c1 = ab.e; c2 = AB.e; };
+""", ["AB", "EFORAB"]),
 ], ids=["instance", "var", "across-celltypes"])
-def test_duplicate_static_is_a_located_error(members, first, second, statics):
+def test_duplicate_static_is_a_located_error(members, first, second, consumer, statics):
     text = f"""signature sA {{ void f( void ); }};
 [generate(RustGenPlugin, "lib")]
 celltype tA {{ {members} }};
@@ -355,7 +359,7 @@ celltype tA {{ {members} }};
 celltype tB {{ {members} }};
 cell {first} {{}};
 cell {second} {{}};
-"""
+{consumer}"""
     files, _, model, diags = generate([("s.cdl", text)])
     assert files == [] and model is None
     first, second = first.split()[1], second.split()[1]
