@@ -13,13 +13,14 @@ text: keywords, punctuation and names are interned, so each distinct text
 exists once, and the offsets sit in an `array`. A tag is the token's text
 for keywords and punctuation, and its kind ("identifier", "string",
 "integer") otherwise, so the parser tests a token with one comparison.
-`LineIndex.locate` bisects the line starts to turn an offset into a
-`SourceLoc`. Lines end at '\n' only, and columns count characters from 1.
+`LineIndex.locate` turns an offset into a `SourceLoc` that keeps the index and
+the offset; `LineIndex.where` bisects the line starts only when that is read,
+as when a diagnostic is printed. Lines end at '\n' only; columns count from 1.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
-bounds check. A `SourceLoc` is built only where the AST or a diagnostic
-keeps one.
+bounds check. A `SourceLoc` is made only where the AST or a diagnostic
+keeps one, and a clean parse resolves none.
 
 A `cell` or `signature` declaration of the common shape is one token: tag
 `CELL` or `SIGNATURE`, text its source slice, offset its start, match
@@ -112,17 +113,23 @@ def _unescape(string: str) -> str:
 
 
 class LineIndex:
-    """Line-start offsets of one source text, shared by all of its tokens."""
+    """Line-start offsets of one source text, shared by its tokens and locations."""
 
     __slots__ = ("source_name", "starts")
 
     def __init__(self, text: str, source_name: str):
         self.source_name = source_name
-        self.starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        # 4 bytes each where they fit; `Tokens.offsets` takes the same typecode
+        self.starts = array("I" if len(text) < 1 << 32 else "q", [0])
+        self.starts.extend(m.end() for m in re.finditer("\n", text))
 
     def locate(self, offset: int) -> SourceLoc:
+        """The location of `offset`; `where` resolves it when it is read."""
+        return SourceLoc.at(self, offset)
+
+    def where(self, offset: int) -> Tuple[str, int, int]:
         line = bisect_right(self.starts, offset)
-        return SourceLoc(self.source_name, line, offset - self.starts[line - 1] + 1)
+        return self.source_name, line, offset - self.starts[line - 1] + 1
 
 
 class Tokens:
@@ -136,10 +143,10 @@ class Tokens:
 
     __slots__ = ("tags", "texts", "offsets", "lines", "decls")
 
-    def __init__(self, lines: LineIndex, size: int):
+    def __init__(self, lines: LineIndex):
         self.tags: List[Optional[str]] = []
         self.texts: List[str] = []
-        self.offsets = array("I" if size < 1 << 32 else "q")  # 4 bytes each where they fit
+        self.offsets = array(lines.starts.typecode)
         self.lines = lines
         self.decls: Dict[int, re.Match] = {}  # token index -> `_DECLS` match
 
@@ -153,7 +160,7 @@ def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Dia
 
 def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Diagnostic]]:
     """Scan `text`; with `decls`, each `_CELL` or `_SIGNATURE` match is one token."""
-    tokens = Tokens(LineIndex(text, source_name), len(text))
+    tokens = Tokens(LineIndex(text, source_name))
     tag, add_text, add_offset = tokens.tags.append, tokens.texts.append, tokens.offsets.append
     diags: List[Diagnostic] = []
     intern, scan = sys.intern, _compiled(_TOKEN).finditer

@@ -3,6 +3,8 @@
 Pure value types: no I/O, no mutation after construction. Source locations,
 and a unit's source name, are carried for diagnostics but excluded from
 equality so that a rendered and re-parsed unit compares equal to the original.
+A location from the front end keeps its line index and offset, and its file,
+line and column are computed each time they are read, not memoised.
 """
 
 from __future__ import annotations
@@ -15,14 +17,39 @@ from typing import Optional
 KNOWN_PLUGINS = ("RustGenPlugin", "ItronrsGenPlugin")
 
 
-@dataclass(frozen=True)
 class SourceLoc:
-    file: str = "<unknown>"
-    line: int = 0
-    column: int = 0
+    """`file`, and `line` and `column` from 1: given, or from `lines.where(offset)`
+    on each read for `SourceLoc.at(lines, offset)`. Equal and hashed as the triple."""
+
+    __slots__ = ("_lines", "_at")
+
+    def __init__(self, file: str = "<unknown>", line: int = 0, column: int = 0):
+        self._lines, self._at = None, (file, line, column)
+
+    @classmethod
+    def at(cls, lines, offset: int) -> "SourceLoc":
+        loc = object.__new__(cls)
+        loc._lines, loc._at = lines, offset
+        return loc
+
+    def _triple(self) -> tuple:
+        return self._at if self._lines is None else self._lines.where(self._at)
+
+    file = property(lambda self: self._triple()[0])
+    line = property(lambda self: self._triple()[1])
+    column = property(lambda self: self._triple()[2])
+
+    def __eq__(self, other):
+        return self._triple() == other._triple() if isinstance(other, SourceLoc) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._triple())
+
+    def __repr__(self) -> str:
+        return "SourceLoc(file=%r, line=%r, column=%r)" % self._triple()
 
     def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
+        return "%s:%s:%s" % self._triple()
 
 
 class Severity(Enum):

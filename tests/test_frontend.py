@@ -5,15 +5,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import tecsrust
 from conftest import golden
+from tecsrust.cli import generate
 from strategies import cdl_units
-from tecsrust.frontend import CELL, EOF, SIGNATURE, parse_unit, render_unit, tokenize
-from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity
+from tecsrust.frontend import (
+    CELL, EOF, SIGNATURE, LineIndex, parse_unit, render_unit, tokenize,
+)
+from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity, SourceLoc
 
 from test_model import SIG_TEXT
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def tags_and_texts(tokens):
@@ -246,3 +252,69 @@ def test_round_trip_property(unit):
     reparsed = parse_unit(render_unit(unit), "gen.cdl").unit
     assert reparsed.source_name != unit.source_name
     assert reparsed == unit and hash(reparsed) == hash(unit)
+
+
+# Texts with empty lines, '\r\n' endings and no trailing newline.
+_texts = st.lists(st.text("ab \t\r", max_size=6), max_size=8).flatmap(
+    lambda lines: st.tuples(st.just(lines), st.sampled_from(["\n", "\r\n"]), st.booleans())
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] and t[0] else ""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts, st.data())
+def test_locate_matches_a_line_count(text, data):
+    lines = LineIndex(text, "law.cdl")
+    # the first and last characters, each newline, one past the end, and the
+    # tokenizer's EOF sentinel (the last token's offset)
+    offsets = {0, max(len(text) - 1, 0), len(text), tokenize(text)[0].offsets[-1]}
+    offsets.update(i for i, c in enumerate(text) if c == "\n")
+    offsets.add(data.draw(st.integers(0, len(text))))
+    for o in sorted(offsets):
+        triple = ("law.cdl", text.count("\n", 0, o) + 1, o - text.rfind("\n", 0, o))
+        loc, eager = lines.locate(o), SourceLoc(*triple)
+        assert (loc.file, loc.line, loc.column) == triple
+        assert loc == eager and hash(loc) == hash(eager)
+        assert (str(loc), repr(loc)) == (str(eager), repr(eager))
+
+
+def test_source_loc_is_read_only_and_prints_its_default():
+    loc = tokenize("cell", "r.cdl")[0].lines.locate(0)
+    for target in (loc, SourceLoc()):
+        with pytest.raises(AttributeError):
+            target.line = 3
+    assert str(SourceLoc()) == "<unknown>:0:0"
+    assert repr(loc) == "SourceLoc(file='r.cdl', line=1, column=1)"
+
+
+@pytest.fixture
+def where_calls(monkeypatch):
+    """The offsets `LineIndex.where` resolves while the test runs."""
+    calls, where = [], LineIndex.where
+    monkeypatch.setattr(LineIndex, "where", lambda self, o: calls.append(o) or where(self, o))
+    return calls
+
+
+def test_clean_build_resolves_no_location(where_calls):
+    inputs = [[(name, golden(name))] for name in ("sample.cdl", "kernel_rs.cdl")]
+    inputs += [list(workloads.build(name, 1, scale=0.02).sources.items())
+               for name in ("app_16k", "api_regen")]
+    for sources in inputs:
+        for name, text in sources:
+            result = parse_unit(text, name)
+            assert result.unit is not None and result.diagnostics == []
+        files, _, _, diags = generate(sources)
+        assert files and diags == []
+    assert where_calls == []
+
+
+def test_diagnostics_resolve_their_locations_when_formatted(where_calls):
+    text = ("signature sA { void ; };\ncelltype tX {\n    [bad] call sA cA;\n};\n"
+            "cell tX X { cA = ; };\n")
+    diags = parse_unit(text, "bad.cdl").diagnostics
+    assert where_calls == []
+    assert [str(d) for d in diags] == [
+        "bad.cdl:1:21: error[unexpected-token]: expected function name, found ';'",
+        "bad.cdl:3:6: error[unknown-modifier]: unknown modifier '[bad]'",
+        "bad.cdl:5:18: error[expected-binding-target]: "
+        "expected binding target or initializer after 'cA ='"]
+    assert len(where_calls) == len(diags)  # one bisect per printed location

@@ -386,3 +386,17 @@ cell match M1 {};
         "n.cdl:4:1: error[bad-name]: celltype name 'crate' does not map to a Rust identifier",
         "n.cdl:1:1: error[bad-name]: signature name 'self' does not map to a Rust identifier",
         "n.cdl:2:1: error[bad-name]: signature name 'Super' does not map to a Rust identifier"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no check compares contract paths, "
+                   "so 'sFoo' and 's_foo' both write s_foo.rs and the later one wins")
+def test_signatures_sharing_a_contract_file_collide():
+    text = """signature sFoo { void f( void ); };
+signature s_foo { void g( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA { entry sFoo e1; entry s_foo e2; };
+cell tA a {};
+"""
+    files, _, model, diags = generate([("c.cdl", text)])
+    assert files == [] and model is None
+    assert [(d.code, str(d.location)) for d in diags] == [("path-collision", "c.cdl:2:1")]
