@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple
 
 from . import emit_core, emit_rtos, header_const
 from .emit_core import GeneratedFile, WritePolicy
-from .frontend import parse_unit
+from .frontend import LineIndex, parse_unit
 from .linker import EmissionPlan, GenerationReport, ResolvedModel, plan_emission, resolve
-from .model import Diagnostic, KNOWN_PLUGINS, has_errors, validate_unit
+from .model import Diagnostic, KNOWN_PLUGINS, error, has_errors, validate_unit
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -125,6 +125,20 @@ def _print_diags(diags: List[Diagnostic], stream) -> None:
         print(d, file=stream)
 
 
+def _read(name: str) -> Tuple[Optional[str], int]:
+    """File `name`'s text, or None and an exit code after printing why there is none."""
+    try:
+        return Path(name).read_text(encoding="utf-8"), EXIT_OK
+    except OSError as exc:
+        print(f"error: cannot read {name}: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
+    except UnicodeDecodeError as exc:  # exc.object: the whole file; newlines as read_text has them
+        prefix = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        print(error("bad-encoding", f"input is not valid UTF-8 (byte {exc.object[exc.start]:#04x})",
+                    LineIndex(prefix, name).locate(len(prefix))), file=sys.stderr)
+        return None, EXIT_DIAGNOSTICS
+
+
 def _run_bindgen_lite(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="tecsrust bindgen-lite",
@@ -132,11 +146,9 @@ def _run_bindgen_lite(argv: List[str]) -> int:
     parser.add_argument("header", help="kernel header file (e.g. kernel_cfg.h)")
     parser.add_argument("-o", "--output", required=True, help="output .rs file")
     args = parser.parse_args(argv)
-    try:
-        text = Path(args.header).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.header}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text, code = _read(args.header)
+    if text is None:
+        return code
     converted, diags = header_const.convert_defines(text, args.header)
     _print_diags(diags, sys.stderr)
     try:
@@ -169,11 +181,10 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     sources = []
     for name in args.inputs:
-        try:
-            sources.append((name, Path(name).read_text(encoding="utf-8")))
-        except OSError as exc:
-            print(f"error: cannot read {name}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        text, code = _read(name)
+        if text is None:
+            return code
+        sources.append((name, text))
 
     files, plan, model, diags = generate(sources, args.plugin)
     _print_diags(diags, sys.stderr)

@@ -26,7 +26,7 @@ class WritePolicy(Enum):
     SKIP_IF_EXISTS = "skip-if-exists"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GeneratedFile:
     path: str
     content: str

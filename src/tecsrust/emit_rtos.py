@@ -25,7 +25,7 @@ class MacroError(ValueError):
     """A `$macro$` hole that cannot be filled; reported as `unresolved-macro`."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MacroEnv:
     ct: str
     cell: Optional[str] = None
@@ -90,7 +90,7 @@ def build_env(ct: CelltypeDef, cell: Optional[CellDef]) -> MacroEnv:
     return MacroEnv(ct.name, cell.name if cell is not None else None, values)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConfigWrite:
     target_file: str
     rendered_line: str

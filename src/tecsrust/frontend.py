@@ -238,7 +238,7 @@ def _scan_other(text, i, tokens, diags) -> int:
     return j
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseResult:
     unit: Optional[CdlUnit]
     diagnostics: List[Diagnostic]

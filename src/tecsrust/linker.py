@@ -13,14 +13,14 @@ from .model import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedBinding:
     call_port: PortDecl
     target_cell: "ResolvedCell"
     target_entry: PortDecl
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedCell:
     cell: CellDef
     celltype: CelltypeDef
@@ -29,7 +29,7 @@ class ResolvedCell:
     attr_texts: Tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedModel:
     cells: List[ResolvedCell]
     signature_index: Dict[str, SignatureDef]
@@ -252,13 +252,14 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
 
 
 def _named(generating, sig_index, cells_by_ct):
-    """The celltypes and signatures whose names the emitters map."""
+    """The celltypes and signatures whose names the emitters map, binding targets once each."""
     for ct in generating:
         yield "celltype", ct
         yield from (("signature", sig_index[p.signature_name])
                     for p in ct.ports if p.signature_name in sig_index)
-        yield from (("celltype", rb.target_cell.celltype)
-                    for rc in cells_by_ct[ct.name] for rb in rc.bindings.values())
+        targets = {rb.target_cell.celltype.name: rb.target_cell.celltype  # node hashes are deep
+                   for rc in cells_by_ct[ct.name] for rb in rc.bindings.values()}
+        yield from (("celltype", t) for t in targets.values())
 
 
 def _unwritable(generating, named, sig_index):
@@ -291,7 +292,7 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
     return init.text
 
 
-@dataclass
+@dataclass(slots=True)
 class PlannedWrite:
     celltype: CelltypeDef
     cell: Optional[CellDef]  # None for per-celltype FACTORY writes
@@ -300,7 +301,7 @@ class PlannedWrite:
     location: SourceLoc
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationReport:
     file_lines: Dict[str, int] = field(default_factory=dict)
     skeleton_files: set = field(default_factory=set)
@@ -316,7 +317,7 @@ class GenerationReport:
                    if p in self.skeleton_files)
 
 
-@dataclass
+@dataclass(slots=True)
 class EmissionPlan:
     contract_sigs: List[SignatureDef]
     definition_cts: List[CelltypeDef]

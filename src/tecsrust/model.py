@@ -1,10 +1,8 @@
 """Abstract syntax for the supported CDL subset and the resolved component graph.
 
-Pure value types: no I/O, no mutation after construction. Source locations,
-and a unit's source name, are carried for diagnostics but excluded from
-equality so that a rendered and re-parsed unit compares equal to the original.
-A location from the front end keeps its line index and offset, and its file,
-line and column are computed each time they are read, not memoised.
+Value types with no I/O, immutable by convention (a test checks it); slotted, not frozen,
+as freezing made each node 3-4x dearer to build. Locations and a unit's source name serve
+diagnostics only: equality and hash leave them out, so a re-parsed rendering compares equal.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diagnostic:
     severity: Severity
     code: str
@@ -90,13 +88,13 @@ class InitKind(Enum):
     LITERAL = "literal"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Initializer:
     kind: InitKind
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ParamDecl:
     specifier: ParamSpecifier
     c_type: str
@@ -105,7 +103,7 @@ class ParamDecl:
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionDecl:
     name: str
     return_type: str
@@ -113,7 +111,7 @@ class FunctionDecl:
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SignatureDef:
     name: str
     functions: tuple
@@ -125,7 +123,7 @@ class PortDirection(Enum):
     ENTRY = "entry"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PortDecl:
     direction: PortDirection
     signature_name: str
@@ -134,7 +132,7 @@ class PortDecl:
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttrDecl:
     name: str
     c_type: str
@@ -143,7 +141,7 @@ class AttrDecl:
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarDecl:
     name: str
     type_text: str
@@ -156,27 +154,27 @@ class FactoryScope(Enum):
     PER_CELLTYPE = "FACTORY"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FactoryWrite:
     target_file: str
     template: str
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FactoryBlock:
     scope: FactoryScope
     writes: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PluginDirective:
     plugin_name: str
     argument: str
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CelltypeDef:
     name: str
     call_ports: tuple = ()
@@ -192,7 +190,7 @@ class CelltypeDef:
         return self.call_ports + self.entry_ports
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binding:
     call_port_name: str
     target_cell_name: str
@@ -200,14 +198,14 @@ class Binding:
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttrInit:
     attr_name: str
     value: Initializer
     location: SourceLoc = field(default=SourceLoc(), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CellDef:
     name: str
     celltype_name: str
@@ -229,7 +227,7 @@ class CellDef:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CdlUnit:
     source_name: str = field(default="<memory>", compare=False)
     signatures: tuple = ()

@@ -307,3 +307,19 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
 def test_bindgen_lite_missing_header(tmp_path):
     assert run(["bindgen-lite", str(tmp_path / "nope.h"),
                 "-o", str(tmp_path / "out.rs")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite"])
+def test_input_that_is_not_utf8_is_one_located_error(tmp_path, capsys, command):
+    # the bad byte lies past the first 8 KiB and after a two-byte character on
+    # its line: the location counts characters of the whole file, and lines as
+    # the parser sees them, "\r\n" and "\r" ending one each
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"// " + b"x" * 9000 + b"\r\n//\r// caf\xc3\xa9 \xff\n")
+    out = tmp_path / "out"
+    argv = ([SAMPLE, str(bad), "--out", str(out)] if command == "generate"
+            else ["bindgen-lite", str(bad), "-o", str(out)])
+    assert run(argv) == EXIT_DIAGNOSTICS
+    captured = capsys.readouterr()
+    assert captured.err == f"{bad}:3:9: error[bad-encoding]: input is not valid UTF-8 (byte 0xff)\n"
+    assert captured.out == "" and not out.exists()

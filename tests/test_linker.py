@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import brute_force_counts, cdl_units
+from tecsrust import linker
 from tecsrust.cli import generate
 from tecsrust.emit_core import emit_definition
 from tecsrust.frontend import parse_unit
@@ -311,6 +312,29 @@ cell tC C2 { cA = P2.eA; };
     assert model is None
     assert [str(d) for d in diags] == [
         "b.cdl:3:1: error[bad-name]: celltype name 'p' too short"]
+
+
+def test_each_binding_target_is_named_once_per_generating_celltype():
+    text = """
+signature sA { void f( void ); };
+celltype tP { entry sA eA; };
+celltype tQ { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tC { call sA cA; call sA cB; };
+cell tQ Q1 {};
+cell tP P1 {};
+cell tP P2 {};
+cell tC C1 { cA = Q1.eA; cB = P1.eA; };
+cell tC C2 { cA = Q1.eA; cB = P2.eA; };
+cell tC C3 { cB = P1.eA; cA = Q1.eA; };
+"""
+    resolved, diags = resolve(_units(text), "RustGenPlugin")
+    assert diags == []
+    generating = [resolved.celltype_index["tC"]]
+    named = linker._named(generating, resolved.signature_index, resolved.cells_by_celltype)
+    assert [(kind, e.name) for kind, e in named] == [
+        ("celltype", "tC"), ("signature", "sA"), ("signature", "sA"),
+        ("celltype", "tQ"), ("celltype", "tP")]
 
 
 def test_names_rust_cannot_write_are_located_bad_names():

@@ -1,10 +1,21 @@
+import sys
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
+
 import pytest
 
+from conftest import golden
+from tecsrust import model
+from tecsrust.cli import generate
 from tecsrust.frontend import parse_unit
 from tecsrust.model import (
-    CdlUnit, FunctionDecl, ParamDecl, ParamSpecifier, PluginDirective,
-    PortDecl, PortDirection, CelltypeDef, SignatureDef, Severity, validate_unit,
+    CdlUnit, Diagnostic, FactoryBlock, FunctionDecl, Initializer, ParamDecl, ParamSpecifier,
+    PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef, Severity, SourceLoc,
+    has_errors, validate_unit,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SIG_TEXT = """
 signature sSensor {
@@ -93,3 +104,68 @@ def test_integer_literal_without_digits_is_rejected(text, message, column):
     assert [(d.code, d.message) for d in diags] == [("bad-integer", message)]
     assert (diags[0].location.file, diags[0].location.column) == ("lit.cdl", column)
     assert validate_unit(parse_unit(text.replace("0x", "0x1").replace("0X", "0X1")).unit) == []
+
+
+NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}
+# the fields each node class leaves out of equality and hash; `location` for the rest
+UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set()}
+
+
+def _nodes(value):
+    """`value` and every model node inside it, depth first."""
+    if is_dataclass(value):
+        yield value
+        for f in fields(value):
+            yield from _nodes(getattr(value, f.name))
+    elif isinstance(value, (tuple, frozenset)):
+        for item in value:
+            yield from _nodes(item)
+
+
+def test_every_model_node_is_a_slotted_value():
+    units = [parse_unit(golden(name), name).unit for name in ("sample.cdl", "kernel_rs.cdl")]
+    found = {}
+    for node in [n for unit in units for n in _nodes(unit)] + parse_unit("cell", "x").diagnostics:
+        found.setdefault(type(node), []).append(node)
+    assert set(found) == NODE_CLASSES  # the goldens build a node of each class
+    elsewhere = {"location": SourceLoc("elsewhere.cdl", 99, 9), "source_name": "elsewhere.cdl"}
+    for cls, nodes in found.items():
+        assert "__slots__" in vars(cls)
+        uncompared = {f.name for f in fields(cls) if not f.compare}
+        assert uncompared == UNCOMPARED.get(cls, {"location"}), cls
+        for node in nodes:
+            assert not hasattr(node, "__dict__")
+            with pytest.raises(AttributeError):
+                node.misspelt = 1
+            copy = replace(node)
+            assert copy is not node and copy == node and repr(copy) == repr(node)
+            for name in uncompared:
+                moved = replace(node, **{name: elsewhere[name]})
+                assert moved == node and hash(moved) == hash(node) and repr(moved) != repr(node)
+            for f in fields(cls):
+                if f.compare:
+                    assert replace(node, **{f.name: object()}) != node, (cls, f.name)
+
+
+@pytest.mark.parametrize("name", ["sample.cdl", "kernel_rs.cdl", *workloads.WORKLOADS])
+def test_pipeline_leaves_its_ast_as_parsed(name):
+    # nodes are not frozen; every one the pipeline reaches must still read as parsed
+    sources = ([(name, golden(name))] if name.endswith(".cdl")
+               else list(workloads.build(name, 1, scale=0.02).sources.items()))
+    files, plan, resolved, diags = generate(sources)
+    assert files and not has_errors(diags)
+    fresh = {}
+    for source_name, text in sources:
+        unit = parse_unit(text, source_name).unit
+        for node in unit.signatures + unit.celltypes + unit.cells:
+            fresh[type(node), node.name] = node
+    reached = [*resolved.signature_index.values(), *resolved.celltype_index.values(),
+               *plan.contract_sigs, *plan.definition_cts, *plan.skeleton_cts]
+    for rc in resolved.cells:
+        reached += [rc.cell, rc.celltype, *(b.target_cell.cell for b in rc.bindings.values())]
+    reached += [n for w in plan.config_writes for n in (w.celltype, w.cell) if n is not None]
+    reached = list({id(n): n for n in reached}.values())
+    assert {(type(n), n.name) for n in reached} == set(fresh)
+    for node in reached:
+        twin = fresh[type(node), node.name]
+        assert node == twin and repr(node) == repr(twin)  # repr shows the locations
