@@ -5,7 +5,7 @@ configuration lines, and kernel-header constant bindings."""
 
 from .emit_core import GeneratedFile, WritePolicy, emit_contract, emit_definition, emit_skeleton
 from .emit_rtos import ConfigWrite, MacroEnv, run_factory, substitute_macros
-from .frontend import ParseResult, parse_unit, render_unit, tokenize
+from .frontend import ParseResult, parse_unit, tokenize
 from .header_const import convert_defines
 from .linker import EmissionPlan, ResolvedModel, plan_emission, resolve
 from .model import CdlUnit, Diagnostic, Severity, validate_unit
@@ -16,6 +16,6 @@ __all__ = [
     "CdlUnit", "ConfigWrite", "Diagnostic", "EmissionPlan", "GeneratedFile",
     "MacroEnv", "ParseResult", "ResolvedModel", "Severity", "WritePolicy",
     "convert_defines", "emit_contract", "emit_definition", "emit_skeleton",
-    "parse_unit", "plan_emission", "render_unit", "resolve", "run_factory",
+    "parse_unit", "plan_emission", "resolve", "run_factory",
     "substitute_macros", "tokenize", "validate_unit",
 ]

@@ -102,16 +102,16 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
 
     Writes aimed at the same target file stay in that order; the CLI joins
     them into one file per target. Each distinct target is checked once, at
-    its first write: it must name a file inside `--out` that no core
-    emitter writes. `target_file` is the target without empty or '.' parts.
-    The plan keeps a scope's writes together, so the macro environment is
-    built once per celltype for its FACTORY writes and once per cell for its
-    factory writes, and each distinct template is split at its holes once.
+    its first write: it must name a file inside `--out` that no core emitter
+    writes, and no output may need its path, or a parent of it, as both a
+    file and a directory. `target_file` drops the empty and '.' parts. A
+    scope's writes are adjacent, so the macro environment is built once per
+    celltype or cell, and each distinct template is split at its holes once.
     """
     writes: List[ConfigWrite] = []
     diags: List[Diagnostic] = []
-    core_files = set(plan.contract_files() + plan.definition_files() + plan.skeleton_files())
     paths: Dict[str, str] = {}  # rendered target -> `target_file`
+    files, dirs = set(model.owners["file"]), set()  # each output file, each target's parents
     pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
     scope = None  # the first write of the current (celltype, cell) scope
     for pw in plan.config_writes:
@@ -125,13 +125,20 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan
             continue
         if target not in paths:
             parts = [p for p in target.split("/") if p not in ("", ".")]
-            paths[target] = "/".join(parts)
+            path = paths[target] = "/".join(parts)
+            parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
+            both = [p for p in parents if p in files] + [path] * (path in dirs)
             if target.startswith("/") or ".." in parts or not parts:
                 diags.append(error("write-outside-out", f"factory target '{target}' "
                                    "is not a file inside --out", pw.location))
-            elif paths[target] in core_files:
+            elif path in model.owners["file"]:
                 diags.append(error("path-collision", f"factory target '{target}' "
                                    "names a file the core emitters write", pw.location))
+            elif both and path not in files:
+                diags.append(error("path-collision", f"factory target '{target}' "
+                                   f"uses '{both[0]}' as a file and as a directory", pw.location))
+            files.add(path)
+            dirs.update(parents)
         writes.append(ConfigWrite(paths[target], line))
     return writes, diags
 

@@ -12,6 +12,9 @@ from .model import (
     SignatureDef, SourceLoc, error, has_errors,
 )
 
+_CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static"}
+_KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell"}
+
 
 @dataclass(slots=True)
 class ResolvedBinding:
@@ -36,6 +39,7 @@ class ResolvedModel:
     celltype_index: Dict[str, CelltypeDef]
     plugin_by_celltype: Dict[str, str]  # celltype name -> plugin name
     cells_by_celltype: Dict[str, List[ResolvedCell]]  # in declaration order
+    owners: Dict[str, Dict[str, object]]  # 'file'/'type' -> output path or name -> first owner
 
     def cells_of(self, celltype_name: str) -> List[ResolvedCell]:
         return self.cells_by_celltype.get(celltype_name, [])
@@ -165,11 +169,13 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                     f"of different celltypes ({names})", port.location))
 
     plugin_by_ct = _assign_plugins(ct_index, cells, default_plugin, diags)
-    _check_generating(_generating(ct_index, plugin_by_ct), sig_index, cells_by_ct, diags)
+    # crate-wide, as the modules glob-import each other; Rust keeps types and values apart
+    owners: Dict[str, Dict[str, object]] = {"file": {}, "type": {}}
+    _check_generating(_generating(ct_index, plugin_by_ct), sig_index, cells_by_ct, owners, diags)
 
     if has_errors(diags):
         return None, diags
-    return ResolvedModel(cells, sig_index, ct_index, plugin_by_ct, cells_by_ct), diags
+    return ResolvedModel(cells, sig_index, ct_index, plugin_by_ct, cells_by_ct, owners), diags
 
 
 def _assign_plugins(ct_index, cells, default_plugin, diags) -> Dict[str, str]:
@@ -199,11 +205,11 @@ def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
     return [ct for ct in ct_index.values() if ct.name in plugin_by_ct]
 
 
-def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
-    """Report every entity that would stop an emitter, and keep each cell's
-    rendered attr texts. Order: bad names, each once; then per celltype its
-    var types, call ports without cells, attrs and statics cell by cell (a
-    static against those of every earlier cell, of any celltype), and vars."""
+def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None:
+    """Report every entity that would stop an emitter or share an output name, enter
+    each file and type name in `owners`, and keep each cell's rendered attr texts.
+    Order: bad names, each once; contracts' names; then per celltype its names, var
+    types, call ports without cells, attrs and statics cell by cell, and vars."""
     named = {(kind, e.name): e.location
              for kind, e in _named(generating, sig_index, cells_by_ct)}
     for (kind, name), loc in named.items():
@@ -217,8 +223,16 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
     for kind, name, loc in _unwritable(generating, named, sig_index):
         diags.append(error("bad-name", f"{kind} name '{name}' is not a Rust identifier", loc))
 
-    first_cell: Dict[str, str] = {}  # static -> its first cell; modules glob-import each other
+    for sig in (sig_index[n] for kind, n in named if kind == "signature"):
+        _claim(owners, sig, diags, file=[naming.file_name("contract", sig.name)],
+               type=[naming.contract_name(sig.name)])
+    statics: Dict[str, CellDef] = {}  # a namespace too, but no later phase reads it
     for ct in generating:
+        record = naming.record_name(ct.name)
+        _claim(owners, ct, diags, file=[naming.file_name(kind, ct.name) for kind in
+                                        ["definition"] + ["skeleton"] * bool(ct.entry_ports)],
+               type=[record] + [record + "Var"] * bool(ct.vars)
+               + [naming.entry_impl_name(p.port_name, ct.name) for p in ct.entry_ports])
         for v in ct.vars:
             residue = naming.unrecognized_mangling(v.type_text)
             if residue is not None:
@@ -235,20 +249,31 @@ def _check_generating(generating, sig_index, cells_by_ct, diags) -> None:
         visible = [a for a in ct.attrs if not a.omit]
         for rc in cells:
             rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
-            name = rc.cell.name
-            statics = [naming.static_instance_name(name)] + [
-                naming.static_entry_name(p.port_name, name) for p in ct.entry_ports]
-            for static in statics + ([naming.static_var_name(name)] if ct.vars else []):
-                if first_cell.setdefault(static, name) != name:
-                    diags.append(error("duplicate-static", f"cell '{name}' emits static "
-                                       f"'{static}', as cell '{first_cell[static]}' does",
-                                       rc.cell.location))
+            keys = [naming.static_instance_name(rc.cell.name)] + [
+                naming.static_entry_name(p.port_name, rc.cell.name) for p in ct.entry_ports]
+            keys += [naming.static_var_name(rc.cell.name)] if ct.vars else []
+            for static in keys:
+                if statics.setdefault(static, rc.cell) is not rc.cell or keys.count(static) > 1:
+                    _claim({"static": statics}, rc.cell, diags, static=keys)
+                    break
         for v in ct.vars:
             if v.default is None:
                 diags.append(error(
                     "uninitialized-variable",
                     f"var '{v.name}' of celltype '{ct.name}' has no initializer",
                     v.location))
+
+
+def _claim(owners, owner, diags, **names) -> None:
+    """Enter an entity's names in `owners`; report the first that is held already, if any."""
+    keys = [(ns, name) for ns, group in names.items() for name in group]
+    firsts = [owners[ns].setdefault(name, owner) for ns, name in keys]
+    for i, (ns, name) in enumerate(keys):
+        if firsts[i] is not owner or keys[i] in keys[:i]:
+            first = f"{_KINDS[type(firsts[i])]} '{firsts[i].name}'"
+            diags.append(error(_CLASH_CODES[ns], f"{_KINDS[type(owner)]} '{owner.name}' emits "
+                               f"{ns} '{name}', as {first} does", owner.location))
+            return
 
 
 def _named(generating, sig_index, cells_by_ct):
@@ -325,34 +350,22 @@ class EmissionPlan:
     config_writes: List[PlannedWrite]
     report: GenerationReport = field(default_factory=GenerationReport)
 
-    def contract_files(self) -> List[str]:
-        return [naming.file_name("contract", s.name) for s in self.contract_sigs]
-
-    def definition_files(self) -> List[str]:
-        return [naming.file_name("definition", ct.name) for ct in self.definition_cts]
-
     def skeleton_files(self) -> List[str]:
         return [naming.file_name("skeleton", ct.name) for ct in self.skeleton_cts]
 
 
 def plan_emission(model: ResolvedModel) -> EmissionPlan:
-    """Decide which files a resolved model owes, before rendering anything.
+    """List the files a resolved model owes, before rendering anything.
 
-    Contracts: one per signature referenced from a generating celltype's
-    ports. Definitions: one per generating celltype. Skeletons: one per
-    generating celltype with at least one entry port. Config writes:
-    per-celltype FACTORY writes first, then per-cell factory writes in
-    cell declaration order.
+    Contracts: the signatures that own a file in `model.owners`, one per
+    signature a generating celltype's port references. Definitions: one per
+    generating celltype. Skeletons: one per generating celltype with at
+    least one entry port. Config writes: per-celltype FACTORY writes first,
+    then per-cell factory writes in cell declaration order.
     """
     generating = _generating(model.celltype_index, model.plugin_by_celltype)
 
-    contract_sigs: List[SignatureDef] = []
-    seen = set()
-    for ct in generating:
-        for port in ct.ports:
-            if port.signature_name not in seen:
-                seen.add(port.signature_name)
-                contract_sigs.append(model.signature_index[port.signature_name])
+    contract_sigs = [e for e in model.owners["file"].values() if isinstance(e, SignatureDef)]
 
     definition_cts = list(generating)
     skeleton_cts = [ct for ct in generating if ct.entry_ports]

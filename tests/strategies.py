@@ -4,6 +4,9 @@ Consumer celltypes only ever bind call ports into provider celltypes'
 entry ports of the matching signature, so generated units always link.
 Names are counter-derived (unique by construction); hypothesis drives the
 shape: counts, port wiring, defaults, modifiers, and directives.
+
+`colliding_units` is the exception: its names are drawn from a few stems so
+that different names often map to one Rust name or file path.
 """
 
 from dataclasses import replace
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from tecsrust.model import (
     AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock,
     FactoryScope, FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl,
-    ParamSpecifier, PluginDirective, PortDecl, PortDirection, SignatureDef,
+    ParamSpecifier, PluginDirective, PortDecl, PortDirection, SignatureDef, VarDecl,
 )
 
 _RUST_PLUGIN = PluginDirective("RustGenPlugin", "lib")
@@ -133,7 +136,6 @@ def cdl_units_with_gaps(draw) -> CdlUnit:
 
 
 def VarDeclFactory(i):
-    from tecsrust.model import VarDecl
     return VarDecl(f"state{i}", "Option_Ref_a_mut__dev_t__",
                    Initializer(InitKind.C_EXP, "None"))
 
@@ -152,3 +154,46 @@ def brute_force_counts(unit: CdlUnit):
     n_defs = len(directed)
     n_skels = sum(1 for name in directed if by_name[name].entry_ports)
     return len(sigs), n_defs, n_skels
+
+
+_STEMS = ("foo", "fooBar", "ab")
+_CASES = (str, str.upper, str.lower, str.capitalize, str.swapcase)
+_SUFFIXES = ("", "_impl", "Impl", "Var", "_var", "VAR")
+_KEYWORDS = ("match", "type", "fn", "impl", "mod", "self", "Self", "crate", "super")
+
+
+@st.composite
+def colliding_names(draw, prefixes) -> str:
+    """One of `prefixes` and a stem in some case, maybe split by '_', and a
+    suffix; or now and then a Rust keyword."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_KEYWORDS))
+    stem = draw(st.sampled_from(_STEMS))
+    cut = draw(st.integers(0, len(stem) - 1))
+    if cut:
+        stem = stem[:cut] + "_" + stem[cut:]
+    case = draw(st.sampled_from(_CASES))
+    return case(draw(st.sampled_from(prefixes)) + stem) + draw(st.sampled_from(_SUFFIXES))
+
+
+@st.composite
+def colliding_units(draw) -> CdlUnit:
+    """Generating celltypes, their entry ports and cells, and signatures, all
+    named by `colliding_names`: a unit may fail to link or clash in its
+    output names, and the generator does not try to avoid either."""
+    sigs = [SignatureDef(draw(colliding_names(("s", "t"))), (FunctionDecl("f", "void", ()),))
+            for _ in range(draw(st.integers(1, 2)))]
+    celltypes = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = tuple(PortDecl(PortDirection.ENTRY, draw(st.sampled_from(sigs)).name,
+                                 draw(colliding_names(("e", "E"))))
+                        for _ in range(draw(st.integers(0, 2))))
+        vars_ = ()
+        if draw(st.booleans()):
+            vars_ = (VarDecl("n", "int32_t", Initializer(InitKind.LITERAL, "0")),)
+        celltypes.append(CelltypeDef(draw(colliding_names(("t", "s"))), (), entries, (), vars_,
+                                     (), _RUST_PLUGIN))
+    cells = tuple(CellDef(draw(colliding_names(("t", "e", ""))),
+                          draw(st.sampled_from(celltypes)).name)
+                  for _ in range(draw(st.integers(1, 4))))
+    return CdlUnit("<generated>", tuple(sigs), tuple(celltypes), cells)

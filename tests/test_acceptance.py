@@ -11,10 +11,12 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
+from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
 from strategies import brute_force_counts, cdl_units
+from tecsrust import naming
 from tecsrust.cli import EXIT_DIAGNOSTICS, EXIT_OK, generate, run
-from tecsrust.frontend import parse_unit, render_unit
+from tecsrust.frontend import parse_unit
 from tecsrust.header_const import convert_defines
 from tecsrust.linker import plan_emission, resolve
 
@@ -98,8 +100,8 @@ def test_criterion_6_file_count_law(unit):
     assert model is not None, diags
     plan = plan_emission(model)
     n_sigs, n_defs, n_skels = brute_force_counts(unit)
-    assert len(plan.contract_files()) == n_sigs
-    assert len(plan.definition_files()) == n_defs
+    assert len([naming.file_name("contract", s.name) for s in plan.contract_sigs]) == n_sigs
+    assert len([naming.file_name("definition", ct.name) for ct in plan.definition_cts]) == n_defs
     assert len(plan.skeleton_files()) == n_skels
 
 

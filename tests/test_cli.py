@@ -3,12 +3,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
 from strategies import cdl_units_with_gaps
+from tecsrust import naming
 from tecsrust.cli import (
     EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run,
 )
-from tecsrust.frontend import parse_unit, render_unit
+from tecsrust.frontend import parse_unit
 from tecsrust.linker import resolve
 from tecsrust.model import Severity
 
@@ -183,6 +185,30 @@ def test_factory_target_may_not_name_a_core_file(tmp_path, capsys, target):
         "names a file the core emitters write"]
 
 
+@pytest.mark.parametrize("writes, reported, both", [
+    ('write("t_p.rs/x.cfg", "A");', "t_p.rs/x.cfg", "t_p.rs"),
+    ('write("cfg", "A"); write("cfg/x.cfg", "B");', "cfg/x.cfg", "cfg"),
+    ('write("cfg/x.cfg", "A"); write("./cfg", "B");', "./cfg", "cfg"),
+], ids=["through-a-core-file", "through-a-target", "over-a-directory"])
+def test_factory_target_may_not_use_a_file_as_a_directory(tmp_path, capsys, writes, reported,
+                                                         both):
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d"))
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out)]) == EXIT_OK
+    before = {p: p.read_bytes() for p in out.rglob("*")}
+    capsys.readouterr()
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d").replace(
+        'write("x.cfg", "LINE_$cell$");', writes).replace("cell tP P1 {};", "cell tP P1 {};\n"
+                                                          "cell tP P2 {};"))
+    assert run([str(src), "--out", str(out)]) == EXIT_DIAGNOSTICS
+    assert {p: p.read_bytes() for p in out.rglob("*")} == before
+    column = 15 + writes.index(f'write("{reported}"')
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:{column}: error[path-collision]: factory target '{reported}' "
+        f"uses '{both}' as a file and as a directory"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(cdl_units_with_gaps())
 def test_generate_is_total_on_units_with_gaps(unit):
@@ -203,7 +229,8 @@ def test_generate_is_total_on_units_with_gaps(unit):
         assert {d.code for d in errors} <= {"uninitialized-attribute",
                                             "uninitialized-variable"}
     else:
-        assert set(plan.definition_files()) <= {f.path for f in files}
+        assert {naming.file_name("definition", ct.name)
+                for ct in plan.definition_cts} <= {f.path for f in files}
 
 
 def test_diagram_two_nodes_one_edge(sample_text):

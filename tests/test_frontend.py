@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tecsrust
+from cdl_renderer import render_unit
 from conftest import golden
 from tecsrust.cli import generate
 from strategies import cdl_units
 from tecsrust.frontend import (
-    CELL, EOF, SIGNATURE, LineIndex, parse_unit, render_unit, tokenize,
+    CELL, EOF, SIGNATURE, LineIndex, parse_unit, tokenize,
 )
 from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity, SourceLoc
 

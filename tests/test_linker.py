@@ -1,13 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
-from strategies import brute_force_counts, cdl_units
-from tecsrust import linker
-from tecsrust.cli import generate
+from cdl_renderer import render_unit
+from rustc_check import rustc_check_tree
+from strategies import brute_force_counts, cdl_units, colliding_units
+from tecsrust import linker, naming
+from tecsrust.cli import EXIT_DIAGNOSTICS, generate, run
 from tecsrust.emit_core import emit_definition
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import plan_emission, resolve
-from tecsrust.model import CdlUnit
+from tecsrust.model import CdlUnit, Severity
 
 
 def _units(text, name="test.cdl"):
@@ -158,8 +162,10 @@ def test_default_plugin_applies_only_without_directives():
 def test_plan_for_sample(sample_text):
     model, _ = resolve([parse_unit(sample_text, "sample.cdl").unit])
     plan = plan_emission(model)
-    assert sorted(plan.contract_files()) == ["s_powerdown.rs", "s_sensor.rs"]
-    assert sorted(plan.definition_files()) == ["t_powerdown.rs", "t_sensor.rs"]
+    assert sorted(naming.file_name("contract", s.name) for s in plan.contract_sigs) == [
+        "s_powerdown.rs", "s_sensor.rs"]
+    assert sorted(naming.file_name("definition", ct.name) for ct in plan.definition_cts) == [
+        "t_powerdown.rs", "t_sensor.rs"]
     assert sorted(plan.skeleton_files()) == ["t_powerdown_impl.rs", "t_sensor_impl.rs"]
 
 
@@ -174,7 +180,8 @@ def test_two_cells_share_one_definition_file():
     text = MINIMAL + '[generate(RustGenPlugin, "lib")]\ncell tCons C2 { cA = P.eA; };\n'
     model = _resolve_ok(text)
     plan = plan_emission(model)
-    assert plan.definition_files().count("t_cons.rs") == 1
+    assert [naming.file_name("definition", ct.name)
+            for ct in plan.definition_cts].count("t_cons.rs") == 1
     assert len(model.cells_of("tCons")) == 2
 
 
@@ -194,8 +201,8 @@ def test_plan_cardinalities_match_brute_force(unit):
     assert model is not None, diags
     plan = plan_emission(model)
     n_sigs, n_defs, n_skels = brute_force_counts(unit)
-    assert len(plan.contract_files()) == n_sigs
-    assert len(plan.definition_files()) == n_defs
+    assert len([naming.file_name("contract", s.name) for s in plan.contract_sigs]) == n_sigs
+    assert len([naming.file_name("definition", ct.name) for ct in plan.definition_cts]) == n_defs
     assert len(plan.skeleton_files()) == n_skels
 
 
@@ -369,11 +376,12 @@ cell tK K { Self = K.eK; };
     ("", "tA ab", "tA AB", "", ["AB"]),
     ("entry sA eA; var { int32_t n = 0; };", "tA a", "tA aVAR", "", ["AVAR"]),
     # the generated modules glob-import each other, so `cC`'s two fields would
-    # both have type `&EFORAB`, which rustc rejects as an ambiguous glob import
+    # both have type `&EFORAB`, which rustc rejects as an ambiguous glob import;
+    # one diagnostic per cell names its first clashing static
     ("entry sA e;", "tA ab", "tB AB", """[generate(RustGenPlugin, "lib")]
 celltype tC { call sA c1; call sA c2; };
 cell tC cC { c1 = ab.e; c2 = AB.e; };
-""", ["AB", "EFORAB"]),
+""", ["AB"]),
 ], ids=["instance", "var", "across-celltypes"])
 def test_duplicate_static_is_a_located_error(members, first, second, consumer, statics):
     text = f"""signature sA {{ void f( void ); }};
@@ -412,8 +420,6 @@ cell match M1 {};
         "n.cdl:2:1: error[bad-name]: signature name 'Super' does not map to a Rust identifier"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no check compares contract paths, "
-                   "so 'sFoo' and 's_foo' both write s_foo.rs and the later one wins")
 def test_signatures_sharing_a_contract_file_collide():
     text = """signature sFoo { void f( void ); };
 signature s_foo { void g( void ); };
@@ -424,3 +430,91 @@ cell tA a {};
     files, _, model, diags = generate([("c.cdl", text)])
     assert files == [] and model is None
     assert [(d.code, str(d.location)) for d in diags] == [("path-collision", "c.cdl:2:1")]
+
+
+_PROVIDER = 'signature sA { void f( void ); };\n'
+
+
+def _directed(*celltypes):
+    return "".join(f'[generate(RustGenPlugin, "lib")]\ncelltype {ct};\n' for ct in celltypes)
+
+
+# each clash is one located diagnostic at the later entity, naming its first clashing
+# output and that output's first owner
+@pytest.mark.parametrize("text, expected", [
+    (_PROVIDER + _directed("tFooBar { entry sA e; }", "tFoo_bar { entry sA e; }")
+     + "cell tFooBar a {};\ncell tFoo_bar b {};\n",
+     "5:1: error[path-collision]: celltype 'tFoo_bar' emits file 't_foo_bar.rs', "
+     "as celltype 'tFooBar' does"),
+    ("signature tA { void f( void ); };\n" + _directed("tA { entry tA e; }") + "cell tA a {};\n",
+     "3:1: error[path-collision]: celltype 'tA' emits file 't_a.rs', as signature 'tA' does"),
+    # the definition of tA_impl would overwrite tA's hand-edited skeleton
+    (_PROVIDER + _directed("tA { entry sA e; }", "tA_impl { entry sA e; }")
+     + "cell tA a {};\ncell tA_impl b {};\n",
+     "5:1: error[path-collision]: celltype 'tA_impl' emits file 't_a_impl.rs', "
+     "as celltype 'tA' does"),
+    (_PROVIDER + _directed("tX { entry sA e; var { int32_t n = 0; }; }", "tXVar { entry sA e; }")
+     + "cell tX x {};\ncell tXVar y {};\n",
+     "5:1: error[duplicate-type]: celltype 'tXVar' emits type 'TXVar', as celltype 'tX' does"),
+    (_PROVIDER + _directed("tAB { entry sA e; }", "tA_b { entry sA e; }",
+                             "tC { call sA c1; call sA c2; }")
+     + "cell tAB ab {};\ncell tA_b a_b {};\ncell tC c { c1 = ab.e; c2 = a_b.e; };\n",
+     "5:1: error[duplicate-type]: celltype 'tA_b' emits type 'TAB', as celltype 'tAB' does"),
+    # entry ports eA and ea of one celltype give each cell two statics EAFORA
+    (_PROVIDER + _directed("tA { entry sA eA; entry sA ea; }") + "cell tA a {};\n",
+     "4:1: error[duplicate-static]: cell 'a' emits static 'EAFORA', as cell 'a' does"),
+], ids=["celltypes-file", "signature-and-celltype", "definition-over-skeleton", "var-record",
+        "entry-type", "static-within-a-cell"])
+def test_outputs_sharing_a_name_are_one_located_error(tmp_path, capsys, text, expected):
+    src = tmp_path / "n.cdl"
+    src.write_text(text)
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err.splitlines() == [f"{src}:{expected}"]
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_a_type_and_a_static_may_share_a_name(tmp_path):
+    # Rust keeps types and values apart: `pub struct TFOO` and `pub static TFOO` coexist
+    text = _PROVIDER + _directed("tFOO { entry sA e; }") + "cell tFOO tfoo {};\n"
+    files, _, _, diags = generate([("f.cdl", text)])
+    assert diags == []
+    definition = next(f.content for f in files if f.path == "t_foo.rs")
+    assert "pub struct TFOO {" in definition and "pub static TFOO: TFOO = TFOO {" in definition
+    rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
+def test_entry_types_sharing_a_name_are_rejected_before_rustc(tmp_path):
+    # `tAB` and `tA_b` both define `TAB` and `EForTAB`, which `tC` glob-imports from both
+    # modules (rustc: E0659, ambiguous); renamed apart, the same graph is valid Rust
+    unit = (_PROVIDER + _directed("tAB { entry sA e; }", "tA_b { entry sA e; }",
+                                    "tC { call sA c1; call sA c2; }")
+            + "cell tAB ab {};\ncell tA_b a_b {};\ncell tC c { c1 = ab.e; c2 = a_b.e; };\n")
+    files, _, model, diags = generate([("ab.cdl", unit)])
+    assert files == [] and model is None
+    assert [(d.code, str(d.location)) for d in diags] == [("duplicate-type", "ab.cdl:5:1")]
+    files, _, _, diags = generate([("ab.cdl", unit.replace("tA_b", "tA_c"))])
+    assert diags == []
+    rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
+# read off the emitted texts, not the table, so the oracle does not share the code under test
+_PUB_TYPE = re.compile(r"^pub (?:struct|trait) ((?:r#)?\w+)", re.M)
+_PUB_STATIC = re.compile(r"^pub static ((?:r#)?\w+)", re.M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colliding_units())
+def test_outputs_have_distinct_paths_and_rust_names_or_a_located_error(unit):
+    files, _, _, diags = generate([("c.cdl", render_unit(unit))])
+    errors = [d for d in diags if d.severity is Severity.ERROR]
+    if errors:
+        assert files == []
+        assert all(d.location.line > 0 for d in errors)
+        return
+    paths = [f.path for f in files]
+    assert len(set(paths)) == len(paths)
+    assert all(not p.startswith("/") and ".." not in p.split("/") for p in paths)
+    texts = "".join(f.content for f in files)
+    for pattern in (_PUB_TYPE, _PUB_STATIC):
+        names = pattern.findall(texts)
+        assert len(set(names)) == len(names), names

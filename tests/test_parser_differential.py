@@ -26,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parser
+from cdl_renderer import render_unit
 from conftest import golden
 from strategies import cdl_units
-from tecsrust.frontend import parse_unit, render_unit
+from tecsrust.frontend import parse_unit
 from tecsrust.model import SourceLoc
 
 GOLDEN_TEXTS = [golden("sample.cdl"), golden("kernel_rs.cdl")]
