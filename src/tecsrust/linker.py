@@ -8,12 +8,14 @@ from typing import Dict, List, Optional, Tuple
 from . import naming
 from .emit_rtos import MacroError, build_env, substitute_macros
 from .model import (
-    CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
+    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
     SignatureDef, SourceLoc, error, has_errors,
 )
 
-_CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static"}
-_KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell"}
+_CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
+                "field": "duplicate-field"}
+_KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
+          PortDecl: "call port", AttrDecl: "attr"}
 
 
 @dataclass(slots=True)
@@ -208,8 +210,8 @@ def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
 def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None:
     """Report every entity that would stop an emitter or share an output name, enter
     each file and type name in `owners`, and keep each cell's rendered attr texts.
-    Order: bad names, each once; contracts' names; then per celltype its names, var
-    types, call ports without cells, attrs and statics cell by cell, and vars."""
+    Order: bad names, each once; contracts' names; then per celltype its names, record
+    fields, var types, call ports without cells, attrs and statics cell by cell, and vars."""
     named = {(kind, e.name): e.location
              for kind, e in _named(generating, sig_index, cells_by_ct)}
     for (kind, name), loc in named.items():
@@ -233,6 +235,12 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                                         ["definition"] + ["skeleton"] * bool(ct.entry_ports)],
                type=[record] + [record + "Var"] * bool(ct.vars)
                + [naming.entry_impl_name(p.port_name, ct.name) for p in ct.entry_ports])
+        visible = [a for a in ct.attrs if not a.omit]
+        fields: Dict[str, object] = {"variable": ct} if ct.vars else {}  # one record's fields
+        members = [(p, naming.field_name(p.port_name)) for p in ct.call_ports]
+        for member, name in members + [(a, naming.rust_name(a.name)) for a in visible]:
+            if fields.setdefault(name, member) is not member:
+                _claim({"field": fields}, member, diags, field=[name])
         for v in ct.vars:
             residue = naming.unrecognized_mangling(v.type_text)
             if residue is not None:
@@ -246,7 +254,6 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     f"celltype '{ct.name}' has call port '{port.port_name}' but no "
                     f"bound cell to fix its concrete entry type", port.location))
             continue
-        visible = [a for a in ct.attrs if not a.omit]
         for rc in cells:
             rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
             keys = [naming.static_instance_name(rc.cell.name)] + [
@@ -270,10 +277,13 @@ def _claim(owners, owner, diags, **names) -> None:
     firsts = [owners[ns].setdefault(name, owner) for ns, name in keys]
     for i, (ns, name) in enumerate(keys):
         if firsts[i] is not owner or keys[i] in keys[:i]:
-            first = f"{_KINDS[type(firsts[i])]} '{firsts[i].name}'"
-            diags.append(error(_CLASH_CODES[ns], f"{_KINDS[type(owner)]} '{owner.name}' emits "
-                               f"{ns} '{name}', as {first} does", owner.location))
+            diags.append(error(_CLASH_CODES[ns], f"{_label(owner)} emits {ns} '{name}', "
+                               f"as {_label(firsts[i])} does", owner.location))
             return
+
+
+def _label(node) -> str:
+    return f"{_KINDS[type(node)]} '{node.port_name if type(node) is PortDecl else node.name}'"
 
 
 def _named(generating, sig_index, cells_by_ct):

@@ -58,11 +58,15 @@ def record_name(celltype_name: str) -> str:
     return _camel(celltype_name)
 
 
+_LOWER_UPPER = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+_UPPER_WORD = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
+_UNDERSCORES = re.compile(r"__+")
+
+
 def snake_case(name: str) -> str:
-    s = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", name)
-    s = re.sub(r"(?<=[A-Z])(?=[A-Z][a-z])", "_", s)
-    s = re.sub(r"__+", "_", s)
-    return s.lower()
+    s = _LOWER_UPPER.sub("_", name)
+    s = _UPPER_WORD.sub("_", s)
+    return _UNDERSCORES.sub("_", s).lower()
 
 
 def field_name(port_name: str) -> str:
@@ -112,6 +116,7 @@ def map_param_type(c_type: str, specifier: ParamSpecifier) -> str:
 
 
 _REF_A_MUT = re.compile(r"^Ref_a_mut__(.+)__$")
+_OPTION_WRAPPERS = re.compile(r"^(Option_)*")
 
 
 def demangle_var_type(mangled: str) -> str:
@@ -124,6 +129,6 @@ def demangle_var_type(mangled: str) -> str:
 
 def unrecognized_mangling(mangled: str) -> Optional[str]:
     """The part under the Option_ wrappers that looks mangled yet does not demangle."""
-    inner = re.sub(r"^(Option_)*", "", mangled)
+    inner = _OPTION_WRAPPERS.sub("", mangled)
     looks_mangled = "__" in inner or inner.startswith("Ref_")
     return inner if looks_mangled and not _REF_A_MUT.match(inner) else None

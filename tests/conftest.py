@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from rustc_check import build_shim
 from tecsrust.cli import generate
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -33,3 +34,9 @@ def kernel_outputs(kernel_text):
     files, plan, model, diags = generate([("kernel_rs.cdl", kernel_text)])
     assert not diags, diags
     return {f.path: f for f in files}, plan, model
+
+
+@pytest.fixture(scope="session")
+def spin_crate(tmp_path_factory):
+    """`externs` for `rustc_check_tree`: the `spin` stand-in, compiled once per session."""
+    return {"spin": build_shim("spin", tmp_path_factory.mktemp("shims"))}

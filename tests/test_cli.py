@@ -350,3 +350,41 @@ def test_input_that_is_not_utf8_is_one_located_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == f"{bad}:3:9: error[bad-encoding]: input is not valid UTF-8 (byte 0xff)\n"
     assert captured.out == "" and not out.exists()
+
+
+_SIG = "signature sA { void f( void ); };\n"
+
+
+# one minimal unit per diagnostic code that no other test names, each giving exactly one line
+@pytest.mark.parametrize("text, expected", [
+    (_SIG + "celltype tP { entry sB e; };\n",
+     "2:15: error[unknown-signature]: port 'e' of celltype 'tP' references unknown signature 'sB'"),
+    (_SIG + "celltype tP { entry sA e; };\ncell tP p { e = p.e; };\n",
+     "3:13: error[not-a-call-port]: cell 'p' binds unknown call port 'e'"),
+    (_SIG + "celltype tP { entry sA e; };\ncell tP p { c = p.e; };\n",
+     "3:13: error[unknown-call-port]: cell 'p' binds unknown call port 'c'"),
+    ("celltype tP { attr { int32_t n = 1; }; };\ncell tP p { m = 2; };\n",
+     "2:13: error[unknown-attribute]: cell 'p' initializes unknown attr 'm'"),
+    (_SIG + _SIG, "2:1: error[duplicate-definition]: signature 'sA' already defined"),
+    ("celltype tP { attr { int32_t n = 1; int32_t n = 2; }; };\n",
+     "1:1: error[duplicate-attr]: attr 'n' declared more than once in celltype 'tP'"),
+    ("celltype tP { var { int32_t n = 1; int32_t n = 2; }; };\n",
+     "1:1: error[duplicate-var]: var 'n' declared more than once in celltype 'tP'"),
+    (_SIG + "celltype tP { entry sA e; };\ncelltype tC { call sA c; };\n"
+     "cell tP p {};\ncell tC k { c = p.e; c = p.e; };\n",
+     "5:1: error[duplicate-binding]: call port 'c' bound more than once in cell 'k'"),
+    ("celltype tP { attr { int32_t n = 1; }; };\ncell tP p { n = 2; n = 3; };\n",
+     "2:1: error[duplicate-attr-init]: attr 'n' initialized more than once in cell 'p'"),
+    ('celltype tP { factory { write("", "x"); }; };\n',
+     "1:25: error[empty-write-target]: factory write has an empty target file"),
+], ids=["unknown-signature", "not-a-call-port", "unknown-call-port", "unknown-attribute",
+        "duplicate-definition", "duplicate-attr", "duplicate-var", "duplicate-binding",
+        "duplicate-attr-init", "empty-write-target"])
+def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expected):
+    src = tmp_path / "u.cdl"
+    src.write_text(text)
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out), "--plugin", "RustGenPlugin"]) == EXIT_DIAGNOSTICS
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{src}:{expected}"] and captured.out == ""
+    assert not out.exists()

@@ -253,3 +253,34 @@ def test_emitters_are_total():
     handlers = (ast.Raise, ast.Try, getattr(ast, "TryStar", ast.Try))
     found = [(type(n).__name__, n.lineno) for n in ast.walk(tree) if isinstance(n, handlers)]
     assert found == []
+
+
+_SHAPE_PROVIDERS = """signature sA { void f( void ); };
+signature sB { void g( [in] int32_t x ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tB { entry sB eB; };
+cell tA a {};
+cell tB b {};
+"""
+
+
+# definitions of every shape but a var type that borrows (`'a`): 0, 1 and 2 call ports,
+# each with no members, attrs, vars (a `spin::Mutex` static per cell) and both. Var
+# types are emitted as written, not mapped as attr types are, so these are Rust types.
+@pytest.mark.parametrize("members", ["", "attr { int32_t k = 3; uint8_t u; };",
+                                     "var { i32 n = 0; u8 m = 1; };",
+                                     "attr { int64_t k = -2; }; var { u64 n = 1; };"],
+                         ids=["plain", "attrs", "vars", "attrs-and-vars"])
+@pytest.mark.parametrize("calls", [0, 1, 2])
+def test_definitions_type_check_with_spin(tmp_path, spin_crate, calls, members):
+    binds = " ".join(["cA = a.eA;", "c_b = b.eB;"][:calls])
+    binds += " u = 7;" if "uint8_t u;" in members else ""  # an attr without a default
+    unit = (_SHAPE_PROVIDERS + '[generate(RustGenPlugin, "lib")]\n'
+            f"celltype tC {{ entry sA eC; {' '.join(['call sA cA;', 'call sB c_b;'][:calls])} "
+            f"{members} }};\ncell tC c1 {{ {binds} }};\ncell tC c2 {{ {binds} }};\n")
+    files = _gen(unit)
+    assert ("use spin::Mutex;" in files["t_c.rs"].content) == ("var" in members)
+    # the signatures return nothing, so the skeletons' empty bodies type-check too
+    rustc_check_tree({path: f.content for path, f in files.items()}, tmp_path, spin_crate)

@@ -497,6 +497,38 @@ def test_entry_types_sharing_a_name_are_rejected_before_rustc(tmp_path):
     rustc_check_tree({f.path: f.content for f in files}, tmp_path)
 
 
+def _record(members, bindings=""):
+    return (_PROVIDER + _directed("tP { entry sA e; }", f"tC {{ {members} }}")
+            + f"cell tP p {{}};\ncell tC c {{ {bindings} }};\n")
+
+
+# the members of one record may not map to one field: rustc rejects the tree (E0124)
+@pytest.mark.parametrize("text, expected", [
+    (_record("call sA cA; call sA c_a;", "cA = p.e; c_a = p.e;"),
+     "5:27: error[duplicate-field]: call port 'c_a' emits field 'c_a', as call port 'cA' does"),
+    (_record("call sA cFoo; attr { int32_t c_foo = 1; };", "cFoo = p.e;"),
+     "5:36: error[duplicate-field]: attr 'c_foo' emits field 'c_foo', as call port 'cFoo' does"),
+    # a celltype with vars gives its record the field `variable`
+    (_record("attr { int32_t variable = 1; }; var { int32_t n = 0; };"),
+     "5:22: error[duplicate-field]: attr 'variable' emits field 'variable', "
+     "as celltype 'tC' does"),
+], ids=["call-ports", "call-port-and-attr", "attr-and-vars"])
+def test_record_fields_sharing_a_name_are_one_located_error(tmp_path, capsys, text, expected):
+    src = tmp_path / "f.cdl"
+    src.write_text(text)
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err.splitlines() == [f"{src}:{expected}"]
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_an_omitted_attr_is_no_field(tmp_path):
+    # `[omit]` keeps the attr out of the record, so it may share a call port's field name
+    files, _, _, diags = generate([("f.cdl", _record(
+        "call sA cFoo; attr { [omit] int32_t c_foo = 1; int32_t variable = 2; };", "cFoo = p.e;"))])
+    assert diags == []
+    rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
 # read off the emitted texts, not the table, so the oracle does not share the code under test
 _PUB_TYPE = re.compile(r"^pub (?:struct|trait) ((?:r#)?\w+)", re.M)
 _PUB_STATIC = re.compile(r"^pub static ((?:r#)?\w+)", re.M)
