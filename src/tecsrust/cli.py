@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import emit_core, emit_rtos, header_const
 from .emit_core import GeneratedFile, WritePolicy
@@ -72,15 +73,32 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
 
 
 def write_files(files: List[GeneratedFile], out_dir: Path) -> List[str]:
-    """Materialize rendered files, honoring each file's overwrite policy."""
+    """Materialize rendered files, honoring each file's overwrite policy.
+
+    Returns every output not skipped. An OVERWRITE output whose file already
+    holds its bytes is left unopened, so it keeps its mtime and a build tool
+    sees no change. Each output directory is made and listed once.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
+    listed: Dict[Path, Set[str]] = {}  # names in each output directory before this call wrote there
     written = []
     for f in files:
         path = out_dir / f.path
         if f.policy is WritePolicy.SKIP_IF_EXISTS and path.exists():
             continue
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f.content, encoding="utf-8", newline="\n")
+        if path.parent not in listed:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                listed[path.parent] = set(os.listdir(path.parent))
+            except OSError:  # an unlistable directory: write every file in it
+                listed[path.parent] = set()
+        data = f.content.encode("utf-8")
+        try:
+            unchanged = path.name in listed[path.parent] and path.read_bytes() == data
+        except OSError:  # e.g. a directory at `path`: the write below reports it
+            unchanged = False
+        if not unchanged:
+            path.write_bytes(data)
         written.append(f.path)
     return written
 

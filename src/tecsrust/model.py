@@ -250,10 +250,14 @@ def _balanced_holes(text: str) -> bool:
 
 
 def _check_literal(init, where: str, location, diags) -> None:
-    """The tokenizer takes '0x' as an integer; Rust needs a digit after it."""
-    if init is not None and init.kind is InitKind.LITERAL and init.text.lower() in ("0x", "-0x"):
+    """Integer literals the tokenizer takes but Rust reads otherwise: '0x' has no
+    digits, and '010' is octal (8) in C but decimal (10) in Rust."""
+    digits = init.text.lstrip("-") if init is not None and init.kind is InitKind.LITERAL else ""
+    problem = ("has no digits" if digits.lower() == "0x" else "has a leading zero (octal in C, "
+               "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
+    if problem:
         diags.append(error(
-            "bad-integer", f"integer literal '{init.text}' in {where} has no digits", location))
+            "bad-integer", f"integer literal '{init.text}' in {where} {problem}", location))
 
 
 def validate_unit(unit: CdlUnit) -> list:

@@ -157,6 +157,10 @@ def brute_force_counts(unit: CdlUnit):
 
 
 _STEMS = ("foo", "fooBar", "ab")
+# names that map to a few record fields: a call port's field is its name in snake case, an
+# attr's field is its name, and a celltype with vars adds the field `variable`
+_FIELD_NAMES = ("cFoo", "c_foo", "CFoo", "c_Foo", "cfoo", "variable", "Variable", "VARIABLE",
+                "type", "Type")
 _CASES = (str, str.upper, str.lower, str.capitalize, str.swapcase)
 _SUFFIXES = ("", "_impl", "Impl", "Var", "_var", "VAR")
 _KEYWORDS = ("match", "type", "fn", "impl", "mod", "self", "Self", "crate", "super")
@@ -178,9 +182,11 @@ def colliding_names(draw, prefixes) -> str:
 
 @st.composite
 def colliding_units(draw) -> CdlUnit:
-    """Generating celltypes, their entry ports and cells, and signatures, all
-    named by `colliding_names`: a unit may fail to link or clash in its
-    output names, and the generator does not try to avoid either."""
+    """Generating celltypes with their entry ports, one or two cells of each, and
+    signatures, all named by `colliding_names`, and call ports and attrs named
+    from `_FIELD_NAMES`: a unit may fail to link or clash in its output names,
+    and the generator does not try to avoid either. Call ports use signatures
+    that some entry port has, and each cell binds them."""
     sigs = [SignatureDef(draw(colliding_names(("s", "t"))), (FunctionDecl("f", "void", ()),))
             for _ in range(draw(st.integers(1, 2)))]
     celltypes = []
@@ -188,12 +194,26 @@ def colliding_units(draw) -> CdlUnit:
         entries = tuple(PortDecl(PortDirection.ENTRY, draw(st.sampled_from(sigs)).name,
                                  draw(colliding_names(("e", "E"))))
                         for _ in range(draw(st.integers(0, 2))))
+        attrs = tuple(AttrDecl(draw(st.sampled_from(_FIELD_NAMES)),
+                               "int32_t", Initializer(InitKind.LITERAL, "1"))
+                      for _ in range(draw(st.integers(0, 2))))
         vars_ = ()
         if draw(st.booleans()):
             vars_ = (VarDecl("n", "int32_t", Initializer(InitKind.LITERAL, "0")),)
-        celltypes.append(CelltypeDef(draw(colliding_names(("t", "s"))), (), entries, (), vars_,
-                                     (), _RUST_PLUGIN))
-    cells = tuple(CellDef(draw(colliding_names(("t", "e", ""))),
-                          draw(st.sampled_from(celltypes)).name)
-                  for _ in range(draw(st.integers(1, 4))))
-    return CdlUnit("<generated>", tuple(sigs), tuple(celltypes), cells)
+        celltypes.append(CelltypeDef(draw(colliding_names(("t", "s"))), (), entries, attrs,
+                                     vars_, (), _RUST_PLUGIN))
+    provided = sorted({e.signature_name for ct in celltypes for e in ct.entry_ports})
+    if provided:
+        celltypes = [replace(ct, call_ports=tuple(
+            PortDecl(PortDirection.CALL, draw(st.sampled_from(provided)),
+                     draw(st.sampled_from(_FIELD_NAMES)))
+            for _ in range(draw(st.integers(0, 2))))) for ct in celltypes]
+    typed = [(draw(colliding_names(("t", "e", ""))), ct)
+             for ct in celltypes for _ in range(draw(st.integers(1, 2)))]
+    cells = []
+    for name, ct in typed:
+        bindings = tuple(Binding(call.port_name, *draw(st.sampled_from(
+            [(cell, e.port_name) for cell, target in typed for e in target.entry_ports
+             if e.signature_name == call.signature_name]))) for call in ct.call_ports)
+        cells.append(CellDef(name, ct.name, bindings))
+    return CdlUnit("<generated>", tuple(sigs), tuple(celltypes), tuple(cells))

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ def test_missing_input_file(tmp_path):
     assert run([str(tmp_path / "nope.cdl")]) == EXIT_USAGE
 
 
-def test_skeleton_preserved_on_rerun(tmp_path):
+def test_skeleton_preserved_on_rerun(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run([SAMPLE, "--out", str(out)]) == EXIT_OK
     impl = out / "t_sensor_impl.rs"
@@ -46,9 +47,30 @@ def test_skeleton_preserved_on_rerun(tmp_path):
     impl.write_text(edited)
     contract = out / "s_sensor.rs"
     contract.write_text("clobber me\n")
+    past = 1_000_000_000_000_000_000  # ns: September 2001
+    for path in out.iterdir():
+        os.utime(path, ns=(past, past))
+    capsys.readouterr()
     assert run([SAMPLE, "--out", str(out)]) == EXIT_OK
+    # unchanged outputs still count as written; only the clobbered contract is reopened
+    assert capsys.readouterr().out == (
+        f"generated 6 files (4 written, 72 generated lines, 33 stub lines) under {out}\n")
     assert impl.read_text() == edited
     assert contract.read_text() == golden("s_sensor.rs")
+    assert {p.name for p in out.iterdir() if p.stat().st_mtime_ns != past} == {"s_sensor.rs"}
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_a_directory_at_an_output_path_is_a_usage_error(tmp_path, capsys, rerun):
+    out = tmp_path / "gen"
+    if rerun:
+        assert run([SAMPLE, "--out", str(out)]) == EXIT_OK
+        (out / "s_sensor.rs").unlink()
+    (out / "s_sensor.rs").mkdir(parents=True)
+    capsys.readouterr()
+    assert run([SAMPLE, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 21] Is a directory: '{out / 's_sensor.rs'}'\n")
 
 
 def test_errors_write_nothing(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from conftest import golden
+from rustc_check import rustc_check
 from tecsrust.header_const import convert_defines
 
 
@@ -38,6 +39,26 @@ def test_identifier_case_preserved():
 def test_hex_literals_re_emitted_as_written():
     out, _ = convert_defines("#define FLAGS 0x1F\n")
     assert out == "pub const FLAGS: i32 = 0x1F;\n"
+
+
+def test_literals_keep_their_c_value_in_rust():
+    # C reads 010 as 8, but Rust as 10; Rust has no 0X prefix; 08 is no C literal
+    text = ("#define OCT 010\n#define NEG -017\n#define ZEROS 00\n#define HEX 0X1F\n"
+            "#define BAD 08\n#define BIG 020000000000\n#define ZERO 0\n")
+    out, diags = convert_defines(text, "k.h")
+    assert out == ("pub const OCT: i32 = 0o10;\npub const NEG: i32 = -0o17;\n"
+                   "pub const ZEROS: i32 = 0o0;\npub const HEX: i32 = 0x1F;\n"
+                   "pub const ZERO: i32 = 0;\n")
+    assert [str(d) for d in diags] == [
+        "k.h:5:1: warning[non-literal-define]: skipped #define without a bare integer value: "
+        "'#define BAD 08'",
+        "k.h:6:1: warning[constant-out-of-range]: skipped #define BIG: 020000000000 "
+        "does not fit in i32"]
+
+
+def test_converted_literals_have_their_c_values_in_rust(tmp_path):
+    out, _ = convert_defines("#define OCT 010\n#define NEG -017\n#define HEX 0X1F\n")
+    rustc_check(out + "const _: () = assert!(OCT == 8 && NEG == -15 && HEX == 31);\n", tmp_path)
 
 
 def test_order_preserved():

@@ -532,6 +532,8 @@ def test_an_omitted_attr_is_no_field(tmp_path):
 # read off the emitted texts, not the table, so the oracle does not share the code under test
 _PUB_TYPE = re.compile(r"^pub (?:struct|trait) ((?:r#)?\w+)", re.M)
 _PUB_STATIC = re.compile(r"^pub static ((?:r#)?\w+)", re.M)
+_PUB_STRUCT_BODY = re.compile(r"^pub struct .*?^\}$", re.M | re.S)
+_PUB_FIELD = re.compile(r"^\s+pub ((?:r#)?\w+):", re.M)
 
 
 @settings(max_examples=150, deadline=None)
@@ -550,3 +552,6 @@ def test_outputs_have_distinct_paths_and_rust_names_or_a_located_error(unit):
     for pattern in (_PUB_TYPE, _PUB_STATIC):
         names = pattern.findall(texts)
         assert len(set(names)) == len(names), names
+    for body in _PUB_STRUCT_BODY.findall(texts):
+        fields = _PUB_FIELD.findall(body)
+        assert len(set(fields)) == len(fields), body

@@ -91,19 +91,32 @@ def test_units_compare_structurally():
     assert a == b
 
 
-@pytest.mark.parametrize("text, message, column", [
+_OCTAL = "has a leading zero (octal in C, decimal in Rust)"
+
+
+# each literal passes after `fixed` replaces it
+@pytest.mark.parametrize("text, message, column, fixed", [
     ("celltype tA { attr { int32_t x = 0x; }; };",
-     "integer literal '0x' in default of attr 'x' has no digits", 22),
+     "integer literal '0x' in default of attr 'x' has no digits", 22, "0x1"),
     ("celltype tA { var { int32_t x = -0X; }; };",
-     "integer literal '-0X' in default of var 'x' has no digits", 21),
+     "integer literal '-0X' in default of var 'x' has no digits", 21, "-0X1"),
     ("celltype tA { attr { int32_t x; }; };\ncell tA A { x = -0x; };",
-     "integer literal '-0x' in initializer of 'x' has no digits", 13),
-], ids=["attr-default", "var-default", "cell-initializer"])
-def test_integer_literal_without_digits_is_rejected(text, message, column):
+     "integer literal '-0x' in initializer of 'x' has no digits", 13, "-0x1"),
+    # C reads 010 as 8 and rejects 08; Rust reads both as decimal
+    ("celltype tA { attr { int32_t k = 010; }; };",
+     f"integer literal '010' in default of attr 'k' {_OCTAL}", 22, "8"),
+    ("celltype tA { var { int32_t k = -08; }; };",
+     f"integer literal '-08' in default of var 'k' {_OCTAL}", 21, "-0"),
+    ("celltype tA { attr { int32_t k; }; };\ncell tA A { k = 00; };",
+     f"integer literal '00' in initializer of 'k' {_OCTAL}", 13, "0"),
+], ids=["attr-default", "var-default", "cell-initializer",
+        "octal-attr-default", "octal-var-default", "octal-cell-initializer"])
+def test_integer_literal_without_digits_is_rejected(text, message, column, fixed):
     diags = validate_unit(parse_unit(text, "lit.cdl").unit)
     assert [(d.code, d.message) for d in diags] == [("bad-integer", message)]
     assert (diags[0].location.file, diags[0].location.column) == ("lit.cdl", column)
-    assert validate_unit(parse_unit(text.replace("0x", "0x1").replace("0X", "0X1")).unit) == []
+    literal = message.split("'")[1]
+    assert validate_unit(parse_unit(text.replace(f"= {literal};", f"= {fixed};")).unit) == []
 
 
 NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}

@@ -7,9 +7,14 @@ write policy and content, in output order. A refactor of the emitters or
 the linker that claims to keep the output as it is must pass this test
 unchanged; a change that means to alter the output updates the pins and
 says why.
+
+The regenerate-in-place test runs the `api_regen` loop through `cli.run`:
+a build, the developer's skeletons planted over it, and a second build that
+must leave every file's bytes and mtime as they were.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -49,3 +54,26 @@ def test_workload_output_is_byte_identical(name, seed):
             digest.update(part.encode("utf-8") + b"\0")
     total = sum(len(f.content.encode("utf-8")) for f in files)
     assert (len(files), total, digest.hexdigest()) == PINNED[name, seed]
+
+
+def _tree(out: Path) -> dict:
+    """Relative path -> (mtime in ns, sha256 of the bytes) for every file under `out`."""
+    return {str(p.relative_to(out)): (p.stat().st_mtime_ns, hashlib.sha256(p.read_bytes()).digest())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_regenerating_api_regen_in_place_changes_no_file(tmp_path):
+    wl = workloads.build("api_regen", 1, SCALE)
+    cdl, _ = wl.write_inputs(tmp_path / "in")
+    out = tmp_path / "tree"
+    argv = [*map(str, cdl), "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    wl.plant_skeletons(out)
+    past = 1_000_000_000_000_000_000  # ns: September 2001
+    for path in out.rglob("*"):
+        os.utime(path, ns=(past, past))
+    before = _tree(out)
+    assert {mtime for mtime, _ in before.values()} == {past}
+    assert len(before) == 30 and set(wl.expect.preserved) < set(before)
+    assert cli.run(argv) == cli.EXIT_OK
+    assert _tree(out) == before
