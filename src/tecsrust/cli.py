@@ -46,8 +46,8 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
 
     model, link_diags = resolve(units, default_plugin)
     diags.extend(link_diags)
-    if model is None or has_errors(diags):
-        return [], None, model, diags
+    if model is None:
+        return [], None, None, diags
 
     plan = plan_emission(model)
     files: List[GeneratedFile] = []
@@ -59,13 +59,8 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
     for ct in plan.skeleton_cts:
         files.append(emit_core.emit_skeleton(ct, model))
 
-    config_writes, rtos_diags = emit_rtos.run_factory(model, plan)
-    diags.extend(rtos_diags)
-    for target, content in emit_rtos.config_files(config_writes).items():
+    for target, content in emit_rtos.config_files(plan.config_writes).items():
         files.append(GeneratedFile(target, content, WritePolicy.OVERWRITE))
-
-    if has_errors(diags):
-        return [], plan, model, diags
 
     plan.report = GenerationReport({f.path: f.content.count("\n") for f in files},
                                    set(plan.skeleton_files()))
@@ -92,15 +87,20 @@ def write_files(files: List[GeneratedFile], out_dir: Path) -> List[str]:
                 listed[path.parent] = set(os.listdir(path.parent))
             except OSError:  # an unlistable directory: write every file in it
                 listed[path.parent] = set()
-        data = f.content.encode("utf-8")
-        try:
-            unchanged = path.name in listed[path.parent] and path.read_bytes() == data
-        except OSError:  # e.g. a directory at `path`: the write below reports it
-            unchanged = False
-        if not unchanged:
-            path.write_bytes(data)
+        _write_bytes(path, f.content.encode("utf-8"), path.name in listed[path.parent])
         written.append(f.path)
     return written
+
+
+def _write_bytes(path: Path, data: bytes, may_exist: bool = True) -> None:
+    """Write `data` unless `path` already holds exactly these bytes, so an unchanged
+    output keeps its mtime. A file that cannot be read or compared is written."""
+    try:
+        if may_exist and path.read_bytes() == data:
+            return
+    except OSError:  # e.g. absent, or a directory at `path`: the write below reports it
+        pass
+    path.write_bytes(data)
 
 
 def emit_diagram(model: ResolvedModel) -> str:
@@ -170,7 +170,7 @@ def _run_bindgen_lite(argv: List[str]) -> int:
     converted, diags = header_const.convert_defines(text, args.header)
     _print_diags(diags, sys.stderr)
     try:
-        Path(args.output).write_text(converted, encoding="utf-8", newline="\n")
+        _write_bytes(Path(args.output), converted.encode("utf-8"))
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE

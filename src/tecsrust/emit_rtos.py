@@ -6,10 +6,10 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .model import CellDef, CelltypeDef, Diagnostic, error
+from .model import CellDef, CelltypeDef
 
 if TYPE_CHECKING:  # annotations only: linker imports this module
-    from .linker import EmissionPlan, ResolvedModel
+    from .linker import EmissionPlan, PlannedWrite, ResolvedModel
 
 ITRONRS_PLUGIN = "ItronrsGenPlugin"
 
@@ -90,60 +90,13 @@ def build_env(ct: CelltypeDef, cell: Optional[CellDef]) -> MacroEnv:
     return MacroEnv(ct.name, cell.name if cell is not None else None, values)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ConfigWrite:
-    target_file: str
-    rendered_line: str
+def run_factory(model: ResolvedModel, plan: EmissionPlan) -> tuple[List[PlannedWrite], list]:
+    """The factory writes `linker.resolve` rendered and checked, and no diagnostics.
+    Kept only because `perfbench/trace_run.py` calls it; it goes with ROADMAP item 4."""
+    return plan.config_writes, []
 
 
-def run_factory(model: ResolvedModel, plan: EmissionPlan
-                ) -> tuple[List[ConfigWrite], List[Diagnostic]]:
-    """Render every planned factory write in plan order.
-
-    Writes aimed at the same target file stay in that order; the CLI joins
-    them into one file per target. Each distinct target is checked once, at
-    its first write: it must name a file inside `--out` that no core emitter
-    writes, and no output may need its path, or a parent of it, as both a
-    file and a directory. `target_file` drops the empty and '.' parts. A
-    scope's writes are adjacent, so the macro environment is built once per
-    celltype or cell, and each distinct template is split at its holes once.
-    """
-    writes: List[ConfigWrite] = []
-    diags: List[Diagnostic] = []
-    paths: Dict[str, str] = {}  # rendered target -> `target_file`
-    files, dirs = set(model.owners["file"]), set()  # each output file, each target's parents
-    pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
-    scope = None  # the first write of the current (celltype, cell) scope
-    for pw in plan.config_writes:
-        if scope is None or pw.celltype is not scope.celltype or pw.cell is not scope.cell:
-            scope, env = pw, build_env(pw.celltype, pw.cell)
-        try:
-            target = _fill(pw.target_template, env, pieces)
-            line = _fill(pw.line_template, env, pieces)
-        except MacroError as exc:
-            diags.append(error("unresolved-macro", str(exc), pw.location))
-            continue
-        if target not in paths:
-            parts = [p for p in target.split("/") if p not in ("", ".")]
-            path = paths[target] = "/".join(parts)
-            parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
-            both = [p for p in parents if p in files] + [path] * (path in dirs)
-            if target.startswith("/") or ".." in parts or not parts:
-                diags.append(error("write-outside-out", f"factory target '{target}' "
-                                   "is not a file inside --out", pw.location))
-            elif path in model.owners["file"]:
-                diags.append(error("path-collision", f"factory target '{target}' "
-                                   "names a file the core emitters write", pw.location))
-            elif both and path not in files:
-                diags.append(error("path-collision", f"factory target '{target}' "
-                                   f"uses '{both[0]}' as a file and as a directory", pw.location))
-            files.add(path)
-            dirs.update(parents)
-        writes.append(ConfigWrite(paths[target], line))
-    return writes, diags
-
-
-def config_files(writes: List[ConfigWrite]) -> Dict[str, str]:
+def config_files(writes: List[PlannedWrite]) -> Dict[str, str]:
     """Group rendered lines into per-target file contents (append order kept)."""
     grouped: Dict[str, List[str]] = {}
     for w in writes:

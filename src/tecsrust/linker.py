@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import naming
-from .emit_rtos import MacroError, build_env, substitute_macros
+from .emit_rtos import MacroError, _fill, build_env, substitute_macros
 from .model import (
     AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
-    SignatureDef, SourceLoc, error, has_errors,
+    SignatureDef, error, has_errors,
 )
 
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
@@ -42,6 +42,7 @@ class ResolvedModel:
     plugin_by_celltype: Dict[str, str]  # celltype name -> plugin name
     cells_by_celltype: Dict[str, List[ResolvedCell]]  # in declaration order
     owners: Dict[str, Dict[str, object]]  # 'file'/'type' -> output path or name -> first owner
+    config_writes: List["PlannedWrite"]  # rendered factory lines, in plan order
 
     def cells_of(self, celltype_name: str) -> List[ResolvedCell]:
         return self.cells_by_celltype.get(celltype_name, [])
@@ -57,6 +58,7 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
     It also checks, over generating celltypes, every rule the emitters rely
     on (bad-name, no-binding-context, unrecognized-mangling, uninitialized-
     attribute/-variable, C_EXP `$macro$` errors), so a clean model renders.
+    Only when all of them pass does it render and check the factory writes.
     """
     diags: List[Diagnostic] = []
     sig_index: Dict[str, SignatureDef] = {}
@@ -157,27 +159,34 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                     f"cell '{rc.cell.name}' initializes unknown attr '{init.attr_name}'",
                     init.location))
 
-    # all cells of one celltype must bind a call port to entry ports of one
+    # all cells of one celltype must bind a call port to one entry port of one
     # target celltype, so definition files can use a concrete entry type
     for ct in ct_index.values():
         for port in ct.call_ports:
-            targets = {rc.bindings[port.port_name].target_cell.celltype.name
-                       for rc in cells_by_ct[ct.name] if port.port_name in rc.bindings}
+            targets = {(rb.target_cell.celltype.name, rb.target_entry.port_name)
+                       for rc in cells_by_ct[ct.name]
+                       if (rb := rc.bindings.get(port.port_name)) is not None}
             if len(targets) > 1:
-                names = ", ".join(sorted(targets))
+                cts = sorted({name for name, _ in targets})
+                what = (f"cells of different celltypes ({', '.join(cts)})" if len(cts) > 1
+                        else f"different entry ports of celltype '{cts[0]}' "
+                        f"({', '.join(sorted(entry for _, entry in targets))})")
                 diags.append(error(
                     "heterogeneous-binding-unsupported",
-                    f"call port '{port.port_name}' of celltype '{ct.name}' binds cells "
-                    f"of different celltypes ({names})", port.location))
+                    f"call port '{port.port_name}' of celltype '{ct.name}' binds {what}",
+                    port.location))
 
     plugin_by_ct = _assign_plugins(ct_index, cells, default_plugin, diags)
     # crate-wide, as the modules glob-import each other; Rust keeps types and values apart
     owners: Dict[str, Dict[str, object]] = {"file": {}, "type": {}}
-    _check_generating(_generating(ct_index, plugin_by_ct), sig_index, cells_by_ct, owners, diags)
+    generating = _generating(ct_index, plugin_by_ct)
+    _check_generating(generating, sig_index, cells_by_ct, owners, diags)
+    writes = [] if has_errors(diags) else _render_factory(generating, cells, owners, diags)
 
     if has_errors(diags):
         return None, diags
-    return ResolvedModel(cells, sig_index, ct_index, plugin_by_ct, cells_by_ct, owners), diags
+    return ResolvedModel(cells, sig_index, ct_index, plugin_by_ct, cells_by_ct, owners,
+                         writes), diags
 
 
 def _assign_plugins(ct_index, cells, default_plugin, diags) -> Dict[str, str]:
@@ -333,7 +342,59 @@ class PlannedWrite:
     cell: Optional[CellDef]  # None for per-celltype FACTORY writes
     target_template: str
     line_template: str
-    location: SourceLoc
+    target_file: str  # the rendered target without its empty and '.' parts
+    rendered_line: str
+
+
+def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
+    """Render every factory write in plan order: each generating celltype's FACTORY
+    writes first, then its cells' factory writes in cell declaration order.
+
+    A macro environment is built once per celltype or cell that has writes, and
+    each distinct template is split at its holes once. Each distinct target is
+    checked once, at its first write: it must name a file inside `--out` that no
+    core emitter writes, and no output may need its path, or a parent of it, as
+    both a file and a directory.
+    """
+    def writes_of(ct, scope):
+        return [w for block in ct.factory_blocks if block.scope is scope for w in block.writes]
+
+    per_cell = {ct.name: ws for ct in generating if (ws := writes_of(ct, FactoryScope.PER_CELL))}
+    scopes = [(ct, None, ws) for ct in generating
+              if (ws := writes_of(ct, FactoryScope.PER_CELLTYPE))]
+    scopes += [(rc.celltype, rc.cell, per_cell[rc.celltype.name])
+               for rc in cells if rc.celltype.name in per_cell]
+    rendered: List[PlannedWrite] = []
+    paths: Dict[str, str] = {}  # rendered target -> `target_file`
+    files, dirs = set(owners["file"]), set()  # each output file, each target's parents
+    pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
+    for ct, cell, writes in scopes:
+        env = build_env(ct, cell)
+        for w in writes:
+            try:
+                target = _fill(w.target_file, env, pieces)
+                line = _fill(w.template, env, pieces)
+            except MacroError as exc:
+                diags.append(error("unresolved-macro", str(exc), w.location))
+                continue
+            if target not in paths:
+                parts = [p for p in target.split("/") if p not in ("", ".")]
+                path = paths[target] = "/".join(parts)
+                parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
+                both = [p for p in parents if p in files] + [path] * (path in dirs)
+                if target.startswith("/") or ".." in parts or not parts:
+                    diags.append(error("write-outside-out", f"factory target '{target}' "
+                                       "is not a file inside --out", w.location))
+                elif path in owners["file"]:
+                    diags.append(error("path-collision", f"factory target '{target}' "
+                                       "names a file the core emitters write", w.location))
+                elif both and path not in files:
+                    diags.append(error("path-collision", f"factory target '{target}' uses "
+                                       f"'{both[0]}' as a file and as a directory", w.location))
+                files.add(path)
+                dirs.update(parents)
+            rendered.append(PlannedWrite(ct, cell, w.target_file, w.template, paths[target], line))
+    return rendered
 
 
 @dataclass(slots=True)
@@ -365,13 +426,12 @@ class EmissionPlan:
 
 
 def plan_emission(model: ResolvedModel) -> EmissionPlan:
-    """List the files a resolved model owes, before rendering anything.
+    """List the files a resolved model owes, before the core emitters render them.
 
     Contracts: the signatures that own a file in `model.owners`, one per
     signature a generating celltype's port references. Definitions: one per
     generating celltype. Skeletons: one per generating celltype with at
-    least one entry port. Config writes: per-celltype FACTORY writes first,
-    then per-cell factory writes in cell declaration order.
+    least one entry port. Config writes: the factory lines `resolve` rendered.
     """
     generating = _generating(model.celltype_index, model.plugin_by_celltype)
 
@@ -379,22 +439,4 @@ def plan_emission(model: ResolvedModel) -> EmissionPlan:
 
     definition_cts = list(generating)
     skeleton_cts = [ct for ct in generating if ct.entry_ports]
-
-    writes: List[PlannedWrite] = []
-    for ct in generating:
-        for block in ct.factory_blocks:
-            if block.scope is FactoryScope.PER_CELLTYPE:
-                for w in block.writes:
-                    writes.append(PlannedWrite(ct, None, w.target_file, w.template,
-                                               w.location))
-    for rc in model.cells:
-        ct = rc.celltype
-        if ct.name not in model.plugin_by_celltype:
-            continue
-        for block in ct.factory_blocks:
-            if block.scope is FactoryScope.PER_CELL:
-                for w in block.writes:
-                    writes.append(PlannedWrite(ct, rc.cell, w.target_file, w.template,
-                                               w.location))
-
-    return EmissionPlan(contract_sigs, definition_cts, skeleton_cts, writes)
+    return EmissionPlan(contract_sigs, definition_cts, skeleton_cts, model.config_writes)

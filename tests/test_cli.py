@@ -353,6 +353,26 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
     assert out.read_text() == golden("kernel_cfg.rs")
 
 
+def test_bindgen_lite_leaves_an_unchanged_output_alone(tmp_path):
+    # a build tool sees no change when the header's constants did not change
+    out = tmp_path / "kernel_cfg.rs"
+    argv = ["bindgen-lite", str(GOLDENS / "kernel_cfg.h"), "-o", str(out)]
+    out.write_text("stale\n")
+    assert run(argv) == EXIT_OK and out.read_text() == golden("kernel_cfg.rs")
+    past = 1_000_000_000 * 10**9
+    os.utime(out, ns=(past, past))
+    assert run(argv) == EXIT_OK
+    assert out.stat().st_mtime_ns == past and out.read_text() == golden("kernel_cfg.rs")
+
+
+def test_bindgen_lite_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "kernel_cfg.rs"
+    out.mkdir()
+    assert run(["bindgen-lite", str(GOLDENS / "kernel_cfg.h"), "-o", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n")
+
+
 def test_bindgen_lite_missing_header(tmp_path):
     assert run(["bindgen-lite", str(tmp_path / "nope.h"),
                 "-o", str(tmp_path / "out.rs")]) == EXIT_USAGE

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import golden
 from rustc_check import rustc_check, rustc_check_tree
-from tecsrust import emit_core
+from tecsrust import emit_core, emit_rtos
 from tecsrust.cli import generate
 from tecsrust.emit_core import WritePolicy, emit_contract
 from tecsrust.frontend import parse_unit
@@ -253,6 +253,15 @@ def test_emitters_are_total():
     handlers = (ast.Raise, ast.Try, getattr(ast, "TryStar", ast.Try))
     found = [(type(n).__name__, n.lineno) for n in ast.walk(tree) if isinstance(n, handlers)]
     assert found == []
+    # and neither emitter module makes a diagnostic: resolve reports factory errors too
+    for module in (emit_core, emit_rtos):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        names = [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                 if isinstance(n, (ast.Name, ast.Attribute))]
+        calls = [n.func for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        called = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls]
+        assert "Diagnostic" not in names, module.__name__
+        assert not {"error", "warning"} & set(called), module.__name__
 
 
 _SHAPE_PROVIDERS = """signature sA { void f( void ); };

@@ -2,13 +2,13 @@ import re
 
 import pytest
 
-from tecsrust import emit_rtos
+from tecsrust import linker
 from tecsrust.emit_rtos import (
     KERNEL_PREAMBLE_LINES, MacroEnv, MacroError, build_env, config_files,
     run_factory, substitute_macros,
 )
 from tecsrust.frontend import parse_unit
-from tecsrust.linker import plan_emission, resolve
+from tecsrust.linker import PlannedWrite, plan_emission, resolve
 from tecsrust.model import (
     AttrDecl, AttrInit, CelltypeDef, CellDef, InitKind, Initializer, validate_unit,
 )
@@ -33,8 +33,8 @@ def test_unknown_macro_is_an_error():
         substitute_macros("$nope$", MacroEnv(ct="tX"))
     text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
             '  factory { write("x.cfg", "$nope$"); };\n};\ncell tX X1 {};\n')
-    model, _ = resolve([parse_unit(text, "m.cdl").unit])
-    _, diags = run_factory(model, plan_emission(model))
+    model, diags = resolve([parse_unit(text, "m.cdl").unit])
+    assert model is None
     assert [str(d) for d in diags] == [
         "m.cdl:3:13: error[unresolved-macro]: unresolved macro '$nope$'"]
 
@@ -86,20 +86,23 @@ def test_run_factory_builds_one_env_per_scope(kernel_text, monkeypatch):
 [generate(ItronrsGenPlugin, "lib")]
 cell tTask_rs Task2 { cTaskBody = MainBody.eBody; id = 2; priority = 1; stackSize = 2; };
 """
-    model, diags = resolve([parse_unit(text, "kernel_rs.cdl").unit])
-    assert not diags
-    plan = plan_emission(model)
     scopes = []
 
     def counting_build_env(ct, cell):
         scopes.append((ct.name, cell and cell.name))
         return build_env(ct, cell)
 
-    monkeypatch.setattr(emit_rtos, "build_env", counting_build_env)
+    monkeypatch.setattr(linker, "build_env", counting_build_env)
+    model, diags = resolve([parse_unit(text, "kernel_rs.cdl").unit])
+    assert not diags
+    plan = plan_emission(model)
     writes, w_diags = run_factory(model, plan)
     assert not w_diags and len(writes) == len(plan.config_writes) == 4
-    # one per celltype with FACTORY writes, then one per cell with factory writes
-    assert scopes == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    # first one per cell whose attrs hold `$macro$` holes (`task_ref`), while checking;
+    # then the factory's: one per celltype with FACTORY writes, then one per cell with
+    # factory writes
+    assert scopes[:2] == [("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    assert scopes[2:] == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
 
 
 def test_preamble_lines(kernel_outputs):
@@ -166,9 +169,9 @@ def test_task_id_coherence(kernel_outputs):
 
 
 def test_config_files_group_in_order():
-    from tecsrust.emit_rtos import ConfigWrite
-    writes = [ConfigWrite("a.cfg", "one"), ConfigWrite("b.cfg", "x"),
-              ConfigWrite("a.cfg", "two")]
+    ct = CelltypeDef("tX")
+    writes = [PlannedWrite(ct, None, target, line, target, line)
+              for target, line in [("a.cfg", "one"), ("b.cfg", "x"), ("a.cfg", "two")]]
     grouped = config_files(writes)
     assert grouped["a.cfg"] == "one\ntwo\n"
     assert grouped["b.cfg"] == "x\n"

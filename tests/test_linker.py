@@ -497,6 +497,23 @@ def test_entry_types_sharing_a_name_are_rejected_before_rustc(tmp_path):
     rustc_check_tree({f.path: f.content for f in files}, tmp_path)
 
 
+def test_bindings_to_two_entry_ports_of_one_celltype_are_rejected(tmp_path, capsys):
+    # a definition types each call port by its first cell's target entry, so `c2`'s
+    # `&EB_FOR_X` would not fit the `EAForTX` field (rustc: E0308)
+    unit = (_PROVIDER + _directed("tX { entry sA eA; entry sA eB; }", "tC { call sA cP; }")
+            + "cell tX x {};\ncell tC c1 { cP = x.eA; };\ncell tC c2 { cP = x.eB; };\n")
+    src = tmp_path / "e.cdl"
+    src.write_text(unit)
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:5:15: error[heterogeneous-binding-unsupported]: call port 'cP' of celltype "
+        "'tC' binds different entry ports of celltype 'tX' (eA, eB)"]
+    assert list(tmp_path.iterdir()) == [src]
+    files, _, _, diags = generate([("e.cdl", unit.replace("x.eB", "x.eA"))])
+    assert diags == []
+    rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
 def _record(members, bindings=""):
     return (_PROVIDER + _directed("tP { entry sA e; }", f"tC {{ {members} }}")
             + f"cell tP p {{}};\ncell tC c {{ {bindings} }};\n")

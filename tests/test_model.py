@@ -99,7 +99,7 @@ _OCTAL = "has a leading zero (octal in C, decimal in Rust)"
     ("celltype tA { attr { int32_t x = 0x; }; };",
      "integer literal '0x' in default of attr 'x' has no digits", 22, "0x1"),
     ("celltype tA { var { int32_t x = -0X; }; };",
-     "integer literal '-0X' in default of var 'x' has no digits", 21, "-0X1"),
+     "integer literal '-0X' in default of var 'x' has no digits", 21, "-0x1"),
     ("celltype tA { attr { int32_t x; }; };\ncell tA A { x = -0x; };",
      "integer literal '-0x' in initializer of 'x' has no digits", 13, "-0x1"),
     # C reads 010 as 8 and rejects 08; Rust reads both as decimal
@@ -109,8 +109,11 @@ _OCTAL = "has a leading zero (octal in C, decimal in Rust)"
      f"integer literal '-08' in default of var 'k' {_OCTAL}", 21, "-0"),
     ("celltype tA { attr { int32_t k; }; };\ncell tA A { k = 00; };",
      f"integer literal '00' in initializer of 'k' {_OCTAL}", 13, "0"),
+    # Rust has no 0X prefix
+    ("celltype tA { attr { int32_t x = 0X1F; }; };", "integer literal '0X1F' in default of "
+     "attr 'x' has a '0X' prefix, which Rust does not accept", 22, "0x1F"),
 ], ids=["attr-default", "var-default", "cell-initializer",
-        "octal-attr-default", "octal-var-default", "octal-cell-initializer"])
+        "octal-attr-default", "octal-var-default", "octal-cell-initializer", "upper-hex-prefix"])
 def test_integer_literal_without_digits_is_rejected(text, message, column, fixed):
     diags = validate_unit(parse_unit(text, "lit.cdl").unit)
     assert [(d.code, d.message) for d in diags] == [("bad-integer", message)]
