@@ -11,10 +11,10 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from . import emit_core, emit_rtos, header_const
-from .emit_core import GeneratedFile, WritePolicy
+from .emit_core import GeneratedFile, SkeletonFile, WritePolicy
 from .frontend import LineIndex, parse_unit
 from .linker import EmissionPlan, GenerationReport, ResolvedModel, plan_emission, resolve
 from .model import Diagnostic, KNOWN_PLUGINS, error, has_errors, validate_unit
@@ -25,13 +25,14 @@ EXIT_USAGE = 2
 
 
 def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = None
-             ) -> Tuple[List[GeneratedFile], Optional[EmissionPlan],
+             ) -> Tuple[List[Union[GeneratedFile, SkeletonFile]], Optional[EmissionPlan],
                         Optional[ResolvedModel], List[Diagnostic]]:
     """Full pipeline over (source_name, text) pairs.
 
-    Returns the rendered files, the plan (with report filled in), the
+    Returns the output files, the plan (with report filled in), the
     resolved model, and all diagnostics. Files are empty whenever any
-    error diagnostic occurred.
+    error diagnostic occurred. Skeletons are rendered only when their
+    `content` is read (see `SkeletonFile`).
     """
     diags: List[Diagnostic] = []
     units = []
@@ -50,29 +51,30 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
         return [], None, None, diags
 
     plan = plan_emission(model)
-    files: List[GeneratedFile] = []
+    files: List[Union[GeneratedFile, SkeletonFile]] = []
 
     for sig in plan.contract_sigs:
         files.append(emit_core.emit_contract(sig))
     for ct in plan.definition_cts:
         files.append(emit_core.emit_definition(ct, model.cells_of(ct.name), model))
-    for ct in plan.skeleton_cts:
-        files.append(emit_core.emit_skeleton(ct, model))
+    files.extend(SkeletonFile(path, emit_core.skeleton_lines(ct, model), ct, model)
+                 for ct, path in zip(plan.skeleton_cts, plan.skeleton_files()))
 
     for target, content in emit_rtos.config_files(plan.config_writes).items():
         files.append(GeneratedFile(target, content, WritePolicy.OVERWRITE))
 
-    plan.report = GenerationReport({f.path: f.content.count("\n") for f in files},
-                                   set(plan.skeleton_files()))
+    plan.report = GenerationReport({f.path: f.lines for f in files},
+                                   {f.path for f in files if isinstance(f, SkeletonFile)})
     return files, plan, model, diags
 
 
-def write_files(files: List[GeneratedFile], out_dir: Path) -> List[str]:
-    """Materialize rendered files, honoring each file's overwrite policy.
+def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) -> List[str]:
+    """Materialize output files, honoring each file's overwrite policy.
 
-    Returns every output not skipped. An OVERWRITE output whose file already
-    holds its bytes is left unopened, so it keeps its mtime and a build tool
-    sees no change. Each output directory is made and listed once.
+    Returns every output not skipped; a skipped skeleton is never rendered.
+    An OVERWRITE output whose file already holds its bytes is left unopened,
+    so it keeps its mtime and a build tool sees no change. Each output
+    directory is made and listed once.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     listed: Dict[Path, Set[str]] = {}  # names in each output directory before this call wrote there
@@ -210,15 +212,16 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_DIAGNOSTICS
 
     out_dir = Path(args.out)
-    if args.diagram and Path(args.diagram).resolve() in {(out_dir / f.path).resolve()
-                                                         for f in files}:
+    diagram = Path(args.diagram) if args.diagram else None
+    if diagram and diagram.resolve() in {(out_dir / f.path).resolve() for f in files}:
         print(f"error: --diagram {args.diagram} names a generated file", file=sys.stderr)
         return EXIT_USAGE
-    try:
+    try:  # the diagram first: one that cannot be written leaves no tree behind
+        if diagram:
+            if out_dir.resolve() in diagram.resolve().parents:  # made like an output's directory
+                diagram.parent.mkdir(parents=True, exist_ok=True)
+            _write_bytes(diagram, emit_diagram(model).encode("utf-8"))
         written = write_files(files, out_dir)
-        if args.diagram:
-            Path(args.diagram).write_text(emit_diagram(model), encoding="utf-8",
-                                          newline="\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,28 @@ class GeneratedFile:
     content: str
     policy: WritePolicy
 
+    @property
+    def lines(self) -> int:
+        return self.content.count("\n")
+
+
+@dataclass(slots=True, eq=False)
+class SkeletonFile:
+    """A skeleton output that `emit_skeleton` renders each time `content` is read.
+
+    A regeneration keeps every skeleton that exists and never reads it, so a
+    kept skeleton is never rendered; `lines` is `skeleton_lines`.
+    """
+    path: str
+    lines: int
+    ct: CelltypeDef
+    model: ResolvedModel
+    policy = WritePolicy.SKIP_IF_EXISTS
+
+    @property
+    def content(self) -> str:
+        return emit_skeleton(self.ct, self.model).content
+
 
 def _finish(lines: List[str]) -> str:
     return "\n".join(lines) + "\n"
@@ -210,3 +232,12 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
 
     return GeneratedFile(naming.file_name("skeleton", ct.name), _finish(lines),
                          WritePolicy.SKIP_IF_EXISTS)
+
+
+def skeleton_lines(ct: CelltypeDef, model: ResolvedModel) -> int:
+    """The number of lines in `emit_skeleton(ct, model).content`, without rendering it:
+    the `use` lines and a blank, then per entry port a blank line before every
+    impl block but the first, its `impl … {` and `}`, and four lines per function."""
+    ports = ct.entry_ports
+    return (bool(ct.vars) + 2 + 3 * len(ports) - bool(ports)
+            + 4 * sum(len(model.signature_index[p.signature_name].functions) for p in ports))

@@ -314,6 +314,34 @@ def test_diagram_inside_out_is_written(tmp_path):
     assert EXPECTED_SAMPLE_FILES <= {p.name for p in out.iterdir()}
 
 
+def test_diagram_in_a_new_directory_inside_out_is_written(tmp_path):
+    # its directory is made, as an output's directory is
+    out = tmp_path / "gen"
+    assert run([SAMPLE, "--out", str(out), "--diagram", str(out / "docs" / "d.dot")]) == EXIT_OK
+    assert (out / "docs" / "d.dot").read_text().startswith("digraph components {")
+
+
+def test_diagram_in_a_missing_directory_writes_no_tree(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run([SAMPLE, "--out", "g2", "--diagram", "nodir/d.dot"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: 'nodir/d.dot'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unchanged_diagram_is_left_alone(tmp_path):
+    dot = tmp_path / "components.dot"
+    argv = [SAMPLE, "--out", str(tmp_path / "gen"), "--diagram", str(dot)]
+    dot.write_text("stale\n")
+    assert run(argv) == EXIT_OK
+    text = dot.read_text()
+    assert text.startswith("digraph components {")
+    past = 1_000_000_000_000_000_000  # ns: September 2001
+    os.utime(dot, ns=(past, past))
+    assert run(argv) == EXIT_OK
+    assert dot.stat().st_mtime_ns == past and dot.read_text() == text
+
+
 def test_report_totals(sample_text):
     files, plan, _, _ = generate([("sample.cdl", sample_text)])
     table = report(plan)

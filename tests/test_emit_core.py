@@ -1,16 +1,24 @@
 import ast
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import golden
 from rustc_check import rustc_check, rustc_check_tree
+from strategies import cdl_units
 from tecsrust import emit_core, emit_rtos
 from tecsrust.cli import generate
-from tecsrust.emit_core import WritePolicy, emit_contract
+from tecsrust.emit_core import WritePolicy, emit_contract, emit_skeleton, skeleton_lines
 from tecsrust.frontend import parse_unit
-from tecsrust.linker import resolve
-from tecsrust.model import SignatureDef
+from tecsrust.linker import plan_emission, resolve
+from tecsrust.model import PortDecl, PortDirection, SignatureDef
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _gen(text, name="test.cdl"):
@@ -179,6 +187,66 @@ cell tBoth Only {};
     assert content.count("impl ") == 2
     assert "impl SA for EAForTBoth<'_>{" in content
     assert "impl SB for EBForTBoth<'_>{" in content
+
+
+def _assert_skeleton_line_count_law(model):
+    """`skeleton_lines` counts, from the model alone, the lines `emit_skeleton` renders."""
+    cts = plan_emission(model).skeleton_cts
+    assert cts
+    for ct in cts:
+        assert skeleton_lines(ct, model) == emit_skeleton(ct, model).content.count("\n"), ct.name
+
+
+def test_skeleton_line_count_law_on_goldens(sample_outputs, kernel_outputs):
+    for _, _, model in (sample_outputs, kernel_outputs):
+        _assert_skeleton_line_count_law(model)
+
+
+def test_skeleton_line_count_law_on_vars_and_an_empty_signature():
+    text = """
+signature sNone { };
+signature sA { void f( void ); int32_t g( [in] int32_t x, [out] int32_t* y ); };
+[generate(RustGenPlugin, "lib")]
+celltype tMany { entry sNone eFirst; entry sA eA; entry sNone eNone; var { i32 n = 0; }; };
+[generate(RustGenPlugin, "lib")]
+celltype tOnlyNone { entry sNone eNone; };
+cell tMany m {};
+cell tOnlyNone o {};
+"""
+    model, diags = resolve([parse_unit(text, "law.cdl").unit])
+    assert model is not None, diags
+    _assert_skeleton_line_count_law(model)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("name", ["app_16k", "rtos_tasks", "api_regen"])
+def test_skeleton_line_count_law_on_workloads(name, seed):
+    _, _, model, diags = generate(list(workloads.build(name, seed, 0.05).sources.items()))
+    assert not diags, diags
+    _assert_skeleton_line_count_law(model)
+
+
+@st.composite
+def _units_with_an_empty_signature(draw):
+    """A `cdl_units` unit whose first provider also has an entry port of `sNone`, a
+    signature with no functions, at a drawn place among its entry ports."""
+    unit = draw(cdl_units())
+    prov = unit.celltypes[0]
+    at = draw(st.integers(0, len(prov.entry_ports)))
+    entries = (*prov.entry_ports[:at], PortDecl(PortDirection.ENTRY, "sNone", "eNone"),
+               *prov.entry_ports[at:])
+    return replace(unit, signatures=(*unit.signatures, SignatureDef("sNone", ())),
+                   celltypes=(replace(prov, entry_ports=entries), *unit.celltypes[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_units_with_an_empty_signature())
+def test_skeleton_line_count_law_on_generated_units(unit):
+    # consumers draw vars and zero to two entry ports; providers one to three. With a
+    # default plugin every celltype generates, not only those with a directive.
+    model, diags = resolve([unit], "RustGenPlugin")
+    assert model is not None, diags
+    _assert_skeleton_line_count_law(model)
 
 
 def test_every_method_is_inlined(sample_outputs):

@@ -10,7 +10,8 @@ says why.
 
 The regenerate-in-place test runs the `api_regen` loop through `cli.run`:
 a build, the developer's skeletons planted over it, and a second build that
-must leave every file's bytes and mtime as they were.
+must leave every file's bytes and mtime as they were, and must not render
+the skeletons it keeps.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from tecsrust import cli
+from tecsrust import cli, emit_core
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -77,3 +78,34 @@ def test_regenerating_api_regen_in_place_changes_no_file(tmp_path):
     assert len(before) == 30 and set(wl.expect.preserved) < set(before)
     assert cli.run(argv) == cli.EXIT_OK
     assert _tree(out) == before
+
+
+def test_regenerating_api_regen_renders_no_kept_skeleton(tmp_path, monkeypatch, capsys):
+    rendered = []
+    emit_skeleton = emit_core.emit_skeleton
+
+    def counting(ct, model):
+        rendered.append(ct.name)
+        return emit_skeleton(ct, model)
+
+    monkeypatch.setattr(emit_core, "emit_skeleton", counting)
+    wl = workloads.build("api_regen", 1, SCALE)
+    cdl, _ = wl.write_inputs(tmp_path / "in")
+    out = tmp_path / "tree"
+    argv = [*map(str, cdl), "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert sorted(rendered) == [f"tServer{c:03d}" for c in range(5)]  # each once, to write it
+    wl.plant_skeletons(out)
+    rendered.clear()
+    capsys.readouterr()
+    assert cli.run(argv) == cli.EXIT_OK and cli.run([*argv, "--report"]) == cli.EXIT_OK
+    assert rendered == []
+    # the strings a build prints when it renders every skeleton and counts its text:
+    # counting the kept skeletons' lines from their signatures gives the same numbers
+    summary, table = capsys.readouterr().out.split("\n", 1)
+    assert summary == (f"generated 30 files (25 written, 1070 generated lines, "
+                       f"3265 stub lines) under {out}")
+    assert table.endswith("total auto-generated   1070\ntotal skeleton stubs   3265\n")
+    assert "t_server004_impl.rs    653  skeleton\n" in table
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "ba6e8812738e1595235120a0768e30ded8fae1385e9503de0f89a9d060e36f0f")
