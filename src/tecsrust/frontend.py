@@ -359,16 +359,30 @@ class _Parser:
         self.expect("]")
         return PluginDirective(self.texts[name], self.texts[arg], self.loc(start))
 
+    def block(self, item) -> list:
+        """`{ item* } ;`: what `item()` returns for each item before the '}'."""
+        self.expect("{")
+        items = []
+        while not self.check("}"):
+            items.append(item())
+        self.expect("}")
+        self.expect(";")
+        return items
+
+    def modifier(self, what: str, allowed) -> str:
+        """The rest of a `[name]` modifier after its '[': `name` must be in `allowed`."""
+        mod = self.expect_ident(what)
+        if self.texts[mod] not in allowed:
+            raise _ParseError(error(
+                "unknown-modifier", f"unknown modifier '[{self.texts[mod]}]'", self.loc(mod)))
+        self.expect("]")
+        return self.texts[mod]
+
     def parse_signature(self) -> SignatureDef:
         start = self.expect("signature")
         name = self.expect_ident("signature name")
-        self.expect("{")
-        functions = []
-        while not self.check("}"):
-            functions.append(self.parse_function())
-        self.expect("}")
-        self.expect(";")
-        return SignatureDef(self.texts[name], tuple(functions), self.loc(start))
+        return SignatureDef(self.texts[name], tuple(self.block(self.parse_function)),
+                            self.loc(start))
 
     def parse_function(self) -> FunctionDecl:
         ret = self.expect_ident("return type")
@@ -405,44 +419,32 @@ class _Parser:
     def parse_celltype(self, directive) -> CelltypeDef:
         start = self.expect("celltype")
         name = self.expect_ident("celltype name")
-        self.expect("{")
-        call_ports, entry_ports, attrs, vars_, blocks = [], [], [], [], []
-        while not self.check("}"):
-            modifiers = []
-            member = self.pos
-            while self.accept("["):
-                mod = self.expect_ident("port modifier")
-                if self.texts[mod] not in ("inline", "omit"):
-                    raise _ParseError(error(
-                        "unknown-modifier", f"unknown modifier '[{self.texts[mod]}]'",
-                        self.loc(mod)))
-                modifiers.append(self.texts[mod])
-                self.expect("]")
-            if self.check("call") or self.check("entry"):
-                port = self.parse_port(frozenset(modifiers))
-                (call_ports if port.direction is PortDirection.CALL else entry_ports).append(port)
-            elif self.check("attr"):
-                if modifiers:
-                    raise _ParseError(error(
-                        "misplaced-modifier", "modifiers go on individual attrs",
-                        self.loc(member)))
-                attrs.extend(self.parse_attr_block())
-            elif self.check("var"):
-                vars_.extend(self.parse_var_block())
-            elif self.check("factory") or self.check("FACTORY"):
-                blocks.append(self.parse_factory_block())
-            elif "omit" in modifiers:
-                # [omit] directly on an attr outside an attr{} block is not a thing;
-                # but [omit]TYPE name appears inside attr blocks only.
+        members = {"call": [], "entry": [], "attr": [], "var": [], "factory": []}  # field order
+        for kind, nodes in self.block(self.parse_celltype_member):
+            members[kind] += nodes
+        return CelltypeDef(self.texts[name], *map(tuple, members.values()), directive,
+                           self.loc(start))
+
+    def parse_celltype_member(self) -> Tuple[str, list]:
+        """A port, an attr or var block, or a factory block: its kind and its nodes."""
+        member, modifiers = self.pos, []
+        while self.accept("["):
+            modifiers.append(self.modifier("port modifier", ("inline", "omit")))
+        kind = self.tags[self.pos]
+        if kind == "call" or kind == "entry":
+            return kind, [self.parse_port(frozenset(modifiers))]
+        if kind == "attr" or kind == "var":
+            if modifiers and kind == "attr":
                 raise _ParseError(error(
-                    "unexpected-token", "expected celltype member", self.loc(member)))
-            else:
-                raise self.unexpected("celltype member")
-        self.expect("}")
-        self.expect(";")
-        return CelltypeDef(
-            self.texts[name], tuple(call_ports), tuple(entry_ports), tuple(attrs),
-            tuple(vars_), tuple(blocks), directive, self.loc(start))
+                    "misplaced-modifier", "modifiers go on individual attrs", self.loc(member)))
+            self.take()
+            return kind, self.block(lambda: self.parse_member(kind))
+        if kind == "factory" or kind == "FACTORY":
+            return "factory", [self.parse_factory_block()]
+        if "omit" in modifiers:  # [omit] belongs on an attr inside an attr block
+            raise _ParseError(error(
+                "unexpected-token", "expected celltype member", self.loc(member)))
+        raise self.unexpected("celltype member")
 
     def parse_port(self, modifiers) -> PortDecl:
         kw = self.take()
@@ -452,92 +454,62 @@ class _Parser:
         self.expect(";")
         return PortDecl(direction, self.texts[sig], self.texts[port], modifiers, self.loc(kw))
 
-    def parse_attr_block(self):
-        self.expect("attr")
-        self.expect("{")
-        attrs = []
-        while not self.check("}"):
-            start = self.pos
-            omit = self.accept("[")
-            if omit:
-                mod = self.expect_ident("attr modifier")
-                if self.texts[mod] != "omit":
-                    raise _ParseError(error(
-                        "unknown-modifier", f"unknown modifier '[{self.texts[mod]}]'",
-                        self.loc(mod)))
-                self.expect("]")
-            c_type = self.expect_ident("attr type")
-            name = self.expect_ident("attr name")
-            default = self.parse_initializer() if self.accept("=") else None
-            self.expect(";")
-            attrs.append(AttrDecl(
-                self.texts[name], self.texts[c_type], default, omit, self.loc(start)))
-        self.expect("}")
+    def parse_member(self, kind: str):
+        """An attr or a var, `kind`, of a block: `T N [= init];`, an attr maybe `[omit]`."""
+        start = self.pos
+        omit = kind == "attr" and self.accept("[")
+        if omit:
+            self.modifier("attr modifier", ("omit",))
+        c_type = self.expect_ident(f"{kind} type")
+        name = self.expect_ident(f"{kind} name")
+        default = self.parse_initializer() if self.accept("=") else None
         self.expect(";")
-        return attrs
-
-    def parse_var_block(self):
-        self.expect("var")
-        self.expect("{")
-        vars_ = []
-        while not self.check("}"):
-            start = self.pos
-            type_text = self.expect_ident("var type")
-            name = self.expect_ident("var name")
-            default = self.parse_initializer() if self.accept("=") else None
-            self.expect(";")
-            vars_.append(VarDecl(
-                self.texts[name], self.texts[type_text], default, self.loc(start)))
-        self.expect("}")
-        self.expect(";")
-        return vars_
+        loc, texts = self.loc(start), (self.texts[name], self.texts[c_type], default)
+        return AttrDecl(*texts, omit, loc) if kind == "attr" else VarDecl(*texts, loc)
 
     def parse_factory_block(self) -> FactoryBlock:
         kw = self.take()
         scope = FactoryScope.PER_CELL if self.tags[kw] == "factory" else FactoryScope.PER_CELLTYPE
-        self.expect("{")
-        writes = []
-        while not self.check("}"):
-            w = self.expect("write")
-            self.expect("(")
-            target = self.expect("string")
-            self.expect(",")
-            template = self.expect("string")
-            self.expect(")")
-            self.expect(";")
-            writes.append(FactoryWrite(self.texts[target], self.texts[template], self.loc(w)))
-        self.expect("}")
+        return FactoryBlock(scope, tuple(self.block(self.parse_write)))
+
+    def parse_write(self) -> FactoryWrite:
+        w = self.expect("write")
+        self.expect("(")
+        target = self.expect("string")
+        self.expect(",")
+        template = self.expect("string")
+        self.expect(")")
         self.expect(";")
-        return FactoryBlock(scope, tuple(writes))
+        return FactoryWrite(self.texts[target], self.texts[template], self.loc(w))
 
     def parse_cell(self, directive) -> CellDef:
         start = self.expect("cell")
         ct_name = self.expect_ident("celltype name")
         name = self.expect_ident("cell name")
-        self.expect("{")
-        bindings, inits = [], []
-        while not self.check("}"):
-            lhs = self.expect_ident("port or attr name")
-            self.expect("=")
-            if self.check("identifier") and self.check(".", 1):
-                target_cell = self.take()
-                self.take()  # '.'
-                target_port = self.expect_ident("binding target")
-                bindings.append(Binding(
-                    self.texts[lhs], self.texts[target_cell], self.texts[target_port],
-                    self.loc(lhs)))
-            elif self.check(";") or self.check("}"):
-                raise _ParseError(error(
-                    "expected-binding-target",
-                    f"expected binding target or initializer after '{self.texts[lhs]} ='",
-                    self.loc()))
-            else:
-                inits.append(AttrInit(self.texts[lhs], self.parse_initializer(), self.loc(lhs)))
-            self.expect(";")
-        self.expect("}")
+        members = self.block(self.parse_cell_member)
+        return CellDef(self.texts[name], self.texts[ct_name],
+                       tuple(m for m in members if type(m) is Binding),
+                       tuple(m for m in members if type(m) is AttrInit), directive, self.loc(start))
+
+    def parse_cell_member(self):
+        """A binding `lhs = cell.port;` or an attr initializer `lhs = init;`."""
+        lhs = self.expect_ident("port or attr name")
+        self.expect("=")
+        if self.check("identifier") and self.check(".", 1):
+            target_cell = self.take()
+            self.take()  # '.'
+            target_port = self.expect_ident("binding target")
+            member = Binding(self.texts[lhs], self.texts[target_cell], self.texts[target_port],
+                             self.loc(lhs))
+        elif self.check(";") or self.check("}"):
+            raise _ParseError(error(
+                "expected-binding-target",
+                f"expected binding target or initializer after '{self.texts[lhs]} ='",
+                self.loc()))
+        else:
+            member = AttrInit(self.texts[lhs], self.parse_initializer(), self.loc(lhs))
         self.expect(";")
-        return CellDef(self.texts[name], self.texts[ct_name], tuple(bindings), tuple(inits),
-                       directive, self.loc(start))
+        return member
 
     def build_cell(self) -> CellDef:
         """The node of a `CELL` token, as `parse_directive` and `parse_cell` build it."""

@@ -65,18 +65,13 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
     ct_index: Dict[str, CelltypeDef] = {}
 
     for unit in units:
-        for sig in unit.signatures:
-            if sig.name in sig_index:
-                diags.append(error("duplicate-definition",
-                                   f"signature '{sig.name}' already defined", sig.location))
-            else:
-                sig_index[sig.name] = sig
-        for ct in unit.celltypes:
-            if ct.name in ct_index:
-                diags.append(error("duplicate-definition",
-                                   f"celltype '{ct.name}' already defined", ct.location))
-            else:
-                ct_index[ct.name] = ct
+        for index, nodes in ((sig_index, unit.signatures), (ct_index, unit.celltypes)):
+            for node in nodes:
+                if node.name in index:
+                    diags.append(error("duplicate-definition", f"{_label(node)} already defined",
+                                       node.location))
+                else:
+                    index[node.name] = node
 
     # port signatures must exist
     for ct in ct_index.values():

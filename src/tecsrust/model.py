@@ -270,8 +270,6 @@ def validate_unit(unit: CdlUnit) -> list:
     diags = []
 
     for sig in unit.signatures:
-        if not sig.name:
-            diags.append(error("empty-name", "signature has empty name", sig.location))
         for fn in _dupes(f.name for f in sig.functions):
             diags.append(error(
                 "duplicate-function",
@@ -296,21 +294,11 @@ def validate_unit(unit: CdlUnit) -> list:
                         p.location))
 
     for ct in unit.celltypes:
-        for pn in _dupes(p.port_name for p in ct.ports):
-            diags.append(error(
-                "duplicate-port",
-                f"port '{pn}' declared more than once in celltype '{ct.name}'",
-                ct.location))
-        for an in _dupes(a.name for a in ct.attrs):
-            diags.append(error(
-                "duplicate-attr",
-                f"attr '{an}' declared more than once in celltype '{ct.name}'",
-                ct.location))
-        for vn in _dupes(v.name for v in ct.vars):
-            diags.append(error(
-                "duplicate-var",
-                f"var '{vn}' declared more than once in celltype '{ct.name}'",
-                ct.location))
+        for code, noun, names in (("duplicate-port", "port", [p.port_name for p in ct.ports]),
+                                  ("duplicate-attr", "attr", [a.name for a in ct.attrs]),
+                                  ("duplicate-var", "var", [v.name for v in ct.vars])):
+            diags += [error(code, f"{noun} '{n}' declared more than once in celltype "
+                            f"'{ct.name}'", ct.location) for n in _dupes(names)]
         for a in ct.attrs:
             if a.default is not None and not _balanced_holes(a.default.text):
                 diags.append(error(

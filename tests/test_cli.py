@@ -447,9 +447,20 @@ _SIG = "signature sA { void f( void ); };\n"
      "2:1: error[duplicate-attr-init]: attr 'n' initialized more than once in cell 'p'"),
     ('celltype tP { factory { write("", "x"); }; };\n',
      "1:25: error[empty-write-target]: factory write has an empty target file"),
+    ("signature sA { void f( void ); void f( void ); };\n",
+     "1:1: error[duplicate-function]: function 'f' defined more than once in signature 'sA'"),
+    ("signature sA { void f( [in] int32_t a, [in] int32_t a ); };\n",
+     "1:21: error[duplicate-param]: parameter 'a' repeated in function 'f'"),
+    (_SIG + "celltype tP { entry sA e; entry sA e; };\n",
+     "2:1: error[duplicate-port]: port 'e' declared more than once in celltype 'tP'"),
+    (_SIG + "celltype tP { entry sA e; };\ncell tP p {};\ncell tP p {};\n",
+     "4:1: error[duplicate-cell]: cell 'p' already defined"),
+    ("celltype tP {};\ncelltype tP {};\n",
+     "2:1: error[duplicate-definition]: celltype 'tP' already defined"),
 ], ids=["unknown-signature", "not-a-call-port", "unknown-call-port", "unknown-attribute",
         "duplicate-definition", "duplicate-attr", "duplicate-var", "duplicate-binding",
-        "duplicate-attr-init", "empty-write-target"])
+        "duplicate-attr-init", "empty-write-target", "duplicate-function", "duplicate-param",
+        "duplicate-port", "duplicate-cell", "duplicate-definition-celltype"])
 def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expected):
     src = tmp_path / "u.cdl"
     src.write_text(text)
