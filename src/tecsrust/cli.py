@@ -140,11 +140,6 @@ def report(plan: EmissionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_diags(diags: List[Diagnostic], stream) -> None:
-    for d in diags:
-        print(d, file=stream)
-
-
 def _read(name: str) -> Tuple[Optional[str], int]:
     """File `name`'s text, or None and an exit code after printing why there is none."""
     try:
@@ -170,7 +165,8 @@ def _run_bindgen_lite(argv: List[str]) -> int:
     if text is None:
         return code
     converted, diags = header_const.convert_defines(text, args.header)
-    _print_diags(diags, sys.stderr)
+    for d in diags:
+        print(d, file=sys.stderr)
     try:
         _write_bytes(Path(args.output), converted.encode("utf-8"))
     except OSError as exc:
@@ -207,7 +203,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         sources.append((name, text))
 
     files, plan, model, diags = generate(sources, args.plugin)
-    _print_diags(diags, sys.stderr)
+    for d in diags:
+        print(d, file=sys.stderr)
     if has_errors(diags):
         return EXIT_DIAGNOSTICS
 

@@ -19,8 +19,8 @@ as when a diagnostic is printed. Lines end at '\n' only; columns count from 1.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
-bounds check. A `SourceLoc` is made only where the AST or a diagnostic
-keeps one, and a clean parse resolves none.
+bounds check. A clean parse resolves no location: a `SourceLoc` is made only
+where a diagnostic or a node keeps one, and functions and parameters keep offsets.
 
 A `cell` or `signature` declaration of the common shape is one token: tag
 `CELL` or `SIGNATURE`, text its source slice, offset its start, match
@@ -85,8 +85,8 @@ _UNESCAPE = {"n": "\n", "t": "\t"}
 # `_CELL` is an optional `[generate(P, "...")]`, then `cell T N { m* };`, each `m` a
 # binding, a C_EXP or a literal. `_SIGNATURE` is `signature S { f* };`, each `f` `R F(
 # void );` or `R F( p, ... );` with 0 or more `p` `[in|out] T *... P`, a trailing comma
-# allowed. Names are not keywords and only [ \t\r\n] separates tokens, so a plain scan
-# splits them alike; T ends at a word boundary, or backtracking would split `Tp` in two.
+# allowed. Names are not keywords and only [ \t\r\n] separates tokens, so `_SIGNATURE_MEMBER`
+# splits a body alike; T ends at a word boundary, or backtracking would split `Tp` in two.
 _PARTS = {"s": r"[ \t\r\n]*", "name": r"(?!%s)[A-Za-z_]\w*" % _KEYWORD,
           "string": _STRING, "integer": _INTEGER}
 _MEMBER = r"""%(s)s(%(name)s)%(s)s=%(s)s
@@ -102,7 +102,8 @@ _PARAM = r"\[%(s)s(in|out)%(s)s\]%(s)s(%(name)s)(?!\w)%(s)s((?:\*%(s)s)*)(%(name
 _SIGNATURE = r"""signature[ \t\r\n]+(?P<name>%(name)s)%(s)s\{(?P<body>(?:%(s)s%(name)s[ \t\r\n]+
     %(name)s%(s)s\(%(s)s(?:void%(s)s|(?:%(param)s%(s)s(?:,%(s)s|(?=\))))*)\)%(s)s;)*)%(s)s\}%(s)s;
 """ % dict(_PARTS, param=_PARAM)
-_FUNCTION = r"(\w+)[ \t\r\n]+(\w+)[ \t\r\n]*\(([^)]*)"  # a function of a `_SIGNATURE` body
+_SIGNATURE_MEMBER = r"(\w+)\s+(\w+)\s*\(|\[\s*(\w+)\s*\]\s*(\w+)([\s*]*)(\w+)"  # `R F(` or `p`
+_SPECIFIERS = {"in": ParamSpecifier.IN, "out": ParamSpecifier.OUT}
 CELL, SIGNATURE = "cell declaration", "signature declaration"
 _DECLS = {"c": (_CELL, CELL), "[": (_CELL, CELL), "s": (_SIGNATURE, SIGNATURE)}
 _compiled = functools.cache(lambda p: re.compile(p, re.DOTALL | re.VERBOSE))  # at first use
@@ -130,6 +131,9 @@ class LineIndex:
     def where(self, offset: int) -> Tuple[str, int, int]:
         line = bisect_right(self.starts, offset)
         return self.source_name, line, offset - self.starts[line - 1] + 1
+
+    def __repr__(self) -> str:  # as part of a node's repr: the same for each parse of a file
+        return "<LineIndex of %r>" % self.source_name
 
 
 class Tokens:
@@ -398,12 +402,13 @@ class _Parser:
                     break
         self.expect(")")
         self.expect(";")
-        return FunctionDecl(self.texts[name], self.texts[ret], tuple(params), self.loc(name))
+        return FunctionDecl(self.texts[name], self.texts[ret], tuple(params),
+                            self.offsets[name], self.lines)
 
     def parse_param(self) -> ParamDecl:
         start = self.expect("[")
         spec = self.texts[self.expect_ident("parameter specifier")]
-        if spec not in ("in", "out"):
+        if spec not in _SPECIFIERS:
             raise _ParseError(error(
                 "unknown-specifier", f"unknown parameter specifier '[{spec}]'",
                 self.loc(start + 1)))
@@ -413,8 +418,8 @@ class _Parser:
         while self.accept("*"):
             depth += 1
         name = self.expect_ident("parameter name")
-        specifier = ParamSpecifier.IN if spec == "in" else ParamSpecifier.OUT
-        return ParamDecl(specifier, self.texts[c_type], depth, self.texts[name], self.loc(start))
+        return ParamDecl(_SPECIFIERS[spec], self.texts[c_type], depth, self.texts[name],
+                         self.offsets[start], self.lines)
 
     def parse_celltype(self, directive) -> CelltypeDef:
         start = self.expect("celltype")
@@ -433,10 +438,11 @@ class _Parser:
         kind = self.tags[self.pos]
         if kind == "call" or kind == "entry":
             return kind, [self.parse_port(frozenset(modifiers))]
+        if modifiers and kind in ("attr", "var", "factory", "FACTORY"):
+            raise _ParseError(error("misplaced-modifier", "modifiers go on individual attrs"
+                                    if kind == "attr" else f"a {kind} block takes no modifiers",
+                                    self.loc(member)))
         if kind == "attr" or kind == "var":
-            if modifiers and kind == "attr":
-                raise _ParseError(error(
-                    "misplaced-modifier", "modifiers go on individual attrs", self.loc(member)))
             self.take()
             return kind, self.block(lambda: self.parse_member(kind))
         if kind == "factory" or kind == "FACTORY":
@@ -531,13 +537,18 @@ class _Parser:
 
     def build_signature(self) -> SignatureDef:
         """The node of a `SIGNATURE` token, as `parse_signature` builds it."""
-        m, locate, intern, functions = self.decls[self.take()], self.lines.locate, sys.intern, []
-        for f in _compiled(_FUNCTION).finditer(m.string, m.start("body"), m.end("body")):
-            functions.append(FunctionDecl(intern(f[2]), intern(f[1]), tuple([
-                ParamDecl(ParamSpecifier.IN if p[1] == "in" else ParamSpecifier.OUT,
-                          intern(p[2]), p[3].count("*"), intern(p[4]), locate(p.start()))
-                for p in _compiled(_PARAM).finditer(m.string, *f.span(3))]), locate(f.start(2))))
-        return SignatureDef(intern(m["name"]), tuple(functions), locate(m.start()))
+        m, lines, intern, functions = self.decls[self.take()], self.lines, sys.intern, []
+        for f in _compiled(_SIGNATURE_MEMBER).finditer(m.string, m.start("body"), m.end("body")):
+            ret, name, spec, c_type, stars, param = f.groups()
+            if ret:  # a function's params are collected in a list, then frozen
+                params = []
+                functions.append(FunctionDecl(intern(name), intern(ret), params, f.start(2), lines))
+            else:
+                params.append(ParamDecl(_SPECIFIERS[spec], intern(c_type), stars.count("*"),
+                                        intern(param), f.start(), lines))
+        for function in functions:
+            function.params = tuple(function.params)
+        return SignatureDef(intern(m["name"]), tuple(functions), lines.locate(m.start()))
 
     def parse_initializer(self) -> Initializer:
         if self.accept("C_EXP"):

@@ -16,8 +16,8 @@ KNOWN_PLUGINS = ("RustGenPlugin", "ItronrsGenPlugin")
 
 
 class SourceLoc:
-    """`file`, and `line` and `column` from 1: given, or from `lines.where(offset)`
-    on each read for `SourceLoc.at(lines, offset)`. Equal and hashed as the triple."""
+    """`file`, `line` and `column` from 1, equal and hashed as that triple: given, or read from
+    `lines.where(offset)` for `SourceLoc.at(lines, offset)`, which `_LazyLocation` makes."""
 
     __slots__ = ("_lines", "_at")
 
@@ -94,21 +94,28 @@ class Initializer:
     text: str
 
 
+class _LazyLocation:  # `at` is a `SourceLoc`, or an offset into `lines` located when read
+    __slots__ = ()
+    location = property(lambda n: n.at if n.lines is None else SourceLoc.at(n.lines, n.at))
+
+
 @dataclass(slots=True, unsafe_hash=True)
-class ParamDecl:
+class ParamDecl(_LazyLocation):
     specifier: ParamSpecifier
     c_type: str
     pointer_depth: int
     name: str
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class FunctionDecl:
+class FunctionDecl(_LazyLocation):
     name: str
     return_type: str
     params: tuple
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -4,7 +4,9 @@
 give the same unit, the same diagnostics in the same order and the same
 `SourceLoc` on every AST node as this parser, driven by the reference
 tokenizer. `_Parser` and `parse_unit` are the original code, unchanged
-except that `parse_unit` tokenizes with `reference_tokenizer.tokenize`.
+except that `parse_unit` tokenizes with `reference_tokenizer.tokenize`, and
+that modifiers before a `var`, `factory` or `FACTORY` block are a
+`misplaced-modifier`, as they always were before an `attr` block.
 """
 
 from __future__ import annotations
@@ -215,8 +217,15 @@ class _Parser:
                         "misplaced-modifier", "modifiers go on individual attrs", mod_loc))
                 attrs.extend(self.parse_attr_block())
             elif self.check("keyword", "var"):
+                if modifiers:
+                    raise _ParseError(error(
+                        "misplaced-modifier", "a var block takes no modifiers", mod_loc))
                 vars_.extend(self.parse_var_block())
             elif self.check("keyword", "factory") or self.check("keyword", "FACTORY"):
+                if modifiers:
+                    raise _ParseError(error(
+                        "misplaced-modifier", f"a {self.peek().text} block takes no modifiers",
+                        mod_loc))
                 blocks.append(self.parse_factory_block())
             elif "omit" in modifiers:
                 # [omit] directly on an attr outside an attr{} block is not a thing;

@@ -457,10 +457,21 @@ _SIG = "signature sA { void f( void ); };\n"
      "4:1: error[duplicate-cell]: cell 'p' already defined"),
     ("celltype tP {};\ncelltype tP {};\n",
      "2:1: error[duplicate-definition]: celltype 'tP' already defined"),
+    # a modifier goes on a port, or on an attr inside its block; at the first '['
+    (_SIG + "celltype tP { entry sA e; [inline] attr { int32_t n = 1; }; };\n",
+     "2:27: error[misplaced-modifier]: modifiers go on individual attrs"),
+    (_SIG + "celltype tP { entry sA e;\n  [inline] var { int32_t v = 0; }; };\n",
+     "3:3: error[misplaced-modifier]: a var block takes no modifiers"),
+    (_SIG + 'celltype tP { entry sA e; [omit] factory { write("x.cfg", "X"); }; };\n',
+     "2:27: error[misplaced-modifier]: a factory block takes no modifiers"),
+    (_SIG + 'celltype tP { [omit] [inline] FACTORY { write("x.cfg", "X"); }; };\n',
+     "2:15: error[misplaced-modifier]: a FACTORY block takes no modifiers"),
 ], ids=["unknown-signature", "not-a-call-port", "unknown-call-port", "unknown-attribute",
         "duplicate-definition", "duplicate-attr", "duplicate-var", "duplicate-binding",
         "duplicate-attr-init", "empty-write-target", "duplicate-function", "duplicate-param",
-        "duplicate-port", "duplicate-cell", "duplicate-definition-celltype"])
+        "duplicate-port", "duplicate-cell", "duplicate-definition-celltype",
+        "misplaced-modifier-attr", "misplaced-modifier-var", "misplaced-modifier-factory",
+        "misplaced-modifier-FACTORY"])
 def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expected):
     src = tmp_path / "u.cdl"
     src.write_text(text)

@@ -308,6 +308,18 @@ def test_clean_build_resolves_no_location(where_calls):
     assert where_calls == []
 
 
+def test_clean_signature_makes_one_location(monkeypatch):
+    # functions and parameters keep an offset; only the signature keeps a `SourceLoc`
+    made, at = [], SourceLoc.at
+    monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
+    params = "[in] int32_t a, [out] uint8_t* b, [in] T c"
+    text = "signature sS {\n" + "".join(f"  void f{i}( {params} );\n" for i in range(4)) + "};"
+    result = parse_unit(text, "s.cdl")
+    assert result.diagnostics == []
+    assert [len(f.params) for f in result.unit.signatures[0].functions] == [3] * 4
+    assert [offset for _, offset in made] == [0]
+
+
 def test_diagnostics_resolve_their_locations_when_formatted(where_calls):
     text = ("signature sA { void ; };\ncelltype tX {\n    [bad] call sA cA;\n};\n"
             "cell tX X { cA = ; };\n")

@@ -7,7 +7,7 @@ import pytest
 from conftest import golden
 from tecsrust import model
 from tecsrust.cli import generate
-from tecsrust.frontend import parse_unit
+from tecsrust.frontend import LineIndex, parse_unit
 from tecsrust.model import (
     CdlUnit, Diagnostic, FactoryBlock, FunctionDecl, Initializer, ParamDecl, ParamSpecifier,
     PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef, Severity, SourceLoc,
@@ -124,7 +124,8 @@ def test_integer_literal_without_digits_is_rejected(text, message, column, fixed
 
 NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}
 # the fields each node class leaves out of equality and hash; `location` for the rest
-UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set()}
+UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set(),
+              FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"}}
 
 
 def _nodes(value):
@@ -144,7 +145,9 @@ def test_every_model_node_is_a_slotted_value():
     for node in [n for unit in units for n in _nodes(unit)] + parse_unit("cell", "x").diagnostics:
         found.setdefault(type(node), []).append(node)
     assert set(found) == NODE_CLASSES  # the goldens build a node of each class
-    elsewhere = {"location": SourceLoc("elsewhere.cdl", 99, 9), "source_name": "elsewhere.cdl"}
+    loc = SourceLoc("elsewhere.cdl", 99, 9)
+    elsewhere = {"location": loc, "at": loc, "lines": LineIndex("", "elsewhere.cdl"),
+                 "source_name": "elsewhere.cdl"}
     for cls, nodes in found.items():
         assert "__slots__" in vars(cls)
         uncompared = {f.name for f in fields(cls) if not f.compare}

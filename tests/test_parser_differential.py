@@ -4,7 +4,9 @@
 the index-based one, driven by the reference tokenizer. Both must give an
 equal unit, equal diagnostics in the same order, and the same `SourceLoc`
 on every AST node. Node equality skips locations (`compare=False`), so
-they are collected by walking the dataclass fields.
+they are collected by walking the dataclass fields and reading each node's
+`location` attribute: a parsed function or parameter holds an offset, not a
+`SourceLoc`, and makes one only when that attribute is read.
 
 The inputs are the golden CDL files, rendered `strategies.cdl_units`, and
 token-level mutants of both: a token dropped, duplicated or swapped with
@@ -14,8 +16,9 @@ between their tokens, escaped strings, odd literals and names, a second
 directive, a cell inside a celltype body, and truncation. Signature
 declarations are drawn at the edges of the `SIGNATURE` path the same way:
 odd separators and comments, odd parameter lists, specifiers and pointer
-spellings, keywords and non-ASCII letters in names, a directive before a
-signature, a signature inside a celltype body, and truncation.
+spellings, keywords, words that begin with one and non-ASCII letters in
+names, a directive before a signature, a signature inside a celltype body,
+signatures back to back, and truncation.
 """
 
 import dataclasses
@@ -29,8 +32,7 @@ import reference_parser
 from cdl_renderer import render_unit
 from conftest import golden
 from strategies import cdl_units
-from tecsrust.frontend import parse_unit
-from tecsrust.model import SourceLoc
+from tecsrust.frontend import SIGNATURE, parse_unit, tokenize
 
 GOLDEN_TEXTS = [golden("sample.cdl"), golden("kernel_rs.cdl")]
 
@@ -39,12 +41,12 @@ _PIECE = re.compile(r'(//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\w+|\S)(\s*)', re.
 
 
 def locations(node, path="unit"):
-    """(path, SourceLoc) for every location in an AST, in field order."""
-    if isinstance(node, SourceLoc):
-        yield path, node
-    elif dataclasses.is_dataclass(node):
+    """(path, SourceLoc) for every node's `location` in an AST, after its children."""
+    if dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
             yield from locations(getattr(node, f.name), f"{path}.{f.name}")
+        if hasattr(node, "location"):
+            yield f"{path}.location", node.location
     elif isinstance(node, tuple):
         for i, item in enumerate(node):
             yield from locations(item, f"{path}[{i}]")
@@ -223,6 +225,20 @@ def test_signature_declarations(text):
     assert_same(text)
 
 
+# shapes `build_signature` takes in one pass: each signature here is one `SIGNATURE` token
+ONE_PASS_EDGES = [
+    "signature sS { void f( ); void g( void ); int32_t h(void); };",
+    "signature sS { void f( [in] int32_t a, [out] int32_t* b, ); };",
+    "signature sS { void f( [in] int32_t *p, [out] T * * q, [in] uint8_t* r, [out] T*s ); };",
+    "signature sS {\n  int32_t f(\n    [in] int32_t a,\n    [out] int32_t* b\n  );\n};",
+    "signature sS {\r\n\tvoid\r\nf\r\n(\t[in]\r\n\tint32_t\ta\r\n,\t[out]\tT\n*\n*\nb\r\n)\r\n;\r\n};",
+    "signature signatures { cellar entryPoint( [in] cellar calls, [out] attrs* inx ); };",
+    "signature cellar { voidx writer( [in] int32_t outer, [in] C_EXPx factoryx ); };",
+    "signature sS { void f( void ); };signature sT { void g( [in] T* p ); };",
+    "signature sS { void f( void ); }; signature sT {};\nsignature sU { T g( [in] T* p ); };",
+]
+
+
 @pytest.mark.parametrize("text", [
     "signature sS { void f( [out] int32_tdistance ); };",
     "signature sS { void f( [ in ] int32_t*p, [out] T * * q ); };",
@@ -246,6 +262,9 @@ def test_signature_declarations(text):
     "signature sS { void f( void ); }",
     "signature sS { void f( void ) };",
     "signature sS { void f( void ); }; signature sT { void g( [in] int8_t* p ); };",
+    *ONE_PASS_EDGES,
 ])
 def test_signature_declaration_edges(text):
     assert_same(text)
+    if text in ONE_PASS_EDGES:
+        assert tokenize(text)[0].tags.count(SIGNATURE) == text.count("signature ")
