@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .model import CellDef, CelltypeDef
 
@@ -46,24 +46,21 @@ class MacroEnv:
 _HOLE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)\$")
 
 
-def substitute_macros(template: str, env: MacroEnv) -> str:
-    """Fill $ct$ / $cell$ / $attr$ holes in a single pass.
+def substitute_macros(template: str, lookup: Callable[[str], str],
+                      pieces: Dict[str, List[str]]) -> str:
+    """Fill $ct$ / $cell$ / $attr$ holes in a single pass, each with `lookup(name)`,
+    such as `MacroEnv.lookup`; a template is split at its holes once per `pieces` table.
 
     Substituted text is not rescanned; a residual '$' after the pass
     (unbalanced holes, or a hole whose value itself carries holes) is an
     error rather than silent passthrough.
     """
-    return _fill(template, env, {})
-
-
-def _fill(template: str, env: MacroEnv, pieces: Dict[str, List[str]]) -> str:
-    """substitute_macros, splitting a template at its holes once per `pieces` table."""
     split = pieces.get(template)
     if split is None:
         split = pieces[template] = _HOLE.split(template)  # text, hole name, text, ...
     parts = split[:]
     for i in range(1, len(parts), 2):
-        parts[i] = env.lookup(parts[i])
+        parts[i] = lookup(parts[i])
     rendered = "".join(parts)
     if "$" in rendered:
         raise MacroError(f"residual '$' after substitution in {rendered!r}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import naming
-from .emit_rtos import MacroError, _fill, build_env, substitute_macros
+from .emit_rtos import MacroEnv, MacroError, build_env, substitute_macros
 from .model import (
     AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
     SignatureDef, error, has_errors,
@@ -258,8 +258,11 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     f"celltype '{ct.name}' has call port '{port.port_name}' but no "
                     f"bound cell to fix its concrete entry type", port.location))
             continue
+        # declared attr -> its default, the last one given winning as in `build_env`
+        defaults = {a.name: a.default for a in ct.attrs}
+        defaults.update((a.name, a.default) for a in ct.attrs if a.default is not None)
         for rc in cells:
-            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, diags) for a in visible)
+            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, defaults, diags) for a in visible)
             keys = [naming.static_instance_name(rc.cell.name)] + [
                 naming.static_entry_name(p.port_name, rc.cell.name) for p in ct.entry_ports]
             keys += [naming.static_var_name(rc.cell.name)] if ct.vars else []
@@ -315,7 +318,7 @@ def _unwritable(generating, named, sig_index):
                     for f in sig.functions for p in f.params if p.name in bad)
 
 
-def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
+def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
     init = cell.init_for(attr.name) or attr.default
     if init is None:
         diags.append(error(
@@ -324,8 +327,17 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
             f"nor a cell initializer", cell.location))
         return ""
     if init.kind is InitKind.C_EXP and "$" in init.text:
+        def lookup(name: str) -> str:  # `MacroEnv.lookup`'s order, with no env built
+            if name == "ct":
+                return ct.name
+            if name == "cell":
+                return cell.name
+            value = (cell.init_for(name) or defaults[name]) if name in defaults else None
+            if value is None:
+                raise MacroError(f"unresolved macro '${name}$'")
+            return value.text
         try:
-            return substitute_macros(init.text, build_env(ct, cell))
+            return substitute_macros(init.text, lookup, {})  # texts may differ per cell
         except MacroError as exc:
             diags.append(error("unresolved-macro", str(exc), cell.location))
     return init.text
@@ -346,7 +358,8 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     writes first, then its cells' factory writes in cell declaration order.
 
     A macro environment is built once per celltype or cell that has writes, and
-    each distinct template is split at its holes once. Each distinct target is
+    each distinct template is split at its holes once. A template whose only
+    holes are `$ct$`, if any, is filled once per celltype. Each distinct target is
     checked once, at its first write: it must name a file inside `--out` that no
     core emitter writes, and no output may need its path, or a parent of it, as
     both a file and a directory.
@@ -362,13 +375,24 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     rendered: List[PlannedWrite] = []
     paths: Dict[str, str] = {}  # rendered target -> `target_file`
     files, dirs = set(owners["file"]), set()  # each output file, each target's parents
-    pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
+    pieces: Dict[str, List[str]] = {}  # template -> its split
+    fixed: Dict[str, Dict[str, str]] = {}  # celltype -> template -> fill, if no scope changes it
+    for ct in generating:
+        ct_only = MacroEnv(ct.name).lookup  # raises at any hole but `$ct$`
+        fixed[ct.name] = done = {}
+        for t in {t for block in ct.factory_blocks for w in block.writes
+                  for t in (w.target_file, w.template)}:
+            try:
+                done[t] = substitute_macros(t, ct_only, pieces)
+            except MacroError:  # filled per scope, so each write reports its own error
+                pass
     for ct, cell, writes in scopes:
-        env = build_env(ct, cell)
+        env, done = build_env(ct, cell), fixed[ct.name]
         for w in writes:
             try:
-                target = _fill(w.target_file, env, pieces)
-                line = _fill(w.template, env, pieces)
+                target = (done.get(w.target_file)
+                          or substitute_macros(w.target_file, env.lookup, pieces))
+                line = done.get(w.template) or substitute_macros(w.template, env.lookup, pieces)
             except MacroError as exc:
                 diags.append(error("unresolved-macro", str(exc), w.location))
                 continue
@@ -377,7 +401,7 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
                 path = paths[target] = "/".join(parts)
                 parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
                 both = [p for p in parents if p in files] + [path] * (path in dirs)
-                if target.startswith("/") or ".." in parts or not parts:
+                if target.startswith("/") or ".." in parts or not parts or "\0" in target:
                     diags.append(error("write-outside-out", f"factory target '{target}' "
                                        "is not a file inside --out", w.location))
                 elif path in owners["file"]:

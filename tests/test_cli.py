@@ -156,7 +156,9 @@ cell tP P1 {{}};
     ("a/../../x.cfg", "d", "a/../../x.cfg"),
     ("$dst$.cfg", "../via_attr", "../via_attr.cfg"),
     ("$dst$", "", ""),
-], ids=["absolute", "parent", "nested-parent", "from-attr", "empty"])
+    ("a\0b.cfg", "d", "a\0b.cfg"),
+    ("$dst$.cfg", "a\0b", "a\0b.cfg"),
+], ids=["absolute", "parent", "nested-parent", "from-attr", "empty", "nul", "nul-from-attr"])
 def test_factory_target_outside_out_is_a_located_error(tmp_path, capsys, target, dst,
                                                        rendered):
     src = tmp_path / "w.cdl"
@@ -166,6 +168,19 @@ def test_factory_target_outside_out_is_a_located_error(tmp_path, capsys, target,
     assert capsys.readouterr().err.splitlines() == [
         f"{src}:6:15: error[write-outside-out]: factory target "
         f"'{rendered.format(tmp=tmp_path)}' is not a file inside --out"]
+
+
+def test_nul_in_a_celltype_factory_target_writes_nothing(tmp_path, capsys):
+    # open() rejects the name, so it must be refused before the core files are written
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d").replace(
+        'factory { write("x.cfg", "LINE_$cell$"); };',
+        'FACTORY { write("a\0b.cfg", "x"); };'))
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert list(tmp_path.rglob("*")) == [src]
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:15: error[write-outside-out]: factory target 'a\0b.cfg' "
+        "is not a file inside --out"]
 
 
 def test_factory_target_in_a_subdirectory_is_written(tmp_path):

@@ -19,21 +19,21 @@ from tecsrust.model import (
 
 def test_substitute_attr_macro():
     env = MacroEnv(ct="tTask_rs", cell="Task1", attr_values={"id": "1"})
-    assert substitute_macros("TSKID_$id$", env) == "TSKID_1"
+    assert substitute_macros("TSKID_$id$", env.lookup, {}) == "TSKID_1"
 
 
 def test_substitute_ct_macro():
     env = MacroEnv(ct="tTask_rs")
-    assert substitute_macros("$ct$_factory.h", env) == "tTask_rs_factory.h"
+    assert substitute_macros("$ct$_factory.h", env.lookup, {}) == "tTask_rs_factory.h"
 
 
 def test_substitute_without_holes():
-    assert substitute_macros("no holes", MacroEnv(ct="tX")) == "no holes"
+    assert substitute_macros("no holes", MacroEnv(ct="tX").lookup, {}) == "no holes"
 
 
 def test_unknown_macro_is_an_error():
     with pytest.raises(MacroError, match=r"^unresolved macro '\$nope\$'$"):
-        substitute_macros("$nope$", MacroEnv(ct="tX"))
+        substitute_macros("$nope$", MacroEnv(ct="tX").lookup, {})
     text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
             '  factory { write("x.cfg", "$nope$"); };\n};\ncell tX X1 {};\n')
     model, diags = resolve([parse_unit(text, "m.cdl").unit])
@@ -56,12 +56,12 @@ def test_unbalanced_holes_are_rejected():
 def test_single_pass_no_rescan():
     env = MacroEnv(ct="tX", attr_values={"a": "$b$", "b": "2"})
     with pytest.raises(MacroError):
-        substitute_macros("$a$", env)  # residual hole is an error, not re-expanded
+        substitute_macros("$a$", env.lookup, {})  # residual hole is an error, not re-expanded
 
 
 def test_cell_macro_outside_cell_context():
     with pytest.raises(MacroError):
-        substitute_macros("$cell$", MacroEnv(ct="tX", cell=None))
+        substitute_macros("$cell$", MacroEnv(ct="tX", cell=None).lookup, {})
 
 
 def test_omit_attrs_feed_the_env(kernel_text):
@@ -101,11 +101,55 @@ cell tTask_rs Task2 { cTaskBody = MainBody.eBody; id = 2; priority = 1; stackSiz
     plan = plan_emission(model)
     writes, w_diags = run_factory(model, plan)
     assert not w_diags and len(writes) == len(plan.config_writes) == 4
-    # first one per cell whose attrs hold `$macro$` holes (`task_ref`), while checking;
-    # then the factory's: one per celltype with FACTORY writes, then one per cell with
-    # factory writes
-    assert scopes[:2] == [("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
-    assert scopes[2:] == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    # one per celltype with FACTORY writes, then one per cell with factory writes; the
+    # attr texts (`task_ref`'s `$id$`) are filled with none
+    assert scopes == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+
+
+FILL_ONCE_UNIT = """signature sP { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tA {
+    entry sP eP;
+    factory { write("all.cfg", "L_$cell$"); write("$ct$_x.h", "H_$cell$"); };
+    FACTORY { write("all.cfg", "I_$ct$"); };
+};
+[generate(RustGenPlugin, "lib")]
+celltype tB {
+    entry sP eP;
+    factory { write("all.cfg", "L_$cell$"); write("$ct$_x.h", "H_$cell$"); };
+};
+cell tA A1 {}; cell tB B1 {}; cell tA A2 {}; cell tB B2 {};
+"""
+
+
+def test_fixed_templates_are_filled_once_per_celltype(monkeypatch):
+    filled = []  # each template filled without an error, once per fill
+
+    def counting_fill(template, lookup, pieces):
+        text = substitute_macros(template, lookup, pieces)
+        filled.append(template)
+        return text
+
+    monkeypatch.setattr(linker, "substitute_macros", counting_fill)
+    model, diags = resolve([parse_unit(FILL_ONCE_UNIT, "f.cdl").unit])
+    assert not diags
+    assert [(w.target_file, w.rendered_line) for w in model.config_writes] == [
+        ("all.cfg", "I_tA"), ("all.cfg", "L_A1"), ("tA_x.h", "H_A1"), ("all.cfg", "L_B1"),
+        ("tB_x.h", "H_B1"), ("all.cfg", "L_A2"), ("tA_x.h", "H_A2"), ("all.cfg", "L_B2"),
+        ("tB_x.h", "H_B2")]
+    # hole-free and `$ct$`-only templates: once per celltype, however many writes use them
+    assert [filled.count(t) for t in ["all.cfg", "$ct$_x.h", "I_$ct$"]] == [2, 2, 1]
+    # a `$cell$` line: once per cell
+    assert filled.count("L_$cell$") == filled.count("H_$cell$") == 4
+
+
+def test_a_fixed_template_that_fails_is_reported_at_each_write():
+    text = FILL_ONCE_UNIT.replace('"all.cfg"', '"a$$.cfg"')
+    model, diags = resolve([parse_unit(text, "f.cdl").unit])
+    assert model is None
+    message = "error[unresolved-macro]: residual '$' after substitution in 'a$$.cfg'"
+    assert [str(d) for d in diags] == [f"f.cdl:{line}: {message}" for line in [
+        "6:15", "5:15", "11:15", "5:15", "11:15"]]
 
 
 def test_preamble_lines(kernel_outputs):
