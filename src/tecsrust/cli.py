@@ -11,13 +11,14 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
-from . import emit_core, emit_rtos, header_const
-from .emit_core import GeneratedFile, SkeletonFile, WritePolicy
-from .frontend import LineIndex, parse_unit
-from .linker import EmissionPlan, GenerationReport, ResolvedModel, plan_emission, resolve
-from .model import Diagnostic, KNOWN_PLUGINS, error, has_errors, validate_unit
+from . import header_const
+from .diagnostics import Diagnostic, LineIndex, error, has_errors
+
+if TYPE_CHECKING:  # the compile pipeline is imported where it runs: bindgen-lite loads none
+    from .emit_core import GeneratedFile, SkeletonFile
+    from .linker import EmissionPlan, ResolvedModel
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -34,6 +35,12 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
     error diagnostic occurred. Skeletons are rendered only when their
     `content` is read (see `SkeletonFile`).
     """
+    from . import emit_core, emit_rtos
+    from .emit_core import GeneratedFile, SkeletonFile, WritePolicy
+    from .frontend import parse_unit
+    from .linker import GenerationReport, plan_emission, resolve
+    from .model import validate_unit
+
     diags: List[Diagnostic] = []
     units = []
     for name, text in sources:
@@ -76,6 +83,8 @@ def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) 
     so it keeps its mtime and a build tool sees no change. Each output
     directory is made and listed once.
     """
+    from .emit_core import WritePolicy
+
     out_dir.mkdir(parents=True, exist_ok=True)
     listed: Dict[Path, Set[str]] = {}  # names in each output directory before this call wrote there
     written = []
@@ -179,6 +188,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "bindgen-lite":
         return _run_bindgen_lite(argv[1:])
+
+    from .model import KNOWN_PLUGINS
 
     parser = argparse.ArgumentParser(
         prog="tecsrust",

@@ -13,14 +13,14 @@ text: keywords, punctuation and names are interned, so each distinct text
 exists once, and the offsets sit in an `array`. A tag is the token's text
 for keywords and punctuation, and its kind ("identifier", "string",
 "integer") otherwise, so the parser tests a token with one comparison.
-`LineIndex.locate` turns an offset into a `SourceLoc` that keeps the index and
-the offset; `LineIndex.where` bisects the line starts only when that is read,
-as when a diagnostic is printed. Lines end at '\n' only; columns count from 1.
+`LineIndex.locate` (in `diagnostics`) turns an offset into a `SourceLoc` that
+keeps the index and the offset; the line is found only when that is read.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
 bounds check. A clean parse resolves no location: a `SourceLoc` is made only
-where a diagnostic or a node keeps one, and functions and parameters keep offsets.
+where a diagnostic or a declaration keeps one; functions, parameters, bindings and
+attr initializers keep offsets.
 
 A `cell` or `signature` declaration of the common shape is one token: tag
 `CELL` or `SIGNATURE`, text its source slice, offset its start, match
@@ -35,16 +35,14 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .diagnostics import Diagnostic, LineIndex, SourceLoc, error, has_errors
 from .model import (
-    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, Diagnostic,
-    FactoryBlock, FactoryScope, FactoryWrite, FunctionDecl, InitKind,
-    Initializer, ParamDecl, ParamSpecifier, PluginDirective, PortDecl,
-    PortDirection, SignatureDef, SourceLoc, VarDecl, error, has_errors,
+    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock, FactoryScope,
+    FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl, ParamSpecifier,
+    PluginDirective, PortDecl, PortDirection, SignatureDef, VarDecl,
 )
 
 KEYWORDS = {
@@ -113,29 +111,6 @@ def _unescape(string: str) -> str:
     return _ESCAPE.sub(lambda e: _UNESCAPE.get(e[1], e[1]), string) if "\\" in string else string
 
 
-class LineIndex:
-    """Line-start offsets of one source text, shared by its tokens and locations."""
-
-    __slots__ = ("source_name", "starts")
-
-    def __init__(self, text: str, source_name: str):
-        self.source_name = source_name
-        # 4 bytes each where they fit; `Tokens.offsets` takes the same typecode
-        self.starts = array("I" if len(text) < 1 << 32 else "q", [0])
-        self.starts.extend(m.end() for m in re.finditer("\n", text))
-
-    def locate(self, offset: int) -> SourceLoc:
-        """The location of `offset`; `where` resolves it when it is read."""
-        return SourceLoc.at(self, offset)
-
-    def where(self, offset: int) -> Tuple[str, int, int]:
-        line = bisect_right(self.starts, offset)
-        return self.source_name, line, offset - self.starts[line - 1] + 1
-
-    def __repr__(self) -> str:  # as part of a node's repr: the same for each parse of a file
-        return "<LineIndex of %r>" % self.source_name
-
-
 class Tokens:
     """The token stream of one source, as parallel sequences.
 
@@ -150,7 +125,7 @@ class Tokens:
     def __init__(self, lines: LineIndex):
         self.tags: List[Optional[str]] = []
         self.texts: List[str] = []
-        self.offsets = array(lines.starts.typecode)
+        self.offsets = lines.offset_array()
         self.lines = lines
         self.decls: Dict[int, re.Match] = {}  # token index -> `_DECLS` match
 
@@ -506,34 +481,35 @@ class _Parser:
             self.take()  # '.'
             target_port = self.expect_ident("binding target")
             member = Binding(self.texts[lhs], self.texts[target_cell], self.texts[target_port],
-                             self.loc(lhs))
+                             self.offsets[lhs], self.lines)
         elif self.check(";") or self.check("}"):
             raise _ParseError(error(
                 "expected-binding-target",
                 f"expected binding target or initializer after '{self.texts[lhs]} ='",
                 self.loc()))
         else:
-            member = AttrInit(self.texts[lhs], self.parse_initializer(), self.loc(lhs))
+            member = AttrInit(self.texts[lhs], self.parse_initializer(), self.offsets[lhs],
+                              self.lines)
         self.expect(";")
         return member
 
     def build_cell(self) -> CellDef:
         """The node of a `CELL` token, as `parse_directive` and `parse_cell` build it."""
-        m, locate, intern = self.decls[self.take()], self.lines.locate, sys.intern
+        m, lines, intern = self.decls[self.take()], self.lines, sys.intern
         directive = m["plugin"] and PluginDirective(
-            intern(m["plugin"]), _unescape(m["arg"]), locate(m.start()))
+            intern(m["plugin"]), _unescape(m["arg"]), lines.locate(m.start()))
         bindings, inits = [], []
         for member in _compiled(_MEMBER).finditer(m.string, m.start("body"), m.end("body")):
             lhs, target_cell, target_port, c_exp, literal = member.groups()
-            lhs, loc = intern(lhs), locate(member.start(1))
+            lhs, at = intern(lhs), member.start(1)
             if target_cell is not None:
-                bindings.append(Binding(lhs, intern(target_cell), intern(target_port), loc))
-            elif c_exp is not None:
-                inits.append(AttrInit(lhs, Initializer(InitKind.C_EXP, _unescape(c_exp)), loc))
+                bindings.append(Binding(lhs, intern(target_cell), intern(target_port), at, lines))
             else:
-                inits.append(AttrInit(lhs, Initializer(InitKind.LITERAL, intern(literal)), loc))
+                value = (Initializer(InitKind.C_EXP, _unescape(c_exp)) if c_exp is not None
+                         else Initializer(InitKind.LITERAL, intern(literal)))
+                inits.append(AttrInit(lhs, value, at, lines))
         return CellDef(intern(m["name"]), intern(m["celltype"]), tuple(bindings), tuple(inits),
-                       directive, locate(m.start("cell")))
+                       directive, lines.locate(m.start("cell")))
 
     def build_signature(self) -> SignatureDef:
         """The node of a `SIGNATURE` token, as `parse_signature` builds it."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .model import Diagnostic, SourceLoc, warning
+from .diagnostics import Diagnostic, SourceLoc, warning
 
 _DEFINE_LINE = re.compile(
     r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\s+"
@@ -30,7 +30,9 @@ def convert_defines(header_text: str, source_name: str = "<header>"
     """
     out: List[str] = []
     diags: List[Diagnostic] = []
-    for lineno, line in enumerate(header_text.splitlines(), start=1):
+    # lines end at '\r\n', '\r' or '\n' only, as C and `cli._read` count them
+    lines = header_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         m = _DEFINE_LINE.match(line)
         if m:
             name, sign, digits = m.groups()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -12,6 +13,7 @@ from .model import (
     SignatureDef, error, has_errors,
 )
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 and DEL: refused in a factory target
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
                 "field": "duplicate-field"}
 _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
@@ -360,9 +362,9 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     A macro environment is built once per celltype or cell that has writes, and
     each distinct template is split at its holes once. A template whose only
     holes are `$ct$`, if any, is filled once per celltype. Each distinct target is
-    checked once, at its first write: it must name a file inside `--out` that no
-    core emitter writes, and no output may need its path, or a parent of it, as
-    both a file and a directory.
+    checked once, at its first write: it must name a file inside `--out`, with no
+    control character, that no core emitter writes, and no output may need its
+    path, or a parent of it, as both a file and a directory.
     """
     def writes_of(ct, scope):
         return [w for block in ct.factory_blocks if block.scope is scope for w in block.writes]
@@ -401,8 +403,9 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
                 path = paths[target] = "/".join(parts)
                 parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
                 both = [p for p in parents if p in files] + [path] * (path in dirs)
-                if target.startswith("/") or ".." in parts or not parts or "\0" in target:
-                    diags.append(error("write-outside-out", f"factory target '{target}' "
+                if target[:1] == "/" or ".." in parts or not parts or _CONTROL.search(target):
+                    shown = _CONTROL.sub(lambda c: repr(c[0])[1:-1], target)  # one line: '\n'
+                    diags.append(error("write-outside-out", f"factory target '{shown}' "
                                        "is not a file inside --out", w.location))
                 elif path in owners["file"]:
                     diags.append(error("path-collision", f"factory target '{target}' "

@@ -11,71 +11,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .diagnostics import (  # noqa: F401  (re-exported for `from tecsrust.model import`)
+    Diagnostic, Severity, SourceLoc, error, has_errors, warning,
+)
+
 
 KNOWN_PLUGINS = ("RustGenPlugin", "ItronrsGenPlugin")
-
-
-class SourceLoc:
-    """`file`, `line` and `column` from 1, equal and hashed as that triple: given, or read from
-    `lines.where(offset)` for `SourceLoc.at(lines, offset)`, which `_LazyLocation` makes."""
-
-    __slots__ = ("_lines", "_at")
-
-    def __init__(self, file: str = "<unknown>", line: int = 0, column: int = 0):
-        self._lines, self._at = None, (file, line, column)
-
-    @classmethod
-    def at(cls, lines, offset: int) -> "SourceLoc":
-        loc = object.__new__(cls)
-        loc._lines, loc._at = lines, offset
-        return loc
-
-    def _triple(self) -> tuple:
-        return self._at if self._lines is None else self._lines.where(self._at)
-
-    file = property(lambda self: self._triple()[0])
-    line = property(lambda self: self._triple()[1])
-    column = property(lambda self: self._triple()[2])
-
-    def __eq__(self, other):
-        return self._triple() == other._triple() if isinstance(other, SourceLoc) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._triple())
-
-    def __repr__(self) -> str:
-        return "SourceLoc(file=%r, line=%r, column=%r)" % self._triple()
-
-    def __str__(self) -> str:
-        return "%s:%s:%s" % self._triple()
-
-
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    location: SourceLoc
-
-    def __str__(self) -> str:
-        return f"{self.location}: {self.severity.value}[{self.code}]: {self.message}"
-
-
-def error(code: str, message: str, location: SourceLoc) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, location)
-
-
-def warning(code: str, message: str, location: SourceLoc) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, location)
-
-
-def has_errors(diags) -> bool:
-    return any(d.severity is Severity.ERROR for d in diags)
 
 
 class ParamSpecifier(Enum):
@@ -198,18 +139,20 @@ class CelltypeDef:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Binding:
+class Binding(_LazyLocation):
     call_port_name: str
     target_cell_name: str
     target_entry_port_name: str
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class AttrInit:
+class AttrInit(_LazyLocation):
     attr_name: str
     value: Initializer
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -256,16 +199,17 @@ def _balanced_holes(text: str) -> bool:
     return text.count("$") % 2 == 0
 
 
-def _check_literal(init, where: str, location, diags) -> None:
+def _check_literal(init, node, where: str, diags) -> None:
     """Integer literals the tokenizer takes but Rust reads otherwise: '0x' has no
-    digits, Rust has no '0X' prefix, and '010' is octal (8) in C but decimal (10) in Rust."""
+    digits, Rust has no '0X' prefix, and '010' is octal (8) in C but decimal (10) in Rust.
+    `where` names `node`, the attr, var or cell initializer, as `where.format(node)`."""
     digits = init.text.lstrip("-") if init is not None and init.kind is InitKind.LITERAL else ""
     problem = ("has no digits" if digits.lower() == "0x" else "has a '0X' prefix, which Rust "
                "does not accept" if digits[:2] == "0X" else "has a leading zero (octal in C, "
                "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
     if problem:
-        diags.append(error(
-            "bad-integer", f"integer literal '{init.text}' in {where} {problem}", location))
+        diags.append(error("bad-integer", f"integer literal '{init.text}' in "
+                           f"{where.format(node)} {problem}", node.location))
 
 
 def validate_unit(unit: CdlUnit) -> list:
@@ -312,9 +256,9 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in default of attr '{a.name}'",
                     a.location))
-            _check_literal(a.default, f"default of attr '{a.name}'", a.location, diags)
+            _check_literal(a.default, a, "default of attr '{0.name}'", diags)
         for v in ct.vars:
-            _check_literal(v.default, f"default of var '{v.name}'", v.location, diags)
+            _check_literal(v.default, v, "default of var '{0.name}'", diags)
         for block in ct.factory_blocks:
             for w in block.writes:
                 if not w.target_file:
@@ -345,8 +289,7 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in initializer of '{init.attr_name}'",
                     init.location))
-            _check_literal(init.value, f"initializer of '{init.attr_name}'",
-                           init.location, diags)
+            _check_literal(init.value, init, "initializer of '{0.attr_name}'", diags)
         _check_directive(cell.generate_directive, diags)
 
     return diags

@@ -5,8 +5,10 @@ environment per attr text and per factory scope, kept as the reference.
 with `attr_text` and `render_factory` below in place of the linker's own, and
 requires the same attr texts, factory writes and diagnostics. `MacroEnv`,
 `substitute_macros`, `_fill`, `build_env`, `attr_text` and `render_factory` are
-the original code, unchanged but for their names and that a NUL in a rendered
-target is refused (`write-outside-out`), as `open()` cannot name such a file.
+the original code, unchanged but for their names and that a control character
+(U+0000-U+001F, U+007F) in a rendered target is refused (`write-outside-out`), as
+`open()` cannot name a file with a NUL, and shown escaped, so the diagnostic stays
+one line.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ def render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
                 path = paths[target] = "/".join(parts)
                 parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
                 both = [p for p in parents if p in files] + [path] * (path in dirs)
-                if target.startswith("/") or ".." in parts or not parts or "\0" in target:
-                    diags.append(error("write-outside-out", f"factory target '{target}' "
+                control = [c for c in target if c < " " or c == "\x7f"]
+                if target.startswith("/") or ".." in parts or not parts or control:
+                    shown = "".join(repr(c)[1:-1] if c in control else c for c in target)
+                    diags.append(error("write-outside-out", f"factory target '{shown}' "
                                        "is not a file inside --out", w.location))
                 elif path in owners["file"]:
                     diags.append(error("path-collision", f"factory target '{target}' "

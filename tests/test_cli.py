@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
 from strategies import cdl_units_with_gaps
+import tecsrust
 from tecsrust import naming
 from tecsrust.cli import (
     EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run,
@@ -156,9 +159,13 @@ cell tP P1 {{}};
     ("a/../../x.cfg", "d", "a/../../x.cfg"),
     ("$dst$.cfg", "../via_attr", "../via_attr.cfg"),
     ("$dst$", "", ""),
-    ("a\0b.cfg", "d", "a\0b.cfg"),
-    ("$dst$.cfg", "a\0b", "a\0b.cfg"),
-], ids=["absolute", "parent", "nested-parent", "from-attr", "empty", "nul", "nul-from-attr"])
+    ("a\0b.cfg", "d", "a\\x00b.cfg"),
+    ("$dst$.cfg", "a\0b", "a\\x00b.cfg"),
+    ("a\\nb.cfg", "d", "a\\nb.cfg"),
+    ("$dst$.cfg", "a\\tb", "a\\tb.cfg"),
+    ("a\x01b\x7f.cfg", "d", "a\\x01b\\x7f.cfg"),
+], ids=["absolute", "parent", "nested-parent", "from-attr", "empty", "nul", "nul-from-attr",
+        "newline-escape", "tab-from-attr", "raw-c0-and-del"])
 def test_factory_target_outside_out_is_a_located_error(tmp_path, capsys, target, dst,
                                                        rendered):
     src = tmp_path / "w.cdl"
@@ -179,8 +186,23 @@ def test_nul_in_a_celltype_factory_target_writes_nothing(tmp_path, capsys):
     assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
     assert list(tmp_path.rglob("*")) == [src]
     assert capsys.readouterr().err.splitlines() == [
-        f"{src}:6:15: error[write-outside-out]: factory target 'a\0b.cfg' "
+        f"{src}:6:15: error[write-outside-out]: factory target 'a\\x00b.cfg' "
         "is not a file inside --out"]
+
+
+def test_control_characters_in_celltype_factory_targets_write_nothing(tmp_path, capsys):
+    # each refused at its write and shown escaped, so each diagnostic stays one line
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="x.cfg", dst="d").replace(
+        'factory { write("x.cfg", "LINE_$cell$"); };',
+        'FACTORY { write("a\\nb.cfg", "x"); write("c\\td.cfg", "y"); '
+        'write("e\x1bf.cfg", "z"); };'))
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert list(tmp_path.rglob("*")) == [src]
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:{col}: error[write-outside-out]: factory target '{shown}' "
+        "is not a file inside --out"
+        for col, shown in ((15, "a\\nb.cfg"), (39, "c\\td.cfg"), (63, "e\\x1bf.cfg"))]
 
 
 def test_factory_target_in_a_subdirectory_is_written(tmp_path):
@@ -394,6 +416,36 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
     header = str(GOLDENS / "kernel_cfg.h")
     assert run(["bindgen-lite", header, "-o", str(out)]) == EXIT_OK
     assert out.read_text() == golden("kernel_cfg.rs")
+
+
+COMPILE_STAGES = {f"tecsrust.{m}"
+                  for m in ("frontend", "model", "linker", "emit_core", "emit_rtos", "naming")}
+
+
+def _bindgen_lite_process(header: Path, out: Path):
+    """`python -m tecsrust.cli bindgen-lite` in a process of its own: its exit code,
+    its stderr but for `-X importtime` lines, and the modules it imported."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tecsrust.cli", "bindgen-lite", str(header),
+         "-o", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(tecsrust.__file__).parents[1])))
+    lines = done.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return done.returncode, "".join(l for l in lines if not l.startswith("import time:")), imported
+
+
+def test_bindgen_lite_loads_only_the_header_converter(tmp_path):
+    out = tmp_path / "kernel_cfg.rs"
+    code, err, imported = _bindgen_lite_process(GOLDENS / "kernel_cfg.h", out)
+    assert (code, err) == (EXIT_OK, "") and out.read_text() == golden("kernel_cfg.rs")
+    assert {"tecsrust.diagnostics", "tecsrust.header_const"} <= imported
+    assert not imported & COMPILE_STAGES
+    bad = tmp_path / "bad.h"
+    bad.write_bytes(b"#define A 1\n#define B \xff\n")
+    code, err, imported = _bindgen_lite_process(bad, tmp_path / "bad.rs")
+    assert (code, err) == (EXIT_DIAGNOSTICS, f"{bad}:2:11: error[bad-encoding]: "
+                                             "input is not valid UTF-8 (byte 0xff)\n")
+    assert not imported & COMPILE_STAGES and not (tmp_path / "bad.rs").exists()
 
 
 def test_bindgen_lite_leaves_an_unchanged_output_alone(tmp_path):

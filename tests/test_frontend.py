@@ -15,7 +15,7 @@ from strategies import cdl_units
 from tecsrust.frontend import (
     CELL, EOF, SIGNATURE, LineIndex, parse_unit, tokenize,
 )
-from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity, SourceLoc
+from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity, SourceLoc, validate_unit
 
 from test_model import SIG_TEXT
 
@@ -318,6 +318,38 @@ def test_clean_signature_makes_one_location(monkeypatch):
     assert result.diagnostics == []
     assert [len(f.params) for f in result.unit.signatures[0].functions] == [3] * 4
     assert [offset for _, offset in made] == [0]
+
+
+@pytest.mark.parametrize("comment", ["", "/* plain tokens */ "], ids=["fast-path", "token-path"])
+def test_clean_cell_makes_one_location_and_one_for_its_directive(monkeypatch, comment):
+    # bindings and initializers keep an offset; the cell and its directive keep a `SourceLoc`
+    made, at = [], SourceLoc.at
+    monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
+    text = ('[generate(RustGenPlugin, "lib")]\ncell tT T {\n  cA = U.eA; cB = V.eB;\n'
+            f'  {comment}x = 1; y = C_EXP("Y");\n}};\n')
+    assert (CELL in tokenize(text)[0].tags) == (not comment)  # a comment stops the fast path
+    result = parse_unit(text, "c.cdl")
+    assert result.diagnostics == [] and validate_unit(result.unit) == []
+    assert sorted(offset for _, offset in made) == [0, text.index("cell")]
+    cell = result.unit.cells[0]
+    members = cell.bindings + cell.attr_inits
+    assert [m.location for m in members] == [
+        SourceLoc("c.cdl", text.count("\n", 0, o) + 1, o - text.rfind("\n", 0, o))
+        for o in (text.index(f"{name} =") for name in ("cA", "cB", "x", "y"))]
+
+
+def test_clean_build_builds_no_line_table():
+    # the line starts are found at the first location read, which a clean build never makes
+    for name in ("sample.cdl", "kernel_rs.cdl", *workloads.WORKLOADS):
+        sources = ([(name, golden(name))] if name.endswith(".cdl")
+                   else list(workloads.build(name, 1, scale=0.02).sources.items()))
+        files, _, model, diags = generate(sources)
+        assert files and diags == []
+        indexes = {f.lines for sig in model.signature_index.values() for f in sig.functions}
+        indexes |= {m.lines for rc in model.cells for m in rc.cell.bindings + rc.cell.attr_inits}
+        assert indexes and all(lines._starts is None for lines in indexes)
+    lines = indexes.pop()
+    assert str(lines.locate(0)).endswith(":1:1") and lines._starts is not None
 
 
 def test_diagnostics_resolve_their_locations_when_formatted(where_calls):

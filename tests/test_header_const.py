@@ -9,6 +9,19 @@ def test_kernel_header_matches_figure():
     assert diags == []
 
 
+def test_lines_end_only_at_cr_and_lf():
+    # a form feed, NEL or line separator ends no line in C: it moves no location and
+    # cuts no quoted line short
+    out, diags = convert_defines("/* page */\f\n#define X 1\r\n/* a\x85b\u2028c */\r"
+                                 "#define Y (2) /* \x85 */\n#define Z 08\n", "ff.h")
+    assert out == "pub const X: i32 = 1;\n"
+    assert [str(d) for d in diags] == [
+        "ff.h:4:1: warning[non-literal-define]: skipped #define without a bare integer "
+        "value: '#define Y (2) /* \\x85 */'",
+        "ff.h:5:1: warning[non-literal-define]: skipped #define without a bare integer "
+        "value: '#define Z 08'"]
+
+
 def test_empty_input():
     assert convert_defines("") == ("", [])
 

@@ -9,7 +9,7 @@ from tecsrust import model
 from tecsrust.cli import generate
 from tecsrust.frontend import LineIndex, parse_unit
 from tecsrust.model import (
-    CdlUnit, Diagnostic, FactoryBlock, FunctionDecl, Initializer, ParamDecl, ParamSpecifier,
+    AttrInit, Binding, CdlUnit, Diagnostic, FactoryBlock, FunctionDecl, Initializer, ParamDecl, ParamSpecifier,
     PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef, Severity, SourceLoc,
     has_errors, validate_unit,
 )
@@ -125,7 +125,8 @@ def test_integer_literal_without_digits_is_rejected(text, message, column, fixed
 NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}
 # the fields each node class leaves out of equality and hash; `location` for the rest
 UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set(),
-              FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"}}
+              FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"},
+              Binding: {"at", "lines"}, AttrInit: {"at", "lines"}}
 
 
 def _nodes(value):
