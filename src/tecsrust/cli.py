@@ -152,11 +152,11 @@ def report(plan: EmissionPlan) -> str:
 def _read(name: str) -> Tuple[Optional[str], int]:
     """File `name`'s text, or None and an exit code after printing why there is none."""
     try:
-        return Path(name).read_text(encoding="utf-8"), EXIT_OK
+        return Path(name).read_text(encoding="utf-8-sig"), EXIT_OK  # a leading BOM is no text
     except OSError as exc:
         print(f"error: cannot read {name}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    except UnicodeDecodeError as exc:  # exc.object: the whole file; newlines as read_text has them
+    except UnicodeDecodeError as exc:  # exc.object: the text's bytes; newlines as read_text has them
         prefix = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         print(error("bad-encoding", f"input is not valid UTF-8 (byte {exc.object[exc.start]:#04x})",
                     LineIndex(prefix, name).locate(len(prefix))), file=sys.stderr)

@@ -18,16 +18,15 @@ keeps the index and the offset; the line is found only when that is read.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
-bounds check. A clean parse resolves no location: a `SourceLoc` is made only
-where a diagnostic or a declaration keeps one; functions, parameters, bindings and
-attr initializers keep offsets.
+bounds check. A clean parse resolves no location: signatures, celltypes and
+their members keep a `SourceLoc`; cells, directives and the rest an offset.
 
-A `cell` or `signature` declaration of the common shape is one token: tag
-`CELL` or `SIGNATURE`, text its source slice, offset its start, match
-(`_CELL`, `_SIGNATURE`) in `Tokens.decls`. The parser takes it at top level
-only, with no directive before it, and builds the nodes the token grammar
-would. If that pass reports anything, `parse_unit` parses the text again from
-plain tokens, so the token grammar alone reports and recovers.
+A `cell` or `signature` declaration of the common shape is scanned once, by `_scan_cell`
+or `_scan_signature`, which build its node as the parser would. It is one token: tag
+`CELL` or `SIGNATURE`, text its source slice, offset its start, node in `Tokens.decls`.
+The parser takes the node at top level only, with no directive before it. If that pass
+reports anything, `parse_unit` parses the text again from plain tokens, so the token
+grammar alone reports and recovers.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ _STRING = r'(?:\\.|[^"\\\n])*'
 
 # One alternative per token class; the named group that matched is the
 # token class, and whitespace and comments match unnamed. `decl` is where a
-# `_CELL` or a `_SIGNATURE` may start; its first character is outside the
+# fast-path cell or signature may start; its first character is outside the
 # group, so that the regex engine rejects it at any other character without
 # entering it. `fixed` is a keyword or punctuation, whose text is its tag.
 # `other` takes a bad character, or the start of a token with non-ASCII
@@ -80,30 +79,27 @@ _WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPE = {"n": "\n", "t": "\t"}
 
-# `_CELL` is an optional `[generate(P, "...")]`, then `cell T N { m* };`, each `m` a
-# binding, a C_EXP or a literal. `_SIGNATURE` is `signature S { f* };`, each `f` `R F(
-# void );` or `R F( p, ... );` with 0 or more `p` `[in|out] T *... P`, a trailing comma
-# allowed. Names are not keywords and only [ \t\r\n] separates tokens, so `_SIGNATURE_MEMBER`
-# splits a body alike; T ends at a word boundary, or backtracking would split `Tp` in two.
+# A fast-path declaration is a head, then members up to `};`, each with the separators after
+# it; the empty alternative matches where none does. A match's `lastindex` is its kind. In
+# `_MEMBER`: a binding, C_EXP or literal (3, 4, 5) or the close (6). In `_FUNCTION_MEMBER`: a
+# parameter (4, or 5 with a comma after it), `R F(` (7), `void );` (8), `);` (9) or the close
+# (10); `_FOLLOWS` is what may follow each, the '{' counting as 9. Names are not keywords;
+# T ends at a word boundary, or backtracking would split `Tp` in two.
 _PARTS = {"s": r"[ \t\r\n]*", "name": r"(?!%s)[A-Za-z_]\w*" % _KEYWORD,
           "string": _STRING, "integer": _INTEGER}
-_MEMBER = r"""%(s)s(%(name)s)%(s)s=%(s)s
+_CELL_HEAD = r"""(?:\[%(s)sgenerate%(s)s\(%(s)s(?P<plugin>%(name)s)%(s)s,%(s)s"(?P<arg>%(string)s)"
+    %(s)s\)%(s)s\]%(s)s)?(?P<cell>cell)[ \t\r\n]+(?P<celltype>%(name)s)[ \t\r\n]+(?P<name>%(name)s)
+    %(s)s\{%(s)s""" % _PARTS
+_MEMBER = r"""(?:(%(name)s)%(s)s=%(s)s
     (?: (%(name)s)%(s)s\.%(s)s(%(name)s) | C_EXP%(s)s\(%(s)s"(%(string)s)"%(s)s\)
-      | (%(integer)s|%(name)s) )%(s)s;""" % _PARTS
-_CELL = r"""
-    (?:\[%(s)sgenerate%(s)s\(%(s)s(?P<plugin>%(name)s)%(s)s,%(s)s"(?P<arg>%(string)s)"
-       %(s)s\)%(s)s\]%(s)s)?
-    (?P<cell>cell)[ \t\r\n]+(?P<celltype>%(name)s)[ \t\r\n]+(?P<name>%(name)s)%(s)s\{
-    (?P<body>(?:%(member)s)*)%(s)s\}%(s)s;
-""" % dict(_PARTS, member=_MEMBER)
+      | (%(integer)s|%(name)s) )%(s)s;%(s)s | \}%(s)s;() | )""" % _PARTS
+_SIGNATURE_HEAD = r"signature[ \t\r\n]+(%(name)s)%(s)s\{%(s)s" % _PARTS
 _PARAM = r"\[%(s)s(in|out)%(s)s\]%(s)s(%(name)s)(?!\w)%(s)s((?:\*%(s)s)*)(%(name)s)" % _PARTS
-_SIGNATURE = r"""signature[ \t\r\n]+(?P<name>%(name)s)%(s)s\{(?P<body>(?:%(s)s%(name)s[ \t\r\n]+
-    %(name)s%(s)s\(%(s)s(?:void%(s)s|(?:%(param)s%(s)s(?:,%(s)s|(?=\))))*)\)%(s)s;)*)%(s)s\}%(s)s;
-""" % dict(_PARTS, param=_PARAM)
-_SIGNATURE_MEMBER = r"(\w+)\s+(\w+)\s*\(|\[\s*(\w+)\s*\]\s*(\w+)([\s*]*)(\w+)"  # `R F(` or `p`
+_FUNCTION_MEMBER = r"""(?:%(param)s%(s)s(?:(,)%(s)s)? | (%(name)s)[ \t\r\n]+(%(name)s)%(s)s\(%(s)s
+    | void%(s)s\)%(s)s;%(s)s() | \)%(s)s;%(s)s() | \}%(s)s;() | )""" % dict(_PARTS, param=_PARAM)
+_FOLLOWS = {9: (7, 10), 8: (7, 10), 7: (4, 5, 8, 9), 5: (4, 5, 9), 4: (9,)}
 _SPECIFIERS = {"in": ParamSpecifier.IN, "out": ParamSpecifier.OUT}
 CELL, SIGNATURE = "cell declaration", "signature declaration"
-_DECLS = {"c": (_CELL, CELL), "[": (_CELL, CELL), "s": (_SIGNATURE, SIGNATURE)}
 _compiled = functools.cache(lambda p: re.compile(p, re.DOTALL | re.VERBOSE))  # at first use
 
 
@@ -127,7 +123,7 @@ class Tokens:
         self.texts: List[str] = []
         self.offsets = lines.offset_array()
         self.lines = lines
-        self.decls: Dict[int, re.Match] = {}  # token index -> `_DECLS` match
+        self.decls: Dict[int, object] = {}  # token index -> its `CellDef` or `SignatureDef`
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -138,11 +134,11 @@ def tokenize(text: str, source_name: str = "<memory>") -> Tuple[Tokens, List[Dia
 
 
 def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Diagnostic]]:
-    """Scan `text`; with `decls`, each `_CELL` or `_SIGNATURE` match is one token."""
+    """Scan `text`; with `decls`, each fast-path declaration is one token and its node."""
     tokens = Tokens(LineIndex(text, source_name))
     tag, add_text, add_offset = tokens.tags.append, tokens.texts.append, tokens.offsets.append
     diags: List[Diagnostic] = []
-    intern, scan = sys.intern, _compiled(_TOKEN).finditer
+    intern, scan, lines = sys.intern, _compiled(_TOKEN).finditer, tokens.lines
     pos, n = 0, len(text)
     while pos < n:
         for m in scan(text, pos):
@@ -159,24 +155,23 @@ def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Di
                 word = _unescape(m.group(kind))
                 tag(kind)
             elif kind == "decl":
-                pattern, decl_tag = _DECLS[text[m.start()]]
-                decl = decls and _compiled(pattern).match(text, m.start())
+                sig = text[m.start()] == "s"
+                decl = decls and (_scan_signature if sig else _scan_cell)(text, m.start(), lines)
                 if decl:  # resume the scan after the declaration
-                    tokens.decls[len(tokens.texts)] = decl
-                    tag(decl_tag)
-                    add_text(decl.group())
+                    tokens.decls[len(tokens.texts)], pos = decl
+                    tag(SIGNATURE if sig else CELL)
+                    add_text(text[m.start():pos])
                     add_offset(m.start())
-                    pos = decl.end()
                     break
                 word = intern(m.group())
                 tag(word)
             elif kind == "open_string":
                 diags.append(error("unterminated-string", "unterminated string literal",
-                                   tokens.lines.locate(m.start())))
+                                   lines.locate(m.start())))
                 continue
             elif kind == "open_comment":
                 diags.append(error("unterminated-comment", "unterminated '/*' comment",
-                                   tokens.lines.locate(m.start())))
+                                   lines.locate(m.start())))
                 pos = n
                 break
             else:
@@ -193,6 +188,45 @@ def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Di
     tag(EOF)
     add_offset(tokens.offsets[-1] if tokens.offsets else 0)
     return tokens, diags
+
+
+def _scan_cell(text, start, lines) -> Optional[Tuple[CellDef, int]]:
+    """The fast-path cell at `start`, as `parse_cell` builds it, and its end; or None."""
+    head, intern, bindings, inits = _compiled(_CELL_HEAD).match(text, start), sys.intern, [], []
+    for m in _compiled(_MEMBER).finditer(text, head.end()) if head else ():
+        kind = m.lastindex
+        if kind == 6:
+            directive = head["plugin"] and PluginDirective(
+                intern(head["plugin"]), _unescape(head["arg"]), start, lines)
+            return CellDef(intern(head["name"]), intern(head["celltype"]), tuple(bindings),
+                           tuple(inits), directive, head.start("cell"), lines), m.end()
+        if kind is None:
+            return None
+        if kind == 3:
+            bindings.append(Binding(intern(m[1]), intern(m[2]), intern(m[3]), m.start(), lines))
+        else:
+            value = (Initializer(InitKind.C_EXP, _unescape(m[4])) if kind == 4
+                     else Initializer(InitKind.LITERAL, intern(m[5])))
+            inits.append(AttrInit(intern(m[1]), value, m.start(), lines))
+
+
+def _scan_signature(text, start, lines) -> Optional[Tuple[SignatureDef, int]]:
+    """The fast-path signature at `start`, as `parse_signature` builds it, and its end; or None."""
+    head, intern, funcs, state = _compiled(_SIGNATURE_HEAD).match(text, start), sys.intern, [], 9
+    for m in _compiled(_FUNCTION_MEMBER).finditer(text, head.end()) if head else ():
+        kind = m.lastindex
+        if kind not in _FOLLOWS[state]:
+            return None
+        if kind <= 5:
+            params.append(ParamDecl(_SPECIFIERS[m[1]], intern(m[2]), m[3].count("*"),
+                                    intern(m[4]), m.start(), lines))
+        elif kind == 7:
+            ret, name, at, params = m[6], m[7], m.start(7), []
+        elif kind != 10:
+            funcs.append(FunctionDecl(intern(name), intern(ret), tuple(params), at, lines))
+        else:
+            return SignatureDef(intern(head[1]), tuple(funcs), lines.locate(start)), m.end()
+        state = kind
 
 
 def _scan_other(text, i, tokens, diags) -> int:
@@ -315,10 +349,9 @@ class _Parser:
                     celltypes.append(self.parse_celltype(directive))
                 elif self.check("cell"):
                     cells.append(self.parse_cell(directive))
-                elif self.check(CELL) and directive is None:  # else the plain pass parses it
-                    cells.append(self.build_cell())
-                elif self.check(SIGNATURE) and directive is None:
-                    signatures.append(self.build_signature())
+                elif self.tags[self.pos] in (CELL, SIGNATURE) and directive is None:
+                    # a node `tokenize` built; after a directive, the plain pass parses it
+                    (cells if self.check(CELL) else signatures).append(self.decls[self.take()])
                 else:
                     raise self.unexpected("'signature', 'celltype', or 'cell'")
             except _ParseError as exc:
@@ -328,7 +361,7 @@ class _Parser:
                        tuple(cells))
 
     def parse_directive(self) -> PluginDirective:
-        start = self.expect("[")
+        at = self.offsets[self.expect("[")]
         self.expect("generate")
         self.expect("(")
         name = self.expect_ident("plugin name")
@@ -336,7 +369,7 @@ class _Parser:
         arg = self.expect("string")
         self.expect(")")
         self.expect("]")
-        return PluginDirective(self.texts[name], self.texts[arg], self.loc(start))
+        return PluginDirective(self.texts[name], self.texts[arg], at, self.lines)
 
     def block(self, item) -> list:
         """`{ item* } ;`: what `item()` returns for each item before the '}'."""
@@ -464,13 +497,13 @@ class _Parser:
         return FactoryWrite(self.texts[target], self.texts[template], self.loc(w))
 
     def parse_cell(self, directive) -> CellDef:
-        start = self.expect("cell")
+        at = self.offsets[self.expect("cell")]
         ct_name = self.expect_ident("celltype name")
         name = self.expect_ident("cell name")
         members = self.block(self.parse_cell_member)
         return CellDef(self.texts[name], self.texts[ct_name],
                        tuple(m for m in members if type(m) is Binding),
-                       tuple(m for m in members if type(m) is AttrInit), directive, self.loc(start))
+                       tuple(m for m in members if type(m) is AttrInit), directive, at, self.lines)
 
     def parse_cell_member(self):
         """A binding `lhs = cell.port;` or an attr initializer `lhs = init;`."""
@@ -492,39 +525,6 @@ class _Parser:
                               self.lines)
         self.expect(";")
         return member
-
-    def build_cell(self) -> CellDef:
-        """The node of a `CELL` token, as `parse_directive` and `parse_cell` build it."""
-        m, lines, intern = self.decls[self.take()], self.lines, sys.intern
-        directive = m["plugin"] and PluginDirective(
-            intern(m["plugin"]), _unescape(m["arg"]), lines.locate(m.start()))
-        bindings, inits = [], []
-        for member in _compiled(_MEMBER).finditer(m.string, m.start("body"), m.end("body")):
-            lhs, target_cell, target_port, c_exp, literal = member.groups()
-            lhs, at = intern(lhs), member.start(1)
-            if target_cell is not None:
-                bindings.append(Binding(lhs, intern(target_cell), intern(target_port), at, lines))
-            else:
-                value = (Initializer(InitKind.C_EXP, _unescape(c_exp)) if c_exp is not None
-                         else Initializer(InitKind.LITERAL, intern(literal)))
-                inits.append(AttrInit(lhs, value, at, lines))
-        return CellDef(intern(m["name"]), intern(m["celltype"]), tuple(bindings), tuple(inits),
-                       directive, lines.locate(m.start("cell")))
-
-    def build_signature(self) -> SignatureDef:
-        """The node of a `SIGNATURE` token, as `parse_signature` builds it."""
-        m, lines, intern, functions = self.decls[self.take()], self.lines, sys.intern, []
-        for f in _compiled(_SIGNATURE_MEMBER).finditer(m.string, m.start("body"), m.end("body")):
-            ret, name, spec, c_type, stars, param = f.groups()
-            if ret:  # a function's params are collected in a list, then frozen
-                params = []
-                functions.append(FunctionDecl(intern(name), intern(ret), params, f.start(2), lines))
-            else:
-                params.append(ParamDecl(_SPECIFIERS[spec], intern(c_type), stars.count("*"),
-                                        intern(param), f.start(), lines))
-        for function in functions:
-            function.params = tuple(function.params)
-        return SignatureDef(intern(m["name"]), tuple(functions), lines.locate(m.start()))
 
     def parse_initializer(self) -> Initializer:
         if self.accept("C_EXP"):

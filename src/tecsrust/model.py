@@ -116,10 +116,11 @@ class FactoryBlock:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class PluginDirective:
+class PluginDirective(_LazyLocation):
     plugin_name: str
     argument: str
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -156,13 +157,14 @@ class AttrInit(_LazyLocation):
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class CellDef:
+class CellDef(_LazyLocation):
     name: str
     celltype_name: str
     bindings: tuple = ()
     attr_inits: tuple = ()
     generate_directive: Optional[PluginDirective] = None
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
+    lines: object = field(default=None, compare=False)
 
     def binding_for(self, call_port_name: str) -> Optional[Binding]:
         for b in self.bindings:

@@ -489,6 +489,56 @@ def test_input_that_is_not_utf8_is_one_located_error(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def _run_in(cwd: Path, argv, capsys, monkeypatch):
+    """`run(argv)` from `cwd`: its exit code, stdout, stderr and the files it wrote there."""
+    monkeypatch.chdir(cwd)
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {
+        str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
+        if p.is_file() and p.name != "in"}
+
+
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite"])
+def test_a_leading_bom_is_not_text(tmp_path, capsys, monkeypatch, command):
+    # a UTF-8 byte-order mark before the first line changes nothing: not the tree, not
+    # kernel_cfg.rs, not stdout and not stderr (the header's third #define is skipped)
+    if command == "generate":
+        text, argv = golden("sample.cdl").encode(), ["in", "--out", "gen"]
+    else:
+        text, argv = b"#define TSKID_1 1\n#define TSKID_2 2\n#define F(x) x\n", [
+            "bindgen-lite", "in", "-o", "kernel_cfg.rs"]
+    runs = []
+    for twin, bom in (("plain", b""), ("bom", _BOM)):
+        (tmp_path / twin).mkdir()
+        (tmp_path / twin / "in").write_bytes(bom + text)
+        runs.append(_run_in(tmp_path / twin, argv, capsys, monkeypatch))
+    plain, with_bom = runs
+    assert with_bom == plain and plain[0] == EXIT_OK
+    if command == "bindgen-lite":
+        assert plain[3] == {"kernel_cfg.rs": b"pub const TSKID_1: i32 = 1;\n"
+                                             b"pub const TSKID_2: i32 = 2;\n"}
+        assert plain[2] == ("in:3:1: warning[non-literal-define]: skipped #define without a "
+                            "bare integer value: '#define F(x) x'\n")
+    else:
+        assert len(plain[3]) == len(EXPECTED_SAMPLE_FILES)
+
+
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite"])
+def test_a_bad_byte_after_a_bom_is_located_as_without_it(tmp_path, capsys, command):
+    for bom in (b"", _BOM):
+        bad = tmp_path / "bad.in"
+        bad.write_bytes(bom + b"// caf\xc3\xa9 \xff\n")
+        argv = ([str(bad), "--out", str(tmp_path / "out")] if command == "generate"
+                else ["bindgen-lite", str(bad), "-o", str(tmp_path / "out")])
+        assert run(argv) == EXIT_DIAGNOSTICS
+        assert capsys.readouterr().err == (
+            f"{bad}:1:9: error[bad-encoding]: input is not valid UTF-8 (byte 0xff)\n")
+
+
 _SIG = "signature sA { void f( void ); };\n"
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -361,3 +362,25 @@ def test_definitions_type_check_with_spin(tmp_path, spin_crate, calls, members):
     assert ("use spin::Mutex;" in files["t_c.rs"].content) == ("var" in members)
     # the signatures return nothing, so the skeletons' empty bodies type-check too
     rustc_check_tree({path: f.content for path, f in files.items()}, tmp_path, spin_crate)
+
+
+# a hand-written stand-in for the C types the golden sample passes through; the tree's
+# `s_sensor` re-exports it, so `t_sensor.rs` finds them through its `s_sensor::*` import
+PBIO_STUB = """#![allow(non_camel_case_types)]
+pub enum pbio_port_id_t {
+    PBIO_PORT_ID_B,
+}
+pub struct pup_device_t;
+"""
+
+
+def test_golden_tree_type_checks_but_for_a_shadowed_lifetime(sample_outputs, tmp_path, spin_crate):
+    files, _, _ = sample_outputs
+    tree = {path: f.content for path, f in files.items()}
+    tree["pbio.rs"] = PBIO_STUB
+    tree["s_sensor.rs"] += "pub use crate::pbio::*;\n"
+    stderr = rustc_check_tree(tree, tmp_path, spin_crate, check=False)
+    # Known failure: `get_cell_ref<'a>` in `t_sensor.rs` declares the `'a` its impl already
+    # declares. Mending it makes this set empty; update the test then.
+    assert set(re.findall(r"^error\[(E\d+)\]", stderr, re.M)) == {"E0496"}, stderr
+    assert "lifetime name `'a` shadows a lifetime name that is already in scope" in stderr

@@ -119,7 +119,7 @@ def test_scanner_patterns_compile_at_first_use():
             "from tecsrust import frontend\n"
             "assert frontend._compiled.cache_info().currsize == 0\n"
             "frontend.tokenize('cell tT c {};')\n"
-            "assert frontend._compiled.cache_info().currsize == 2  # _TOKEN, _CELL\n")
+            "assert frontend._compiled.cache_info().currsize == 3  # _TOKEN, _CELL_HEAD, _MEMBER\n")
     src = str(Path(tecsrust.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
@@ -321,21 +321,21 @@ def test_clean_signature_makes_one_location(monkeypatch):
 
 
 @pytest.mark.parametrize("comment", ["", "/* plain tokens */ "], ids=["fast-path", "token-path"])
-def test_clean_cell_makes_one_location_and_one_for_its_directive(monkeypatch, comment):
-    # bindings and initializers keep an offset; the cell and its directive keep a `SourceLoc`
-    made, at = [], SourceLoc.at
-    monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
+def test_clean_cell_makes_no_location(monkeypatch, comment):
+    # the cell, its directive, bindings and initializers keep an offset, located when read
     text = ('[generate(RustGenPlugin, "lib")]\ncell tT T {\n  cA = U.eA; cB = V.eB;\n'
             f'  {comment}x = 1; y = C_EXP("Y");\n}};\n')
     assert (CELL in tokenize(text)[0].tags) == (not comment)  # a comment stops the fast path
+    made, at = [], SourceLoc.at
+    monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
     result = parse_unit(text, "c.cdl")
     assert result.diagnostics == [] and validate_unit(result.unit) == []
-    assert sorted(offset for _, offset in made) == [0, text.index("cell")]
+    assert made == []
     cell = result.unit.cells[0]
-    members = cell.bindings + cell.attr_inits
-    assert [m.location for m in members] == [
+    nodes = (cell.generate_directive, cell) + cell.bindings + cell.attr_inits
+    assert [n.location for n in nodes] == [
         SourceLoc("c.cdl", text.count("\n", 0, o) + 1, o - text.rfind("\n", 0, o))
-        for o in (text.index(f"{name} =") for name in ("cA", "cB", "x", "y"))]
+        for o in (text.index(key) for key in ("[", "cell", "cA =", "cB =", "x =", "y ="))]
 
 
 def test_clean_build_builds_no_line_table():

@@ -9,8 +9,9 @@ from tecsrust import model
 from tecsrust.cli import generate
 from tecsrust.frontend import LineIndex, parse_unit
 from tecsrust.model import (
-    AttrInit, Binding, CdlUnit, Diagnostic, FactoryBlock, FunctionDecl, Initializer, ParamDecl, ParamSpecifier,
-    PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef, Severity, SourceLoc,
+    AttrInit, Binding, CdlUnit, CellDef, Diagnostic, FactoryBlock, FunctionDecl, Initializer,
+    ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef,
+    Severity, SourceLoc,
     has_errors, validate_unit,
 )
 
@@ -126,7 +127,8 @@ NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_da
 # the fields each node class leaves out of equality and hash; `location` for the rest
 UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set(),
               FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"},
-              Binding: {"at", "lines"}, AttrInit: {"at", "lines"}}
+              Binding: {"at", "lines"}, AttrInit: {"at", "lines"},
+              CellDef: {"at", "lines"}, PluginDirective: {"at", "lines"}}
 
 
 def _nodes(value):

@@ -32,7 +32,7 @@ import reference_parser
 from cdl_renderer import render_unit
 from conftest import golden
 from strategies import cdl_units
-from tecsrust.frontend import SIGNATURE, parse_unit, tokenize
+from tecsrust.frontend import CELL, SIGNATURE, parse_unit, tokenize
 
 GOLDEN_TEXTS = [golden("sample.cdl"), golden("kernel_rs.cdl")]
 
@@ -154,6 +154,13 @@ def test_cell_declarations(text):
     assert_same(text)
 
 
+# shapes the one-pass cell scan takes: each cell here is one `CELL` token
+CELL_ONE_PASS_EDGES = [
+    'cell tT c {\n  x = 1;\n  y = a.b;\n}\n;',
+    'cell tT c { x = 1; };cell tT d { y = a.b; };',
+]
+
+
 @pytest.mark.parametrize("text", [
     'cell tT c {\n  x = C_EXP("a\\"b\\\\");\n};',
     '[generate(P, "l\\ib")] cell tT c { x = 0x; y = -0x1F; };',
@@ -166,9 +173,16 @@ def test_cell_declarations(text):
     'cell tT c { x = 1;\f};',
     'celltype tX { cell tT c {}; };',
     'cell tT c { x = 1; }',
+    'cell tT c { x = y.e; @ };',
+    'cell tT c { x = 1 y = a.b; };',
+    'cell tT c { x = 1; /* c */ y = a.b; };',
+    'cell tT c { x = 1; y = a.b;',
+    *CELL_ONE_PASS_EDGES,
 ])
 def test_cell_declaration_edges(text):
     assert_same(text)
+    if text in CELL_ONE_PASS_EDGES:
+        assert tokenize(text)[0].tags.count(CELL) == text.count("cell ")
 
 
 # Signature-declaration pieces, as for cells. Two word lexemes are always
@@ -225,7 +239,7 @@ def test_signature_declarations(text):
     assert_same(text)
 
 
-# shapes `build_signature` takes in one pass: each signature here is one `SIGNATURE` token
+# shapes `_scan_signature` takes in one pass: each signature here is one `SIGNATURE` token
 ONE_PASS_EDGES = [
     "signature sS { void f( ); void g( void ); int32_t h(void); };",
     "signature sS { void f( [in] int32_t a, [out] int32_t* b, ); };",
@@ -236,6 +250,7 @@ ONE_PASS_EDGES = [
     "signature cellar { voidx writer( [in] int32_t outer, [in] C_EXPx factoryx ); };",
     "signature sS { void f( void ); };signature sT { void g( [in] T* p ); };",
     "signature sS { void f( void ); }; signature sT {};\nsignature sU { T g( [in] T* p ); };",
+    "signature sS { int32_t f( ) ;\n  void g( [in] T a,\n  ); void h( [out] T* b , ); };",
 ]
 
 
@@ -262,6 +277,12 @@ ONE_PASS_EDGES = [
     "signature sS { void f( void ); }",
     "signature sS { void f( void ) };",
     "signature sS { void f( void ); }; signature sT { void g( [in] int8_t* p ); };",
+    "signature sS { void f( void [in] int32_t a ); };",
+    "signature sS { void f( void, [in] int32_t a ); };",
+    "signature sS { void f( [in] int32_t a [out] T* b ); };",
+    "signature sS { void f( void ) void g( void ); };",
+    "signature sS { void f( [in] int32_t a, void g( void ); };",
+    "signature sS { void f( [in] int32_t a void g( void ); };",
     *ONE_PASS_EDGES,
 ])
 def test_signature_declaration_edges(text):
