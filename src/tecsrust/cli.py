@@ -11,7 +11,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
 
 from . import header_const
 from .diagnostics import Diagnostic, LineIndex, error, has_errors
@@ -79,39 +79,43 @@ def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) 
     """Materialize output files, honoring each file's overwrite policy.
 
     Returns every output not skipped; a skipped skeleton is never rendered.
-    An OVERWRITE output whose file already holds its bytes is left unopened,
-    so it keeps its mtime and a build tool sees no change. Each output
-    directory is made and listed once.
+    An OVERWRITE output whose file already holds its bytes is never opened
+    for writing, so it keeps its mtime and a build tool sees no change. Each
+    output directory is made once.
     """
     from .emit_core import WritePolicy
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    listed: Dict[Path, Set[str]] = {}  # names in each output directory before this call wrote there
+    root = "" if str(out_dir) == "." else os.path.join(out_dir, "")  # `out_dir / f.path`, as str
+    made: Set[str] = set()  # directories under `out_dir`
     written = []
     for f in files:
-        path = out_dir / f.path
-        if f.policy is WritePolicy.SKIP_IF_EXISTS and path.exists():
+        path = root + f.path
+        if f.policy is WritePolicy.SKIP_IF_EXISTS and os.path.exists(path):
             continue
-        if path.parent not in listed:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                listed[path.parent] = set(os.listdir(path.parent))
-            except OSError:  # an unlistable directory: write every file in it
-                listed[path.parent] = set()
-        _write_bytes(path, f.content.encode("utf-8"), path.name in listed[path.parent])
+        if "/" in f.path and (parent := os.path.dirname(path)) not in made:
+            Path(parent).mkdir(parents=True, exist_ok=True)
+            made.add(parent)
+        _write_bytes(path, f.content.encode("utf-8"))
         written.append(f.path)
     return written
 
 
-def _write_bytes(path: Path, data: bytes, may_exist: bool = True) -> None:
-    """Write `data` unless `path` already holds exactly these bytes, so an unchanged
-    output keeps its mtime. A file that cannot be read or compared is written."""
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write `data` unless `path` already holds exactly these bytes, compared by size,
+    then bytes: an unchanged output is never opened for writing, so it keeps its mtime.
+    A file that cannot be read or compared is written."""
     try:
-        if may_exist and path.read_bytes() == data:
-            return
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            if os.fstat(fd).st_size == len(data) and os.read(fd, len(data)) == data:
+                return
+        finally:
+            os.close(fd)
     except OSError:  # e.g. absent, or a directory at `path`: the write below reports it
         pass
-    path.write_bytes(data)
+    with open(path, "wb") as out:
+        out.write(data)
 
 
 def emit_diagram(model: ResolvedModel) -> str:
@@ -177,7 +181,7 @@ def _run_bindgen_lite(argv: List[str]) -> int:
     for d in diags:
         print(d, file=sys.stderr)
     try:
-        _write_bytes(Path(args.output), converted.encode("utf-8"))
+        _write_bytes(str(Path(args.output)), converted.encode("utf-8"))
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -228,7 +232,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         if diagram:
             if out_dir.resolve() in diagram.resolve().parents:  # made like an output's directory
                 diagram.parent.mkdir(parents=True, exist_ok=True)
-            _write_bytes(diagram, emit_diagram(model).encode("utf-8"))
+            _write_bytes(str(diagram), emit_diagram(model).encode("utf-8"))
         written = write_files(files, out_dir)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ deterministic, LF-terminated, and ends with exactly one trailing newline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import List
@@ -16,7 +17,7 @@ from typing import List
 from . import naming
 from .emit_rtos import KERNEL_PREAMBLE_LINES, uses_kernel_wrappers
 from .linker import ResolvedCell, ResolvedModel
-from .model import CelltypeDef, SignatureDef
+from .model import CelltypeDef, ParamSpecifier, SignatureDef
 
 INDENT = "  "
 
@@ -59,9 +60,13 @@ def _finish(lines: List[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # one call per distinct parameter; keyed by `_value_`: enums hash slowly in 3.11
+def _arg(name: str, c_type: str, specifier: str) -> str:
+    return f", {naming.rust_name(name)}: {naming.map_param_type(c_type, ParamSpecifier(specifier))}"
+
+
 def _method_sig(fn) -> str:
-    args = "".join([f", {naming.rust_name(p.name)}: {naming.map_param_type(p.c_type, p.specifier)}"
-                    for p in fn.params])
+    args = "".join([_arg(p.name, p.c_type, p.specifier._value_) for p in fn.params])
     ret = f" -> {naming.map_base_type(fn.return_type)}" if fn.return_type != "void" else ""
     return f"fn {naming.rust_name(fn.name)}(&self{args}){ret}"
 

@@ -216,10 +216,11 @@ def _generating(ct_index, plugin_by_ct) -> List[CelltypeDef]:
 def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None:
     """Report every entity that would stop an emitter or share an output name, enter
     each file and type name in `owners`, and keep each cell's rendered attr texts.
-    Order: bad names, each once; contracts' names; then per celltype its names, record
-    fields, var types, call ports without cells, attrs and statics cell by cell, and vars."""
+    Order: bindings into non-generating celltypes; bad names, each once; contracts' names;
+    then per celltype its names, record fields, var types, call ports without cells, attrs
+    and statics cell by cell, and vars."""
     named = {(kind, e.name): e.location
-             for kind, e in _named(generating, sig_index, cells_by_ct)}
+             for kind, e in _named(generating, sig_index, cells_by_ct, diags)}
     for (kind, name), loc in named.items():
         mapped = naming.contract_name(name) if kind == "signature" else naming.record_name(name)
         if len(name) < 2:
@@ -295,8 +296,10 @@ def _label(node) -> str:
     return f"{_KINDS[type(node)]} '{node.port_name if type(node) is PortDecl else node.name}'"
 
 
-def _named(generating, sig_index, cells_by_ct):
-    """The celltypes and signatures whose names the emitters map, binding targets once each."""
+def _named(generating, sig_index, cells_by_ct, diags):
+    """The celltypes and signatures whose names the emitters map, binding targets once each;
+    each binding whose target's celltype is not `generating`, and so not written, is reported."""
+    names = {ct.name for ct in generating}
     for ct in generating:
         yield "celltype", ct
         yield from (("signature", sig_index[p.signature_name])
@@ -304,6 +307,12 @@ def _named(generating, sig_index, cells_by_ct):
         targets = {rb.target_cell.celltype.name: rb.target_cell.celltype  # node hashes are deep
                    for rc in cells_by_ct[ct.name] for rb in rc.bindings.values()}
         yield from (("celltype", t) for t in targets.values())
+        if not names.issuperset(targets):  # the bindings are walked again only to report
+            diags.extend(error("non-generating-target", f"cell '{rc.cell.name}' binds '{port}' to "
+                               f"cell '{rb.target_cell.cell.name}', whose celltype '{t}' "
+                               "generates no Rust", rc.cell.binding_for(port).location)
+                         for rc in cells_by_ct[ct.name] for port, rb in rc.bindings.items()
+                         if (t := rb.target_cell.celltype.name) not in names)
 
 
 def _unwritable(generating, named, sig_index):

@@ -187,18 +187,16 @@ class CdlUnit:
     cells: tuple = ()
 
 
-def _dupes(names):
+def _dupes(names: list) -> list:
+    """Each name that repeats an earlier one, in order; a list with no repeat is not walked."""
+    if len(set(names)) == len(names):
+        return []
     seen = set()
-    out = []
-    for n in names:
-        if n in seen:
-            out.append(n)
-        seen.add(n)
-    return out
+    return [n for n in names if n in seen or seen.add(n)]
 
 
 def _balanced_holes(text: str) -> bool:
-    return text.count("$") % 2 == 0
+    return "$" not in text or text.count("$") % 2 == 0
 
 
 def _check_literal(init, node, where: str, diags) -> None:
@@ -221,21 +219,23 @@ def validate_unit(unit: CdlUnit) -> list:
     model-valid and safe to hand to the linker.
     """
     diags = []
+    out, literal = ParamSpecifier.OUT, InitKind.LITERAL  # an enum member read is slow in 3.11
 
     for sig in unit.signatures:
-        for fn in _dupes(f.name for f in sig.functions):
+        for fn in _dupes([f.name for f in sig.functions]):
             diags.append(error(
                 "duplicate-function",
                 f"function '{fn}' defined more than once in signature '{sig.name}'",
                 sig.location))
         for f in sig.functions:
-            for pn in _dupes(p.name for p in f.params):
-                diags.append(error(
-                    "duplicate-param",
-                    f"parameter '{pn}' repeated in function '{f.name}'",
-                    f.location))
+            if len({p.name for p in f.params}) < len(f.params):
+                for pn in _dupes([p.name for p in f.params]):
+                    diags.append(error("duplicate-param", f"parameter '{pn}' repeated in "
+                                       f"function '{f.name}'", f.location))
             for p in f.params:
-                if p.specifier is ParamSpecifier.OUT and p.pointer_depth < 1:
+                if p.pointer_depth == 1:  # the common case, and a valid one
+                    continue
+                if p.pointer_depth < 1 and p.specifier is out:
                     diags.append(error(
                         "out-requires-pointer",
                         f"[out] parameter '{p.name}' of '{f.name}' must be a pointer",
@@ -275,24 +275,24 @@ def validate_unit(unit: CdlUnit) -> list:
         _check_directive(ct.generate_directive, diags)
 
     for cell in unit.cells:
-        for bn in _dupes(b.call_port_name for b in cell.bindings):
-            diags.append(error(
-                "duplicate-binding",
-                f"call port '{bn}' bound more than once in cell '{cell.name}'",
-                cell.location))
-        for an in _dupes(i.attr_name for i in cell.attr_inits):
-            diags.append(error(
-                "duplicate-attr-init",
-                f"attr '{an}' initialized more than once in cell '{cell.name}'",
-                cell.location))
+        if len(cell.bindings) > 1:
+            for bn in _dupes([b.call_port_name for b in cell.bindings]):
+                diags.append(error("duplicate-binding", f"call port '{bn}' bound more than "
+                                   f"once in cell '{cell.name}'", cell.location))
+        if len(cell.attr_inits) > 1:
+            for an in _dupes([i.attr_name for i in cell.attr_inits]):
+                diags.append(error("duplicate-attr-init", f"attr '{an}' initialized more "
+                                   f"than once in cell '{cell.name}'", cell.location))
         for init in cell.attr_inits:
             if not _balanced_holes(init.value.text):
                 diags.append(error(
                     "unbalanced-macro",
                     f"unbalanced '$' holes in initializer of '{init.attr_name}'",
                     init.location))
-            _check_literal(init.value, init, "initializer of '{0.attr_name}'", diags)
-        _check_directive(cell.generate_directive, diags)
+            if init.value.kind is literal:  # the guard `_check_literal` has, without a call
+                _check_literal(init.value, init, "initializer of '{0.attr_name}'", diags)
+        if cell.generate_directive is not None:  # as above
+            _check_directive(cell.generate_directive, diags)
 
     return diags
 

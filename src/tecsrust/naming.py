@@ -8,6 +8,7 @@ rejected with located diagnostics by `linker.resolve` before any emitter runs.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional
 
@@ -63,6 +64,7 @@ _UPPER_WORD = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
 _UNDERSCORES = re.compile(r"__+")
 
 
+@functools.cache  # the emitters map each signature and celltype name several times
 def snake_case(name: str) -> str:
     s = _LOWER_UPPER.sub("_", name)
     s = _UPPER_WORD.sub("_", s)

@@ -156,6 +156,19 @@ def brute_force_counts(unit: CdlUnit):
     return len(sigs), n_defs, n_skels
 
 
+def non_generating_bindings(unit: CdlUnit) -> list:
+    """The message of each binding from a cell of a directed celltype to a cell whose
+    celltype has no directive, in celltype, cell and binding order."""
+    directed = {ct.name for ct in unit.celltypes if ct.generate_directive}
+    directed |= {cell.celltype_name for cell in unit.cells if cell.generate_directive}
+    celltype_of = {cell.name: cell.celltype_name for cell in unit.cells}
+    return [f"cell '{cell.name}' binds '{b.call_port_name}' to cell '{b.target_cell_name}', "
+            f"whose celltype '{celltype_of[b.target_cell_name]}' generates no Rust"
+            for ct in unit.celltypes if ct.name in directed
+            for cell in unit.cells if cell.celltype_name == ct.name
+            for b in cell.bindings if celltype_of[b.target_cell_name] not in directed]
+
+
 _STEMS = ("foo", "fooBar", "ab")
 # names that map to a few record fields: a call port's field is its name in snake case, an
 # attr's field is its name, and a celltype with vars adds the field `variable`

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
-from strategies import brute_force_counts, cdl_units
+from strategies import brute_force_counts, cdl_units, non_generating_bindings
 from tecsrust import naming
 from tecsrust.cli import EXIT_DIAGNOSTICS, EXIT_OK, generate, run
 from tecsrust.frontend import parse_unit
@@ -97,6 +97,11 @@ def test_criterion_5_rtos_factory_coherence(kernel_outputs):
 @given(cdl_units())
 def test_criterion_6_file_count_law(unit):
     model, diags = resolve([unit])
+    stray = non_generating_bindings(unit)
+    assert [d.message for d in diags if d.code == "non-generating-target"] == stray
+    if stray:  # a binding into a celltype that generates no Rust stops the build
+        assert model is None
+        return
     assert model is not None, diags
     plan = plan_emission(model)
     n_sigs, n_defs, n_skels = brute_force_counts(unit)

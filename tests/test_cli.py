@@ -8,12 +8,13 @@ from hypothesis import given, settings
 
 from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
-from strategies import cdl_units_with_gaps
+from strategies import cdl_units_with_gaps, non_generating_bindings
 import tecsrust
 from tecsrust import naming
 from tecsrust.cli import (
-    EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run,
+    EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run, write_files,
 )
+from tecsrust.emit_core import GeneratedFile, WritePolicy
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import resolve
 from tecsrust.model import Severity
@@ -281,12 +282,13 @@ def test_generate_is_total_on_units_with_gaps(unit):
                    if not a.omit and a.default is None and c.init_for(a.name) is None)
     expected += sum(1 for name in {c.celltype_name for c in cells}
                     for v in by_name[name].vars if v.default is None)
+    expected += len(non_generating_bindings(unit))
     assert len(errors) == expected
     if errors:
         assert files == []
         assert all(d.location.line > 0 for d in errors)
         assert {d.code for d in errors} <= {"uninitialized-attribute",
-                                            "uninitialized-variable"}
+                                            "uninitialized-variable", "non-generating-target"}
     else:
         assert {naming.file_name("definition", ct.name)
                 for ct in plan.definition_cts} <= {f.path for f in files}
@@ -468,6 +470,74 @@ def test_bindgen_lite_unwritable_output_is_a_usage_error(tmp_path, capsys):
         f"error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n")
 
 
+PAST = 1_000_000_000 * 10**9  # ns: September 2001
+
+
+def _one_output(tmp_path, command):
+    """The argv of a run that writes a known output, that output's path and its bytes."""
+    if command == "generate":
+        return ([SAMPLE, "--out", str(tmp_path / "gen")], tmp_path / "gen" / "s_sensor.rs",
+                golden("s_sensor.rs").encode())
+    out = tmp_path / "kernel_cfg.rs"
+    return (["bindgen-lite", str(GOLDENS / "kernel_cfg.h"), "-o", str(out)], out,
+            golden("kernel_cfg.rs").encode())
+
+
+# the directory at an output path: test_a_directory_at_an_output_path_is_a_usage_error
+# and test_bindgen_lite_unwritable_output_is_a_usage_error
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite"])
+@pytest.mark.parametrize("on_disk", ["prefix", "longer", "same-size"])
+def test_an_output_is_rewritten_unless_it_holds_exactly_the_new_bytes(tmp_path, command,
+                                                                      on_disk):
+    argv, path, new = _one_output(tmp_path, command)
+    assert run(argv) == EXIT_OK
+    path.write_bytes({"prefix": new[:-1], "longer": new + b"// hand edit\n",
+                      "same-size": new[:-2] + b"?\n"}[on_disk])
+    os.utime(path, ns=(PAST, PAST))
+    assert run(argv) == EXIT_OK
+    assert path.read_bytes() == new and path.stat().st_mtime_ns != PAST
+
+
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite"])
+def test_a_symlink_to_an_identical_file_is_left_alone(tmp_path, command):
+    argv, path, new = _one_output(tmp_path, command)
+    assert run(argv) == EXIT_OK
+    real = tmp_path / "real.rs"
+    real.write_bytes(new)
+    os.utime(real, ns=(PAST, PAST))
+    path.unlink()
+    path.symlink_to(real)
+    assert run(argv) == EXIT_OK
+    assert path.is_symlink() and real.read_bytes() == new and real.stat().st_mtime_ns == PAST
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+def test_an_unchanged_output_leaves_no_descriptor_open(tmp_path):
+    # the unchanged check reads through a bare descriptor, which no ResourceWarning reports
+    for command in ("generate", "bindgen-lite"):
+        argv, _, _ = _one_output(tmp_path, command)
+        assert run(argv) == EXIT_OK
+        before = set(os.listdir("/proc/self/fd"))
+        assert run(argv) == EXIT_OK
+        assert set(os.listdir("/proc/self/fd")) == before
+
+
+def test_an_empty_output_over_an_empty_file_keeps_its_mtime(tmp_path):
+    header, out = tmp_path / "none.h", tmp_path / "none.rs"
+    header.write_text("/* no #define */\n")
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    for path in (out, gen / "empty.cfg"):
+        path.write_bytes(b"")
+        os.utime(path, ns=(PAST, PAST))
+    assert run(["bindgen-lite", str(header), "-o", str(out)]) == EXIT_OK
+    # no compile output is empty, so the CLI's writer is called with one
+    assert write_files([GeneratedFile("empty.cfg", "", WritePolicy.OVERWRITE)], gen) == [
+        "empty.cfg"]
+    for path in (out, gen / "empty.cfg"):
+        assert path.read_bytes() == b"" and path.stat().st_mtime_ns == PAST
+
+
 def test_bindgen_lite_missing_header(tmp_path):
     assert run(["bindgen-lite", str(tmp_path / "nope.h"),
                 "-o", str(tmp_path / "out.rs")]) == EXIT_USAGE
@@ -597,3 +667,28 @@ def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expect
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"{src}:{expected}"] and captured.out == ""
     assert not out.exists()
+
+
+NON_GENERATING = """signature sSig0 { void fn0( void ); };
+celltype tProv0 { entry sSig0 eProv0x0; };
+[generate(RustGenPlugin, "lib")]
+celltype tCons0 { call sSig0 cUse0x0; };
+cell tProv0 P0n0 {};
+cell tCons0 C0n0 { cUse0x0 = P0n0.eProv0x0; };
+"""
+
+
+def test_binding_into_a_celltype_that_generates_no_rust_is_a_located_error(tmp_path, capsys):
+    # t_cons0.rs would import `crate::t_prov0`, which no output defines (rustc: E0432)
+    src = tmp_path / "u.cdl"
+    src.write_text(NON_GENERATING)
+    out = tmp_path / "gen"
+    assert run([str(src), "--out", str(out)]) == EXIT_DIAGNOSTICS
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:6:20: error[non-generating-target]: cell 'C0n0' binds 'cUse0x0' to cell "
+        "'P0n0', whose celltype 'tProv0' generates no Rust"]
+    # with a default plugin the target generates too
+    assert run([str(src), "--out", str(out), "--plugin", "RustGenPlugin"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "s_sig0.rs", "t_cons0.rs", "t_prov0.rs", "t_prov0_impl.rs"]

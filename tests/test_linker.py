@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from cdl_renderer import render_unit
 from rustc_check import rustc_check_tree
-from strategies import brute_force_counts, cdl_units, colliding_units
+from strategies import brute_force_counts, cdl_units, colliding_units, non_generating_bindings
 from tecsrust import linker, naming
 from tecsrust.cli import EXIT_DIAGNOSTICS, generate, run
 from tecsrust.emit_core import emit_definition
@@ -198,6 +198,11 @@ def test_factory_write_order(kernel_text):
 @given(cdl_units())
 def test_plan_cardinalities_match_brute_force(unit):
     model, diags = resolve([unit])
+    stray = non_generating_bindings(unit)
+    assert [d.message for d in diags if d.code == "non-generating-target"] == stray
+    if stray:  # a binding into a celltype that generates no Rust stops the build
+        assert model is None
+        return
     assert model is not None, diags
     plan = plan_emission(model)
     n_sigs, n_defs, n_skels = brute_force_counts(unit)
@@ -318,6 +323,10 @@ cell tC C2 { cA = P2.eA; };
     model, diags = resolve(_units(text, "b.cdl"))
     assert model is None
     assert [str(d) for d in diags] == [
+        "b.cdl:8:14: error[non-generating-target]: cell 'C1' binds 'cA' to cell 'P1', "
+        "whose celltype 'p' generates no Rust",
+        "b.cdl:9:14: error[non-generating-target]: cell 'C2' binds 'cA' to cell 'P2', "
+        "whose celltype 'p' generates no Rust",
         "b.cdl:3:1: error[bad-name]: celltype name 'p' too short"]
 
 
@@ -337,11 +346,20 @@ cell tC C3 { cB = P1.eA; cA = Q1.eA; };
 """
     resolved, diags = resolve(_units(text), "RustGenPlugin")
     assert diags == []
-    generating = [resolved.celltype_index["tC"]]
-    named = linker._named(generating, resolved.signature_index, resolved.cells_by_celltype)
+    generating, diags = [resolved.celltype_index["tC"]], []
+    named = linker._named(generating, resolved.signature_index, resolved.cells_by_celltype,
+                          diags)
     assert [(kind, e.name) for kind, e in named] == [
         ("celltype", "tC"), ("signature", "sA"), ("signature", "sA"),
         ("celltype", "tQ"), ("celltype", "tP")]
+    # with tC alone generating, each of its bindings is into a celltype that does not
+    assert [(d.code, d.location.line, d.message) for d in diags] == [
+        ("non-generating-target", line, f"cell '{cell}' binds '{port}' to cell '{target}', "
+         f"whose celltype '{target_ct}' generates no Rust")
+        for line, cell, port, target, target_ct in [
+            (10, "C1", "cA", "Q1", "tQ"), (10, "C1", "cB", "P1", "tP"),
+            (11, "C2", "cA", "Q1", "tQ"), (11, "C2", "cB", "P2", "tP"),
+            (12, "C3", "cB", "P1", "tP"), (12, "C3", "cA", "Q1", "tQ")]]
 
 
 def test_names_rust_cannot_write_are_located_bad_names():
