@@ -60,13 +60,14 @@ def _finish(lines: List[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache  # one call per distinct parameter; keyed by `_value_`: enums hash slowly in 3.11
-def _arg(name: str, c_type: str, specifier: str) -> str:
-    return f", {naming.rust_name(name)}: {naming.map_param_type(c_type, ParamSpecifier(specifier))}"
+@functools.cache  # once per distinct parameter type; keyed by `_value_`: enums hash slowly in 3.11
+def _param_type(c_type: str, specifier: str) -> str:
+    return naming.map_param_type(c_type, ParamSpecifier(specifier))
 
 
 def _method_sig(fn) -> str:
-    args = "".join([_arg(p.name, p.c_type, p.specifier._value_) for p in fn.params])
+    args = "".join([f", {naming.rust_name(p.name)}: {_param_type(p.c_type, p.specifier._value_)}"
+                    for p in fn.params])
     ret = f" -> {naming.map_base_type(fn.return_type)}" if fn.return_type != "void" else ""
     return f"fn {naming.rust_name(fn.name)}(&self{args}){ret}"
 

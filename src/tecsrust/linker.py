@@ -219,8 +219,14 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
     Order: bindings into non-generating celltypes; bad names, each once; contracts' names;
     then per celltype its names, record fields, var types, call ports without cells, attrs
     and statics cell by cell, and vars."""
-    named = {(kind, e.name): e.location
-             for kind, e in _named(generating, sig_index, cells_by_ct, diags)}
+    written = {ct.name for ct in generating}
+    diags.extend(error("non-generating-target", f"cell '{rc.cell.name}' binds '{port}' to cell "
+                       f"'{rb.target_cell.cell.name}', whose celltype '{t}' generates no Rust",
+                       rc.cell.binding_for(port).location)
+                 for ct in generating for rc in cells_by_ct[ct.name]
+                 for port, rb in rc.bindings.items()
+                 if (t := rb.target_cell.celltype.name) not in written)
+    named = {(kind, e.name): e.location for kind, e in _named(generating, sig_index)}
     for (kind, name), loc in named.items():
         mapped = naming.contract_name(name) if kind == "signature" else naming.record_name(name)
         if len(name) < 2:
@@ -296,23 +302,13 @@ def _label(node) -> str:
     return f"{_KINDS[type(node)]} '{node.port_name if type(node) is PortDecl else node.name}'"
 
 
-def _named(generating, sig_index, cells_by_ct, diags):
-    """The celltypes and signatures whose names the emitters map, binding targets once each;
-    each binding whose target's celltype is not `generating`, and so not written, is reported."""
-    names = {ct.name for ct in generating}
+def _named(generating, sig_index):
+    """The celltypes and signatures whose names the emitters map. A binding target is one
+    of `generating`, or the build has failed with `non-generating-target`."""
     for ct in generating:
         yield "celltype", ct
         yield from (("signature", sig_index[p.signature_name])
                     for p in ct.ports if p.signature_name in sig_index)
-        targets = {rb.target_cell.celltype.name: rb.target_cell.celltype  # node hashes are deep
-                   for rc in cells_by_ct[ct.name] for rb in rc.bindings.values()}
-        yield from (("celltype", t) for t in targets.values())
-        if not names.issuperset(targets):  # the bindings are walked again only to report
-            diags.extend(error("non-generating-target", f"cell '{rc.cell.name}' binds '{port}' to "
-                               f"cell '{rb.target_cell.cell.name}', whose celltype '{t}' "
-                               "generates no Rust", rc.cell.binding_for(port).location)
-                         for rc in cells_by_ct[ct.name] for port, rb in rc.bindings.items()
-                         if (t := rb.target_cell.celltype.name) not in names)
 
 
 def _unwritable(generating, named, sig_index):

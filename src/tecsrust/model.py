@@ -228,7 +228,7 @@ def validate_unit(unit: CdlUnit) -> list:
                 f"function '{fn}' defined more than once in signature '{sig.name}'",
                 sig.location))
         for f in sig.functions:
-            if len({p.name for p in f.params}) < len(f.params):
+            if len({p.name for p in f.params}) < len(f.params):  # skips the list and call
                 for pn in _dupes([p.name for p in f.params]):
                     diags.append(error("duplicate-param", f"parameter '{pn}' repeated in "
                                        f"function '{f.name}'", f.location))
@@ -275,7 +275,7 @@ def validate_unit(unit: CdlUnit) -> list:
         _check_directive(ct.generate_directive, diags)
 
     for cell in unit.cells:
-        if len(cell.bindings) > 1:
+        if len(cell.bindings) > 1:  # most cells have one: skip the list and call
             for bn in _dupes([b.call_port_name for b in cell.bindings]):
                 diags.append(error("duplicate-binding", f"call port '{bn}' bound more than "
                                    f"once in cell '{cell.name}'", cell.location))

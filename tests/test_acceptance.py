@@ -93,7 +93,7 @@ def test_criterion_5_rtos_factory_coherence(kernel_outputs):
     _passed(5, f"config line and TaskRef initializer agree on {cfg_id}")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=28, deadline=None)
 @given(cdl_units())
 def test_criterion_6_file_count_law(unit):
     model, diags = resolve([unit])
