@@ -7,6 +7,7 @@ diagnostic suppresses all file writes.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -91,7 +92,7 @@ def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) 
     written = []
     for f in files:
         path = root + f.path
-        if f.policy is WritePolicy.SKIP_IF_EXISTS and os.path.exists(path):
+        if f.policy is WritePolicy.SKIP_IF_EXISTS and os.path.lexists(path):  # a link, dangling too
             continue
         if "/" in f.path and (parent := os.path.dirname(path)) not in made:
             Path(parent).mkdir(parents=True, exist_ok=True)
@@ -104,7 +105,8 @@ def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) 
 def _write_bytes(path: str, data: bytes) -> None:
     """Write `data` unless `path` already holds exactly these bytes, compared by size,
     then bytes: an unchanged output is never opened for writing, so it keeps its mtime.
-    A file that cannot be read or compared is written."""
+    A file that cannot be read or compared is written. The compare follows a symlink at
+    `path`; a write replaces the link with a file."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -114,8 +116,19 @@ def _write_bytes(path: str, data: bytes) -> None:
             os.close(fd)
     except OSError:  # e.g. absent, or a directory at `path`: the write below reports it
         pass
-    with open(path, "wb") as out:
+    try:
+        out = open(path, "wb", opener=_open_nofollow)
+    except OSError as exc:  # a symlink at `path`: replaced by a file, never written through
+        if exc.errno != errno.ELOOP:
+            raise
+        os.unlink(path)
+        out = open(path, "wb", opener=_open_nofollow)
+    with out:
         out.write(data)
+
+
+def _open_nofollow(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NOFOLLOW)
 
 
 def emit_diagram(model: ResolvedModel) -> str:
@@ -250,7 +263,24 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 def main() -> None:
     gc.disable()  # one build per process, and the model it builds lives until exit
-    raise SystemExit(run())
+    code = run()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError):  # stdout None (fd 1 closed) or broken: exit as usual
+            pass
+        else:  # nothing is left to write: skip tearing down every module and model object
+            os._exit(code)
+    raise SystemExit(code)
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler runs, which reports only at a normal exit (`cProfile`
+    and coverage use `sys.monitoring` from Python 3.12 on)."""
+    tools = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or tools is not None and any(tools.get_tool(i) is not None for i in range(6)))
 
 
 if __name__ == "__main__":

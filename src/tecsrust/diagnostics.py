@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
@@ -85,12 +84,27 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    location: SourceLoc
+    """A severity, code and message at a location; equal and hashed by all four. Not a
+    dataclass: `bindgen-lite` would load `dataclasses`, and with it `inspect`, for it."""
+
+    __slots__ = ("severity", "code", "message", "location")
+
+    def __init__(self, severity: Severity, code: str, message: str, location: SourceLoc):
+        self.severity, self.code, self.message, self.location = severity, code, message, location
+
+    def _fields(self) -> tuple:
+        return self.severity, self.code, self.message, self.location
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Diagnostic(severity=%r, code=%r, message=%r, location=%r)" % self._fields()
 
     def __str__(self) -> str:
         return f"{self.location}: {self.severity.value}[{self.code}]: {self.message}"

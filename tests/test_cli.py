@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -420,20 +421,29 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
     assert out.read_text() == golden("kernel_cfg.rs")
 
 
+# stdout block-buffered, as into a pipe from a shell, whatever the caller's environment
+_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+        "PYTHONPATH": str(Path(tecsrust.__file__).parents[1])}
 COMPILE_STAGES = {f"tecsrust.{m}"
                   for m in ("frontend", "model", "linker", "emit_core", "emit_rtos", "naming")}
 
 
-def _bindgen_lite_process(header: Path, out: Path):
-    """`python -m tecsrust.cli bindgen-lite` in a process of its own: its exit code,
-    its stderr but for `-X importtime` lines, and the modules it imported."""
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "tecsrust.cli", "bindgen-lite", str(header),
-         "-o", str(out)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(Path(tecsrust.__file__).parents[1])))
+def _importtime(*args: str):
+    """`python -X importtime` with `args` in a process of its own: its exit code, its
+    stderr but for `-X importtime` lines, and the modules it imported."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=_ENV)
     lines = done.stderr.splitlines(keepends=True)
     imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
     return done.returncode, "".join(l for l in lines if not l.startswith("import time:")), imported
+
+
+def _bindgen_lite_process(header: Path, out: Path):
+    return _importtime("-m", "tecsrust.cli", "bindgen-lite", str(header), "-o", str(out))
+
+
+# what `bindgen-lite` and `import tecsrust.cli` never load: `dataclasses` brings `inspect`
+NOT_AT_START = COMPILE_STAGES | {"dataclasses", "inspect"}
 
 
 def test_bindgen_lite_loads_only_the_header_converter(tmp_path):
@@ -441,13 +451,120 @@ def test_bindgen_lite_loads_only_the_header_converter(tmp_path):
     code, err, imported = _bindgen_lite_process(GOLDENS / "kernel_cfg.h", out)
     assert (code, err) == (EXIT_OK, "") and out.read_text() == golden("kernel_cfg.rs")
     assert {"tecsrust.diagnostics", "tecsrust.header_const"} <= imported
-    assert not imported & COMPILE_STAGES
+    assert not imported & NOT_AT_START
     bad = tmp_path / "bad.h"
     bad.write_bytes(b"#define A 1\n#define B \xff\n")
     code, err, imported = _bindgen_lite_process(bad, tmp_path / "bad.rs")
     assert (code, err) == (EXIT_DIAGNOSTICS, f"{bad}:2:11: error[bad-encoding]: "
                                              "input is not valid UTF-8 (byte 0xff)\n")
-    assert not imported & COMPILE_STAGES and not (tmp_path / "bad.rs").exists()
+    assert not imported & NOT_AT_START and not (tmp_path / "bad.rs").exists()
+
+
+def test_importing_the_cli_loads_no_compile_stage_and_no_dataclasses():
+    # the command behind perfbench's setup_s probe
+    code, err, imported = _importtime("-c", "import tecsrust.cli")
+    assert (code, err) == (EXIT_OK, "") and "tecsrust.cli" in imported
+    assert not imported & NOT_AT_START
+
+
+def _cli_process(argv, prefix=("-m", "tecsrust.cli")):
+    """`python -m tecsrust.cli argv` in a process of its own, stdout and stderr on pipes."""
+    return subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                          env=_ENV)
+
+
+def _in_process(argv, capsys):
+    """`run(argv)`'s exit code, stdout and stderr; argparse's own exit counts as a return."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _tree(root: Path):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["SAMPLE", "--out", "OUT"], EXIT_OK),
+    (["SAMPLE", "--out", "OUT", "--report"], EXIT_OK),
+    (["NON_GENERATING", "--out", "OUT"], EXIT_DIAGNOSTICS),
+    (["BAD", "--out", "OUT"], EXIT_DIAGNOSTICS),
+    (["MISSING", "--out", "OUT"], EXIT_USAGE),
+    ([], EXIT_USAGE),
+    (["bindgen-lite", "KERNEL_CFG", "-o", "OUT/kernel_cfg.rs"], EXIT_OK),
+    (["bindgen-lite", "BAD", "-o", "OUT/kernel_cfg.rs"], EXIT_DIAGNOSTICS),
+    (["bindgen-lite", "MISSING", "-o", "OUT/kernel_cfg.rs"], EXIT_USAGE),
+    (["bindgen-lite", "KERNEL_CFG"], EXIT_USAGE),
+    (["bindgen-lite", "--help"], EXIT_OK),
+], ids=["generate", "report", "non-generating-target", "bad-encoding", "missing-input",
+        "no-inputs", "bindgen-lite", "bindgen-lite-bad-encoding", "bindgen-lite-missing-header",
+        "bindgen-lite-no-output", "bindgen-lite-help"])
+def test_a_cli_process_exits_with_the_code_and_text_of_run(tmp_path, capsys, argv, expected):
+    # the process ends without tearing down the interpreter: nothing it prints may be lost
+    (tmp_path / "u.cdl").write_text(NON_GENERATING)
+    (tmp_path / "bad.in").write_bytes(b"// caf\xc3\xa9 \xff\n")
+    out = tmp_path / "gen"
+    names = {"SAMPLE": SAMPLE, "KERNEL_CFG": str(GOLDENS / "kernel_cfg.h"), "OUT": str(out),
+             "NON_GENERATING": str(tmp_path / "u.cdl"), "BAD": str(tmp_path / "bad.in"),
+             "MISSING": str(tmp_path / "nope.cdl")}
+    argv = [names.get(a, a).replace("OUT/", f"{out}/") for a in argv]
+    out.mkdir()  # for bindgen-lite -o
+    done = _cli_process(argv)
+    tree = _tree(out)
+    shutil.rmtree(out)
+    out.mkdir()
+    assert (done.returncode, done.stdout, done.stderr) == _in_process(argv, capsys)
+    assert done.returncode == expected and tree == _tree(out)
+    if argv[:1] == [SAMPLE]:
+        for name in ("s_sensor.rs", "t_sensor.rs", "t_sensor_impl.rs"):
+            assert tree[name].decode() == golden(name)
+    elif argv[:2] == ["bindgen-lite", str(GOLDENS / "kernel_cfg.h")] and expected == EXIT_OK:
+        assert tree == {"kernel_cfg.rs": golden("kernel_cfg.rs").encode()}
+    if expected != EXIT_OK:
+        assert done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_profiled_build_still_prints_the_profile(tmp_path):
+    # a profiler reports at a normal exit, which the CLI then takes
+    out = tmp_path / "gen"
+    done = _cli_process([SAMPLE, "--out", str(out)], prefix=("-m", "cProfile", "-m",
+                                                               "tecsrust.cli"))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.startswith(
+        f"generated 6 files (6 written, 72 generated lines, 33 stub lines) under {out}\n")
+    assert " function calls " in done.stdout and "Ordered by: " in done.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_report_into_a_closed_reader_fails_as_a_normal_exit_does(tmp_path, buffered):
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout fails with EPIPE
+    env = _ENV if buffered else dict(_ENV, PYTHONUNBUFFERED="1")
+    try:
+        done = subprocess.run([sys.executable, "-m", "tecsrust.cli", SAMPLE, "--out",
+                               str(tmp_path / "gen"), "--report"], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    if buffered:  # the flush at exit fails: the interpreter reports it and exits 120
+        assert done.returncode == 120 and done.stderr.startswith(
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    else:  # the print in run() fails
+        assert done.returncode == 1 and done.stderr.startswith("Traceback")
+
+
+def test_a_build_with_stdout_closed_exits_0(tmp_path):
+    # sys.stdout is None: print() writes nothing, and the exit flushes nothing
+    out = tmp_path / "gen"
+    done = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                           "tecsrust.cli", SAMPLE, "--out", str(out)],
+                          stderr=subprocess.PIPE, text=True, env=_ENV)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert {p.name for p in out.iterdir()} == EXPECTED_SAMPLE_FILES
 
 
 def test_bindgen_lite_leaves_an_unchanged_output_alone(tmp_path):
@@ -509,6 +626,40 @@ def test_a_symlink_to_an_identical_file_is_left_alone(tmp_path, command):
     path.symlink_to(real)
     assert run(argv) == EXIT_OK
     assert path.is_symlink() and real.read_bytes() == new and real.stat().st_mtime_ns == PAST
+
+
+@pytest.mark.parametrize("command", ["generate", "bindgen-lite", "diagram"])
+@pytest.mark.parametrize("dangling", [False, True], ids=["other-bytes", "dangling"])
+def test_a_symlink_at_an_output_path_is_replaced_not_written_through(tmp_path, command,
+                                                                      dangling):
+    if command == "diagram":
+        dot = tmp_path / "components.dot"
+        argv, path = [SAMPLE, "--out", str(tmp_path / "gen"), "--diagram", str(dot)], dot
+        new = emit_diagram(generate([("sample.cdl", golden("sample.cdl"))])[2]).encode()
+    else:
+        argv, path, new = _one_output(tmp_path, command)
+    assert run(argv) == EXIT_OK
+    outside = tmp_path / "outside.txt"
+    if not dangling:
+        outside.write_bytes(b"not an output\n")
+    path.unlink()
+    path.symlink_to(os.path.relpath(outside, path.parent))
+    assert run(argv) == EXIT_OK
+    assert not path.is_symlink() and path.read_bytes() == new
+    assert outside.read_bytes() == b"not an output\n" if not dangling else not outside.exists()
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["to-a-file", "dangling"])
+def test_a_symlink_at_a_skeleton_path_is_kept(tmp_path, dangling):
+    out = tmp_path / "gen"
+    out.mkdir()
+    target = tmp_path / "impl.rs"
+    if not dangling:
+        target.write_text("// hand-written\n")
+    (out / "t_sensor_impl.rs").symlink_to("../impl.rs")
+    assert run([SAMPLE, "--out", str(out)]) == EXIT_OK
+    assert (out / "t_sensor_impl.rs").is_symlink()
+    assert target.read_text() == "// hand-written\n" if not dangling else not target.exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")

@@ -125,7 +125,7 @@ def test_integer_literal_without_digits_is_rejected(text, message, column, fixed
 
 NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}
 # the fields each node class leaves out of equality and hash; `location` for the rest
-UNCOMPARED = {CdlUnit: {"source_name"}, Diagnostic: set(), Initializer: set(), FactoryBlock: set(),
+UNCOMPARED = {CdlUnit: {"source_name"}, Initializer: set(), FactoryBlock: set(),
               FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"},
               Binding: {"at", "lines"}, AttrInit: {"at", "lines"},
               CellDef: {"at", "lines"}, PluginDirective: {"at", "lines"}}
@@ -145,7 +145,7 @@ def _nodes(value):
 def test_every_model_node_is_a_slotted_value():
     units = [parse_unit(golden(name), name).unit for name in ("sample.cdl", "kernel_rs.cdl")]
     found = {}
-    for node in [n for unit in units for n in _nodes(unit)] + parse_unit("cell", "x").diagnostics:
+    for node in [n for unit in units for n in _nodes(unit)]:
         found.setdefault(type(node), []).append(node)
     assert set(found) == NODE_CLASSES  # the goldens build a node of each class
     loc = SourceLoc("elsewhere.cdl", 99, 9)
@@ -167,6 +167,26 @@ def test_every_model_node_is_a_slotted_value():
             for f in fields(cls):
                 if f.compare:
                     assert replace(node, **{f.name: object()}) != node, (cls, f.name)
+
+
+def test_diagnostic_is_a_slotted_value():
+    [diag] = parse_unit("cell", "x").diagnostics
+    assert "__slots__" in vars(Diagnostic) and not hasattr(diag, "__dict__")
+    with pytest.raises(AttributeError):
+        diag.misspelt = 1
+    others = {"severity": Severity.WARNING, "code": "bad-name", "message": "other",
+              "location": SourceLoc("x", 1, 2)}  # a value of each field that `diag` has not
+
+    def copy(**changed):
+        return Diagnostic(*(changed.get(name, getattr(diag, name)) for name in others))
+
+    assert copy() is not diag and copy() == diag and hash(copy()) == hash(diag)
+    assert copy(location=SourceLoc("x", 1, 1)) == diag and diag.__eq__(str(diag)) is NotImplemented
+    for name, other in others.items():
+        assert copy(**{name: other}) != diag, name
+    assert repr(diag) == ("Diagnostic(severity=<Severity.ERROR: 'error'>, code='unexpected-token', "
+                          "message=\"expected celltype name, found 'end of input'\", "
+                          "location=SourceLoc(file='x', line=1, column=1))")
 
 
 @pytest.mark.parametrize("name", ["sample.cdl", "kernel_rs.cdl", *workloads.WORKLOADS])
