@@ -220,8 +220,8 @@ def run(argv: Optional[List[str]] = None) -> int:
                         help="print the per-file generation report")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return EXIT_USAGE
+    except SystemExit as exc:  # 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     sources = []
     for name in args.inputs:
@@ -238,12 +238,16 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     out_dir = Path(args.out)
     diagram = Path(args.diagram) if args.diagram else None
-    if diagram and diagram.resolve() in {(out_dir / f.path).resolve() for f in files}:
-        print(f"error: --diagram {args.diagram} names a generated file", file=sys.stderr)
-        return EXIT_USAGE
+    if diagram:  # written before the tree: it may take no path that the tree needs
+        at, out = diagram.resolve(), out_dir.resolve()
+        outputs = {(out_dir / f.path).resolve() for f in files}
+        if at in outputs or at in {out, *out.parents}.union(*(p.parents for p in outputs)):
+            what = "a generated file" if at in outputs else "a directory outputs are written into"
+            print(f"error: --diagram {args.diagram} names {what}", file=sys.stderr)
+            return EXIT_USAGE
     try:  # the diagram first: one that cannot be written leaves no tree behind
         if diagram:
-            if out_dir.resolve() in diagram.resolve().parents:  # made like an output's directory
+            if out in at.parents:  # made like an output's directory
                 diagram.parent.mkdir(parents=True, exist_ok=True)
             _write_bytes(str(diagram), emit_diagram(model).encode("utf-8"))
         written = write_files(files, out_dir)

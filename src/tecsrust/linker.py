@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import naming
-from .emit_rtos import MacroEnv, MacroError, build_env, substitute_macros
+from .emit_rtos import MacroError, substitute_macros
 from .model import (
-    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, PortDecl,
-    SignatureDef, error, has_errors,
+    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, Initializer,
+    PortDecl, SignatureDef, error, has_errors,
 )
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 and DEL: refused in a factory target
@@ -267,9 +267,7 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     f"celltype '{ct.name}' has call port '{port.port_name}' but no "
                     f"bound cell to fix its concrete entry type", port.location))
             continue
-        # declared attr -> its default, the last one given winning as in `build_env`
-        defaults = {a.name: a.default for a in ct.attrs}
-        defaults.update((a.name, a.default) for a in ct.attrs if a.default is not None)
+        defaults = _defaults(ct)
         for rc in cells:
             rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, defaults, diags) for a in visible)
             keys = [naming.static_instance_name(rc.cell.name)] + [
@@ -325,6 +323,32 @@ def _unwritable(generating, named, sig_index):
                     for f in sig.functions for p in f.params if p.name in bad)
 
 
+def _defaults(ct: CelltypeDef) -> Dict[str, Optional[Initializer]]:
+    """Each declared attr -> its default, the last one given winning."""
+    defaults = {a.name: a.default for a in ct.attrs}
+    defaults.update((a.name, a.default) for a in ct.attrs if a.default is not None)
+    return defaults
+
+
+def macro_lookup(ct: CelltypeDef, cell: Optional[CellDef], defaults) -> Callable[[str], str]:
+    """The `lookup` that fills `$macro$` holes in the scope of `cell`, or of `ct` when cell
+    is None: `$ct$`, then `$cell$`, then a declared attr's text (the cell's first initializer
+    of it, else its entry in `defaults`). [omit] attrs count: they exist to feed the factory."""
+    def lookup(name: str) -> str:
+        if name == "ct":
+            return ct.name
+        if name == "cell":
+            if cell is None:
+                raise MacroError("$cell$ is not available outside a cell context")
+            return cell.name
+        value = ((cell is not None and cell.init_for(name)) or defaults[name]
+                 if name in defaults else None)
+        if value is None:
+            raise MacroError(f"unresolved macro '${name}$'")
+        return value.text
+    return lookup
+
+
 def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
     init = cell.init_for(attr.name) or attr.default
     if init is None:
@@ -334,17 +358,8 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
             f"nor a cell initializer", cell.location))
         return ""
     if init.kind is InitKind.C_EXP and "$" in init.text:
-        def lookup(name: str) -> str:  # `MacroEnv.lookup`'s order, with no env built
-            if name == "ct":
-                return ct.name
-            if name == "cell":
-                return cell.name
-            value = (cell.init_for(name) or defaults[name]) if name in defaults else None
-            if value is None:
-                raise MacroError(f"unresolved macro '${name}$'")
-            return value.text
-        try:
-            return substitute_macros(init.text, lookup, {})  # texts may differ per cell
+        try:  # texts may differ per cell: no shared `pieces` table
+            return substitute_macros(init.text, macro_lookup(ct, cell, defaults), {})
         except MacroError as exc:
             diags.append(error("unresolved-macro", str(exc), cell.location))
     return init.text
@@ -364,8 +379,8 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     """Render every factory write in plan order: each generating celltype's FACTORY
     writes first, then its cells' factory writes in cell declaration order.
 
-    A macro environment is built once per celltype or cell that has writes, and
-    each distinct template is split at its holes once. A template whose only
+    Holes are filled with `macro_lookup` in each celltype or cell scope that has
+    writes, and each distinct template is split at its holes once. A template whose only
     holes are `$ct$`, if any, is filled once per celltype. Each distinct target is
     checked once, at its first write: it must name a file inside `--out`, with no
     control character, that no core emitter writes, and no output may need its
@@ -384,8 +399,9 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     files, dirs = set(owners["file"]), set()  # each output file, each target's parents
     pieces: Dict[str, List[str]] = {}  # template -> its split
     fixed: Dict[str, Dict[str, str]] = {}  # celltype -> template -> fill, if no scope changes it
+    defaults = {ct.name: _defaults(ct) for ct in generating if ct.factory_blocks}
     for ct in generating:
-        ct_only = MacroEnv(ct.name).lookup  # raises at any hole but `$ct$`
+        ct_only = macro_lookup(ct, None, {})  # raises at any hole but `$ct$`
         fixed[ct.name] = done = {}
         for t in {t for block in ct.factory_blocks for w in block.writes
                   for t in (w.target_file, w.template)}:
@@ -394,12 +410,11 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
             except MacroError:  # filled per scope, so each write reports its own error
                 pass
     for ct, cell, writes in scopes:
-        env, done = build_env(ct, cell), fixed[ct.name]
+        lookup, done = macro_lookup(ct, cell, defaults[ct.name]), fixed[ct.name]
         for w in writes:
             try:
-                target = (done.get(w.target_file)
-                          or substitute_macros(w.target_file, env.lookup, pieces))
-                line = done.get(w.template) or substitute_macros(w.template, env.lookup, pieces)
+                target = done.get(w.target_file) or substitute_macros(w.target_file, lookup, pieces)
+                line = done.get(w.template) or substitute_macros(w.template, lookup, pieces)
             except MacroError as exc:
                 diags.append(error("unresolved-macro", str(exc), w.location))
                 continue

@@ -347,6 +347,30 @@ def test_diagram_may_not_name_a_generated_file(tmp_path, monkeypatch, capsys, di
         f"error: --diagram {diagram} names a generated file"]
 
 
+FACTORY_SUBDIR = """signature sP { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tX { entry sP eP; FACTORY { write("cfg/x.cfg", "X"); }; };
+cell tX X1 {};
+"""
+
+
+@pytest.mark.parametrize("text, out, diagram", [
+    (FACTORY_SUBDIR, "gen", "gen"), (FACTORY_SUBDIR, "gen", "./gen/sub/.."),
+    (FACTORY_SUBDIR, "gen/sub", "gen"), (FACTORY_SUBDIR, "gen", "."),
+    (FACTORY_SUBDIR, "gen", "gen/cfg"), ("", "gen", "gen"),
+], ids=["out", "out-spelled-otherwise", "above-out", "cwd-above-out", "factory-directory",
+        "out-of-a-build-with-no-outputs"])
+def test_diagram_may_not_name_an_output_directory(tmp_path, monkeypatch, capsys, text, out,
+                                                  diagram):
+    # refused before any write: no diagram, no tree
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.cdl").write_text(text)
+    assert run(["u.cdl", "--out", out, "--diagram", diagram]) == EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == ["u.cdl"]
+    assert capsys.readouterr() == (
+        "", f"error: --diagram {diagram} names a directory outputs are written into\n")
+
+
 def test_diagram_inside_out_is_written(tmp_path):
     out = tmp_path / "gen"
     assert run([SAMPLE, "--out", str(out), "--diagram", str(out / "components.dot")]) == EXIT_OK
@@ -494,14 +518,15 @@ def _tree(root: Path):
     (["BAD", "--out", "OUT"], EXIT_DIAGNOSTICS),
     (["MISSING", "--out", "OUT"], EXIT_USAGE),
     ([], EXIT_USAGE),
+    (["--help"], EXIT_OK),
     (["bindgen-lite", "KERNEL_CFG", "-o", "OUT/kernel_cfg.rs"], EXIT_OK),
     (["bindgen-lite", "BAD", "-o", "OUT/kernel_cfg.rs"], EXIT_DIAGNOSTICS),
     (["bindgen-lite", "MISSING", "-o", "OUT/kernel_cfg.rs"], EXIT_USAGE),
     (["bindgen-lite", "KERNEL_CFG"], EXIT_USAGE),
     (["bindgen-lite", "--help"], EXIT_OK),
 ], ids=["generate", "report", "non-generating-target", "bad-encoding", "missing-input",
-        "no-inputs", "bindgen-lite", "bindgen-lite-bad-encoding", "bindgen-lite-missing-header",
-        "bindgen-lite-no-output", "bindgen-lite-help"])
+        "no-inputs", "help", "bindgen-lite", "bindgen-lite-bad-encoding",
+        "bindgen-lite-missing-header", "bindgen-lite-no-output", "bindgen-lite-help"])
 def test_a_cli_process_exits_with_the_code_and_text_of_run(tmp_path, capsys, argv, expected):
     # the process ends without tearing down the interpreter: nothing it prints may be lost
     (tmp_path / "u.cdl").write_text(NON_GENERATING)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -6,34 +7,40 @@ from conftest import golden
 from rustc_check import build_shim, rustc_check_tree
 from tecsrust import linker
 from tecsrust.emit_rtos import (
-    KERNEL_PREAMBLE_LINES, MacroEnv, MacroError, build_env, config_files,
-    run_factory, substitute_macros,
+    KERNEL_PREAMBLE_LINES, MacroError, config_files, run_factory, substitute_macros,
 )
 from tecsrust.frontend import parse_unit
 from tecsrust.header_const import convert_defines
-from tecsrust.linker import PlannedWrite, plan_emission, resolve
+from tecsrust.linker import PlannedWrite, macro_lookup, plan_emission, resolve
 from tecsrust.model import (
     AttrDecl, AttrInit, CelltypeDef, CellDef, InitKind, Initializer, validate_unit,
 )
 
 
+def literal(text):
+    return Initializer(InitKind.LITERAL, text)
+
+
 def test_substitute_attr_macro():
-    env = MacroEnv(ct="tTask_rs", cell="Task1", attr_values={"id": "1"})
-    assert substitute_macros("TSKID_$id$", env.lookup, {}) == "TSKID_1"
+    ct = CelltypeDef("tTask_rs", attrs=(AttrDecl("id", "int32_t"),))
+    cell = CellDef("Task1", "tTask_rs", attr_inits=(AttrInit("id", literal("1")),))
+    lookup = macro_lookup(ct, cell, {"id": None})
+    assert substitute_macros("TSKID_$id$", lookup, {}) == "TSKID_1"
 
 
 def test_substitute_ct_macro():
-    env = MacroEnv(ct="tTask_rs")
-    assert substitute_macros("$ct$_factory.h", env.lookup, {}) == "tTask_rs_factory.h"
+    lookup = macro_lookup(CelltypeDef("tTask_rs"), None, {})
+    assert substitute_macros("$ct$_factory.h", lookup, {}) == "tTask_rs_factory.h"
 
 
 def test_substitute_without_holes():
-    assert substitute_macros("no holes", MacroEnv(ct="tX").lookup, {}) == "no holes"
+    lookup = macro_lookup(CelltypeDef("tX"), None, {})
+    assert substitute_macros("no holes", lookup, {}) == "no holes"
 
 
 def test_unknown_macro_is_an_error():
     with pytest.raises(MacroError, match=r"^unresolved macro '\$nope\$'$"):
-        substitute_macros("$nope$", MacroEnv(ct="tX").lookup, {})
+        substitute_macros("$nope$", macro_lookup(CelltypeDef("tX"), None, {}), {})
     text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
             '  factory { write("x.cfg", "$nope$"); };\n};\ncell tX X1 {};\n')
     model, diags = resolve([parse_unit(text, "m.cdl").unit])
@@ -54,56 +61,79 @@ def test_unbalanced_holes_are_rejected():
 
 
 def test_single_pass_no_rescan():
-    env = MacroEnv(ct="tX", attr_values={"a": "$b$", "b": "2"})
+    ct = CelltypeDef("tX", attrs=(AttrDecl("a", "int32_t", literal("$b$")),
+                                  AttrDecl("b", "int32_t", literal("2"))))
+    lookup = macro_lookup(ct, None, linker._defaults(ct))
     with pytest.raises(MacroError):
-        substitute_macros("$a$", env.lookup, {})  # residual hole is an error, not re-expanded
+        substitute_macros("$a$", lookup, {})  # residual hole is an error, not re-expanded
 
 
 def test_cell_macro_outside_cell_context():
-    with pytest.raises(MacroError):
-        substitute_macros("$cell$", MacroEnv(ct="tX", cell=None).lookup, {})
+    with pytest.raises(MacroError, match=r"^\$cell\$ is not available outside a cell context$"):
+        substitute_macros("$cell$", macro_lookup(CelltypeDef("tX"), None, {}), {})
 
 
-def test_omit_attrs_feed_the_env(kernel_text):
+def test_cell_macro_in_a_factory_write_is_reported_at_the_write():
+    text = ('signature sP { void f( void ); };\n[generate(RustGenPlugin, "lib")]\n'
+            'celltype tX { entry sP eP; FACTORY { write("x.cfg", "$cell$"); }; };\n'
+            'cell tX X1 {};\n')
+    model, diags = resolve([parse_unit(text, "f.cdl").unit])
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "f.cdl:3:38: error[unresolved-macro]: $cell$ is not available outside a cell context"]
+
+
+def test_omit_attrs_feed_the_lookup(kernel_text):
     unit = parse_unit(kernel_text, "kernel_rs.cdl").unit
     ct = next(c for c in unit.celltypes if c.name == "tTask_rs")
     cell = next(c for c in unit.cells if c.name == "Task1")
-    env = build_env(ct, cell)
-    assert env.attr_values["id"] == "1"
-    assert env.attr_values["priority"] == "MID_PRIORITY"
+    lookup = macro_lookup(ct, cell, linker._defaults(ct))
+    assert lookup("id") == "1"
+    assert lookup("priority") == "MID_PRIORITY"
 
 
-def test_build_env_keeps_the_first_of_duplicate_initializers():
-    # validate_unit rejects such a cell, but build_env is public and takes any cell
-    ct = CelltypeDef("tX", attrs=(
-        AttrDecl("id", "int32_t", Initializer(InitKind.LITERAL, "9")), AttrDecl("n", "int32_t")))
-    cell = CellDef("X1", "tX", attr_inits=(AttrInit("id", Initializer(InitKind.LITERAL, "1")),
-                                           AttrInit("id", Initializer(InitKind.LITERAL, "2"))))
+def test_macro_lookup_keeps_the_first_of_duplicate_initializers():
+    # validate_unit rejects such a cell, but macro_lookup takes any cell
+    ct = CelltypeDef("tX", attrs=(AttrDecl("id", "int32_t", literal("9")),
+                                  AttrDecl("n", "int32_t")))
+    cell = CellDef("X1", "tX", attr_inits=(AttrInit("id", literal("1")),
+                                           AttrInit("id", literal("2"))))
     assert cell.init_for("id").text == "1"
-    assert build_env(ct, cell) == MacroEnv("tX", "X1", {"id": "1"})
-    assert build_env(ct, None) == MacroEnv("tX", None, {"id": "9"})
+    defaults = linker._defaults(ct)
+    assert macro_lookup(ct, cell, defaults)("id") == "1"
+    assert macro_lookup(ct, None, defaults)("id") == "9"
+    for scope in (cell, None):  # `n` is declared, but has no default and no initializer
+        with pytest.raises(MacroError, match=r"^unresolved macro '\$n\$'$"):
+            macro_lookup(ct, scope, defaults)("n")
 
 
-def test_run_factory_builds_one_env_per_scope(kernel_text, monkeypatch):
+def test_run_factory_builds_one_lookup_per_scope(kernel_text, monkeypatch):
     text = kernel_text + """
 [generate(ItronrsGenPlugin, "lib")]
 cell tTask_rs Task2 { cTaskBody = MainBody.eBody; id = 2; priority = 1; stackSize = 2; };
 """
-    scopes = []
+    built = []  # (caller, celltype, cell, whether `defaults` is empty) per lookup built
 
-    def counting_build_env(ct, cell):
-        scopes.append((ct.name, cell and cell.name))
-        return build_env(ct, cell)
+    def counting_lookup(ct, cell, defaults):
+        built.append((sys._getframe(1).f_code.co_name, ct.name, cell and cell.name, not defaults))
+        return macro_lookup(ct, cell, defaults)
 
-    monkeypatch.setattr(linker, "build_env", counting_build_env)
+    monkeypatch.setattr(linker, "macro_lookup", counting_lookup)
     model, diags = resolve([parse_unit(text, "kernel_rs.cdl").unit])
     assert not diags
     plan = plan_emission(model)
     writes, w_diags = run_factory(model, plan)
     assert not w_diags and len(writes) == len(plan.config_writes) == 4
-    # one per celltype with FACTORY writes, then one per cell with factory writes; the
-    # attr texts (`task_ref`'s `$id$`) are filled with none
-    assert scopes == [("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    # the attr texts: one per cell whose text has holes (`task_ref`'s `$id$`)
+    assert [b[1:3] for b in built if b[0] == "_attr_text"] == [
+        ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    factory = [b[1:] for b in built if b[0] == "_render_factory"]
+    # the `$ct$`-only fill, with no attr: one per generating celltype
+    assert [f[:2] for f in factory if f[2]] == [("tTask_rs", None), ("tTaskBody", None)]
+    # one per celltype with FACTORY writes, then one per cell with factory writes
+    assert [f[:2] for f in factory if not f[2]] == [
+        ("tTask_rs", None), ("tTask_rs", "Task1"), ("tTask_rs", "Task2")]
+    assert len(built) == 7
 
 
 FILL_ONCE_UNIT = """signature sP { void f( void ); };
