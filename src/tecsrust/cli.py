@@ -180,13 +180,23 @@ def _read(name: str) -> Tuple[Optional[str], int]:
         return None, EXIT_DIAGNOSTICS
 
 
+def _parse(parser, argv: List[str]) -> Tuple[Optional[argparse.Namespace], int]:
+    """`argv` parsed, or None and an exit code (0 after --help, else 2) after argparse's output."""
+    try:
+        return parser.parse_args(argv), EXIT_OK
+    except SystemExit as exc:
+        return None, EXIT_OK if exc.code == 0 else EXIT_USAGE
+
+
 def _run_bindgen_lite(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="tecsrust bindgen-lite",
         description="Convert integer #define macros in a kernel header to Rust constants.")
     parser.add_argument("header", help="kernel header file (e.g. kernel_cfg.h)")
     parser.add_argument("-o", "--output", required=True, help="output .rs file")
-    args = parser.parse_args(argv)
+    args, code = _parse(parser, argv)
+    if args is None:
+        return code
     text, code = _read(args.header)
     if text is None:
         return code
@@ -218,10 +228,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--diagram", help="also write a DOT component diagram to this path")
     parser.add_argument("--report", action="store_true",
                         help="print the per-file generation report")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # 0 after --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    args, code = _parse(parser, argv)
+    if args is None:
+        return code
 
     sources = []
     for name in args.inputs:

@@ -1,4 +1,4 @@
-"""Located diagnostics, shared by every command.
+"""Located diagnostics and `Record`, the base class of every node and record: shared by all.
 
 A `SourceLoc` is a file, line and column. `LineIndex.locate` makes one that keeps the
 index and an offset; the line is found only when it is read, as when a diagnostic is
@@ -12,6 +12,7 @@ import re
 from array import array
 from bisect import bisect_right
 from enum import Enum
+from reprlib import recursive_repr
 from typing import Tuple
 
 
@@ -84,27 +85,44 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-class Diagnostic:
-    """A severity, code and message at a location; equal and hashed by all four. Not a
-    dataclass: `bindgen-lite` would load `dataclasses`, and with it `inspect`, for it."""
+class Record:
+    """A plain slotted record: `__slots__` names its fields in constructor order. It equals a
+    record of its class whose fields are equal but for those named in `_uncompared`, if any,
+    and shows as `Name(field=value, ...)`. Not a dataclass: where bytecode is not cached, each
+    build would compile `dataclasses`, `inspect`, `ast` and `dis`, then generate every class's
+    methods."""
+
+    __slots__ = ()
+    _uncompared = frozenset()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f not in self._uncompared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    @recursive_repr()  # '...' for a record inside itself, as in a cycle of linked cells
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__))
+
+
+class Value(Record):
+    """A record hashed as it compares."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Diagnostic(Value):
+    """A severity, code and message at a location; equal and hashed by all four."""
 
     __slots__ = ("severity", "code", "message", "location")
 
     def __init__(self, severity: Severity, code: str, message: str, location: SourceLoc):
         self.severity, self.code, self.message, self.location = severity, code, message, location
-
-    def _fields(self) -> tuple:
-        return self.severity, self.code, self.message, self.location
-
-    def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Diagnostic(severity=%r, code=%r, message=%r, location=%r)" % self._fields()
 
     def __str__(self) -> str:
         return f"{self.location}: {self.severity.value}[{self.code}]: {self.message}"

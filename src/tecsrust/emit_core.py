@@ -10,14 +10,13 @@ deterministic, LF-terminated, and ends with exactly one trailing newline.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
 from . import naming
 from .emit_rtos import KERNEL_PREAMBLE_LINES, uses_kernel_wrappers
 from .linker import ResolvedCell, ResolvedModel
-from .model import CelltypeDef, ParamSpecifier, SignatureDef
+from .model import CelltypeDef, ParamSpecifier, Record, SignatureDef, Value
 
 INDENT = "  "
 
@@ -27,29 +26,30 @@ class WritePolicy(Enum):
     SKIP_IF_EXISTS = "skip-if-exists"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class GeneratedFile:
-    path: str
-    content: str
-    policy: WritePolicy
+class GeneratedFile(Value):
+    __slots__ = ("path", "content", "policy")
+
+    def __init__(self, path: str, content: str, policy: WritePolicy):
+        self.path, self.content, self.policy = path, content, policy
 
     @property
     def lines(self) -> int:
         return self.content.count("\n")
 
 
-@dataclass(slots=True, eq=False)
-class SkeletonFile:
+class SkeletonFile(Record):
     """A skeleton output that `emit_skeleton` renders each time `content` is read.
 
     A regeneration keeps every skeleton that exists and never reads it, so a
     kept skeleton is never rendered; `lines` is `skeleton_lines`.
     """
-    path: str
-    lines: int
-    ct: CelltypeDef
-    model: ResolvedModel
+
+    __slots__ = ("path", "lines", "ct", "model")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
     policy = WritePolicy.SKIP_IF_EXISTS
+
+    def __init__(self, path: str, lines: int, ct: CelltypeDef, model: ResolvedModel):
+        self.path, self.lines, self.ct, self.model = path, lines, ct, model
 
     @property
     def content(self) -> str:

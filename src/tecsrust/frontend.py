@@ -34,10 +34,9 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .diagnostics import Diagnostic, LineIndex, SourceLoc, error, has_errors
+from .diagnostics import Diagnostic, LineIndex, Record, SourceLoc, error, has_errors
 from .model import (
     AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock, FactoryScope,
     FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl, ParamSpecifier,
@@ -251,10 +250,11 @@ def _scan_other(text, i, tokens, diags) -> int:
     return j
 
 
-@dataclass(slots=True)
-class ParseResult:
-    unit: Optional[CdlUnit]
-    diagnostics: List[Diagnostic]
+class ParseResult(Record):
+    __slots__ = ("unit", "diagnostics")
+
+    def __init__(self, unit: Optional[CdlUnit], diagnostics: List[Diagnostic]):
+        self.unit, self.diagnostics = unit, diagnostics
 
 
 class _ParseError(Exception):

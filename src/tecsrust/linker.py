@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import naming
 from .emit_rtos import MacroError, substitute_macros
 from .model import (
     AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, Initializer,
-    PortDecl, SignatureDef, error, has_errors,
+    PortDecl, Record, SignatureDef, error, has_errors,
 )
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 and DEL: refused in a factory target
@@ -20,31 +19,42 @@ _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
           PortDecl: "call port", AttrDecl: "attr"}
 
 
-@dataclass(slots=True)
-class ResolvedBinding:
-    call_port: PortDecl
-    target_cell: "ResolvedCell"
-    target_entry: PortDecl
+class ResolvedBinding(Record):
+    __slots__ = ("call_port", "target_cell", "target_entry")
+
+    def __init__(self, call_port: PortDecl, target_cell: ResolvedCell, target_entry: PortDecl):
+        self.call_port = call_port
+        self.target_cell = target_cell
+        self.target_entry = target_entry
 
 
-@dataclass(slots=True)
-class ResolvedCell:
-    cell: CellDef
-    celltype: CelltypeDef
-    bindings: Dict[str, ResolvedBinding] = field(default_factory=dict)
-    # generating celltypes only: initializer text per visible attr, macros filled
-    attr_texts: Tuple[str, ...] = ()
+class ResolvedCell(Record):
+    __slots__ = ("cell", "celltype", "bindings", "attr_texts")
+
+    def __init__(self, cell: CellDef, celltype: CelltypeDef,
+                 bindings: Optional[Dict[str, ResolvedBinding]] = None,
+                 attr_texts: Tuple[str, ...] = ()):
+        self.cell = cell
+        self.celltype = celltype
+        self.bindings = {} if bindings is None else bindings
+        # generating celltypes only: initializer text per visible attr, macros filled
+        self.attr_texts = attr_texts
 
 
-@dataclass(slots=True)
-class ResolvedModel:
-    cells: List[ResolvedCell]
-    signature_index: Dict[str, SignatureDef]
-    celltype_index: Dict[str, CelltypeDef]
-    plugin_by_celltype: Dict[str, str]  # celltype name -> plugin name
-    cells_by_celltype: Dict[str, List[ResolvedCell]]  # in declaration order
-    owners: Dict[str, Dict[str, object]]  # 'file'/'type' -> output path or name -> first owner
-    config_writes: List["PlannedWrite"]  # rendered factory lines, in plan order
+class ResolvedModel(Record):
+    __slots__ = ("cells", "signature_index", "celltype_index", "plugin_by_celltype",
+                 "cells_by_celltype", "owners", "config_writes")
+
+    def __init__(self, cells: List[ResolvedCell], signature_index: Dict[str, SignatureDef],
+                 celltype_index: Dict[str, CelltypeDef], plugin_by_celltype: Dict[str, str],
+                 cells_by_celltype: Dict[str, List[ResolvedCell]],
+                 owners: Dict[str, Dict[str, object]], config_writes: List[PlannedWrite]):
+        self.cells = cells
+        self.signature_index, self.celltype_index = signature_index, celltype_index
+        self.plugin_by_celltype = plugin_by_celltype  # celltype name -> plugin name
+        self.cells_by_celltype = cells_by_celltype  # in declaration order
+        self.owners = owners  # 'file'/'type' -> output path or name -> first owner
+        self.config_writes = config_writes  # rendered factory lines, in plan order
 
     def cells_of(self, celltype_name: str) -> List[ResolvedCell]:
         return self.cells_by_celltype.get(celltype_name, [])
@@ -365,14 +375,18 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
     return init.text
 
 
-@dataclass(slots=True)
-class PlannedWrite:
-    celltype: CelltypeDef
-    cell: Optional[CellDef]  # None for per-celltype FACTORY writes
-    target_template: str
-    line_template: str
-    target_file: str  # the rendered target without its empty and '.' parts
-    rendered_line: str
+class PlannedWrite(Record):
+    __slots__ = ("celltype", "cell", "target_template", "line_template", "target_file",
+                 "rendered_line")
+
+    def __init__(self, celltype: CelltypeDef, cell: Optional[CellDef], target_template: str,
+                 line_template: str, target_file: str, rendered_line: str):
+        self.celltype = celltype
+        self.cell = cell  # None for per-celltype FACTORY writes
+        self.target_template = target_template
+        self.line_template = line_template
+        self.target_file = target_file  # the rendered target without its empty and '.' parts
+        self.rendered_line = rendered_line
 
 
 def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
@@ -439,10 +453,13 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     return rendered
 
 
-@dataclass(slots=True)
-class GenerationReport:
-    file_lines: Dict[str, int] = field(default_factory=dict)
-    skeleton_files: set = field(default_factory=set)
+class GenerationReport(Record):
+    __slots__ = ("file_lines", "skeleton_files")
+
+    def __init__(self, file_lines: Optional[Dict[str, int]] = None,
+                 skeleton_files: Optional[set] = None):
+        self.file_lines = {} if file_lines is None else file_lines
+        self.skeleton_files = set() if skeleton_files is None else skeleton_files
 
     @property
     def auto_total(self) -> int:
@@ -455,13 +472,15 @@ class GenerationReport:
                    if p in self.skeleton_files)
 
 
-@dataclass(slots=True)
-class EmissionPlan:
-    contract_sigs: List[SignatureDef]
-    definition_cts: List[CelltypeDef]
-    skeleton_cts: List[CelltypeDef]
-    config_writes: List[PlannedWrite]
-    report: GenerationReport = field(default_factory=GenerationReport)
+class EmissionPlan(Record):
+    __slots__ = ("contract_sigs", "definition_cts", "skeleton_cts", "config_writes", "report")
+
+    def __init__(self, contract_sigs: List[SignatureDef], definition_cts: List[CelltypeDef],
+                 skeleton_cts: List[CelltypeDef], config_writes: List[PlannedWrite],
+                 report: Optional[GenerationReport] = None):
+        self.contract_sigs, self.definition_cts = contract_sigs, definition_cts
+        self.skeleton_cts, self.config_writes = skeleton_cts, config_writes
+        self.report = GenerationReport() if report is None else report
 
     def skeleton_files(self) -> List[str]:
         return [naming.file_name("skeleton", ct.name) for ct in self.skeleton_cts]

@@ -3,16 +3,17 @@
 Value types with no I/O, immutable by convention (a test checks it); slotted, not frozen,
 as freezing made each node 3-4x dearer to build. Locations and a unit's source name serve
 diagnostics only: equality and hash leave them out, so a re-parsed rendering compares equal.
+Each node is a `Record` that writes its own `__init__`, one statement per field where many
+are built: as fast to build as a dataclass, with no `dataclasses` to load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .diagnostics import (  # noqa: F401  (re-exported for `from tecsrust.model import`)
-    Diagnostic, Severity, SourceLoc, error, has_errors, warning,
+    Diagnostic, Record, Severity, SourceLoc, Value, error, has_errors, warning,
 )
 
 
@@ -29,41 +30,57 @@ class InitKind(Enum):
     LITERAL = "literal"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Initializer:
-    kind: InitKind
-    text: str
+_NOWHERE = SourceLoc()  # where a node built without a location is
 
 
-class _LazyLocation:  # `at` is a `SourceLoc`, or an offset into `lines` located when read
+class _Node(Value):
+    __slots__ = ()
+    _uncompared = frozenset(("at", "lines", "location", "source_name"))  # where a node is
+
+
+class Initializer(_Node):
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: InitKind, text: str):
+        self.kind = kind
+        self.text = text
+
+
+class _LazyLocation(_Node):  # `at` is a `SourceLoc`, or an offset into `lines` located when read
     __slots__ = ()
     location = property(lambda n: n.at if n.lines is None else SourceLoc.at(n.lines, n.at))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class ParamDecl(_LazyLocation):
-    specifier: ParamSpecifier
-    c_type: str
-    pointer_depth: int
-    name: str
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("specifier", "c_type", "pointer_depth", "name", "at", "lines")
+
+    def __init__(self, specifier: ParamSpecifier, c_type: str, pointer_depth: int, name: str,
+                 at: SourceLoc | int = _NOWHERE, lines: object = None):
+        self.specifier = specifier
+        self.c_type = c_type
+        self.pointer_depth = pointer_depth
+        self.name = name
+        self.at = at
+        self.lines = lines
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class FunctionDecl(_LazyLocation):
-    name: str
-    return_type: str
-    params: tuple
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("name", "return_type", "params", "at", "lines")
+
+    def __init__(self, name: str, return_type: str, params: tuple,
+                 at: SourceLoc | int = _NOWHERE, lines: object = None):
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.at = at
+        self.lines = lines
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SignatureDef:
-    name: str
-    functions: tuple
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class SignatureDef(_Node):
+    __slots__ = ("name", "functions", "location")
+
+    def __init__(self, name: str, functions: tuple, location: SourceLoc = _NOWHERE):
+        self.name, self.functions, self.location = name, functions, location
 
 
 class PortDirection(Enum):
@@ -71,30 +88,31 @@ class PortDirection(Enum):
     ENTRY = "entry"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PortDecl:
-    direction: PortDirection
-    signature_name: str
-    port_name: str
-    modifiers: frozenset = frozenset()
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class PortDecl(_Node):
+    __slots__ = ("direction", "signature_name", "port_name", "modifiers", "location")
+
+    def __init__(self, direction: PortDirection, signature_name: str, port_name: str,
+                 modifiers: frozenset = frozenset(), location: SourceLoc = _NOWHERE):
+        self.direction, self.signature_name, self.port_name = direction, signature_name, port_name
+        self.modifiers, self.location = modifiers, location
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class AttrDecl:
-    name: str
-    c_type: str
-    default: Optional[Initializer] = None
-    omit: bool = False
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class AttrDecl(_Node):
+    __slots__ = ("name", "c_type", "default", "omit", "location")
+
+    def __init__(self, name: str, c_type: str, default: Optional[Initializer] = None,
+                 omit: bool = False, location: SourceLoc = _NOWHERE):
+        self.name, self.c_type, self.default = name, c_type, default
+        self.omit, self.location = omit, location
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class VarDecl:
-    name: str
-    type_text: str
-    default: Optional[Initializer] = None
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class VarDecl(_Node):
+    __slots__ = ("name", "type_text", "default", "location")
+
+    def __init__(self, name: str, type_text: str, default: Optional[Initializer] = None,
+                 location: SourceLoc = _NOWHERE):
+        self.name, self.type_text = name, type_text
+        self.default, self.location = default, location
 
 
 class FactoryScope(Enum):
@@ -102,69 +120,85 @@ class FactoryScope(Enum):
     PER_CELLTYPE = "FACTORY"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FactoryWrite:
-    target_file: str
-    template: str
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class FactoryWrite(_Node):
+    __slots__ = ("target_file", "template", "location")
+
+    def __init__(self, target_file: str, template: str, location: SourceLoc = _NOWHERE):
+        self.target_file, self.template, self.location = target_file, template, location
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FactoryBlock:
-    scope: FactoryScope
-    writes: tuple
+class FactoryBlock(_Node):
+    __slots__ = ("scope", "writes")
+
+    def __init__(self, scope: FactoryScope, writes: tuple):
+        self.scope, self.writes = scope, writes
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class PluginDirective(_LazyLocation):
-    plugin_name: str
-    argument: str
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("plugin_name", "argument", "at", "lines")
+
+    def __init__(self, plugin_name: str, argument: str, at: SourceLoc | int = _NOWHERE,
+                 lines: object = None):
+        self.plugin_name = plugin_name
+        self.argument = argument
+        self.at = at
+        self.lines = lines
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CelltypeDef:
-    name: str
-    call_ports: tuple = ()
-    entry_ports: tuple = ()
-    attrs: tuple = ()
-    vars: tuple = ()
-    factory_blocks: tuple = ()
-    generate_directive: Optional[PluginDirective] = None
-    location: SourceLoc = field(default=SourceLoc(), compare=False)
+class CelltypeDef(_Node):
+    __slots__ = ("name", "call_ports", "entry_ports", "attrs", "vars", "factory_blocks",
+                 "generate_directive", "location")
+
+    def __init__(self, name: str, call_ports: tuple = (), entry_ports: tuple = (),
+                 attrs: tuple = (), vars: tuple = (), factory_blocks: tuple = (),
+                 generate_directive: Optional[PluginDirective] = None,
+                 location: SourceLoc = _NOWHERE):
+        self.name, self.call_ports, self.entry_ports = name, call_ports, entry_ports
+        self.attrs, self.vars, self.factory_blocks = attrs, vars, factory_blocks
+        self.generate_directive, self.location = generate_directive, location
 
     @property
     def ports(self):
         return self.call_ports + self.entry_ports
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Binding(_LazyLocation):
-    call_port_name: str
-    target_cell_name: str
-    target_entry_port_name: str
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("call_port_name", "target_cell_name", "target_entry_port_name", "at", "lines")
+
+    def __init__(self, call_port_name: str, target_cell_name: str, target_entry_port_name: str,
+                 at: SourceLoc | int = _NOWHERE, lines: object = None):
+        self.call_port_name = call_port_name
+        self.target_cell_name = target_cell_name
+        self.target_entry_port_name = target_entry_port_name
+        self.at = at
+        self.lines = lines
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class AttrInit(_LazyLocation):
-    attr_name: str
-    value: Initializer
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("attr_name", "value", "at", "lines")
+
+    def __init__(self, attr_name: str, value: Initializer, at: SourceLoc | int = _NOWHERE,
+                 lines: object = None):
+        self.attr_name = attr_name
+        self.value = value
+        self.at = at
+        self.lines = lines
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class CellDef(_LazyLocation):
-    name: str
-    celltype_name: str
-    bindings: tuple = ()
-    attr_inits: tuple = ()
-    generate_directive: Optional[PluginDirective] = None
-    at: SourceLoc | int = field(default=SourceLoc(), compare=False)
-    lines: object = field(default=None, compare=False)
+    __slots__ = ("name", "celltype_name", "bindings", "attr_inits", "generate_directive", "at",
+                 "lines")
+
+    def __init__(self, name: str, celltype_name: str, bindings: tuple = (),
+                 attr_inits: tuple = (), generate_directive: Optional[PluginDirective] = None,
+                 at: SourceLoc | int = _NOWHERE, lines: object = None):
+        self.name = name
+        self.celltype_name = celltype_name
+        self.bindings = bindings
+        self.attr_inits = attr_inits
+        self.generate_directive = generate_directive
+        self.at = at
+        self.lines = lines
 
     def binding_for(self, call_port_name: str) -> Optional[Binding]:
         for b in self.bindings:
@@ -179,12 +213,13 @@ class CellDef(_LazyLocation):
         return None
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CdlUnit:
-    source_name: str = field(default="<memory>", compare=False)
-    signatures: tuple = ()
-    celltypes: tuple = ()
-    cells: tuple = ()
+class CdlUnit(_Node):
+    __slots__ = ("source_name", "signatures", "celltypes", "cells")
+
+    def __init__(self, source_name: str = "<memory>", signatures: tuple = (),
+                 celltypes: tuple = (), cells: tuple = ()):
+        self.source_name, self.signatures = source_name, signatures
+        self.celltypes, self.cells = celltypes, cells
 
 
 def _dupes(names: list) -> list:

@@ -9,10 +9,9 @@ shape: counts, port wiring, defaults, modifiers, and directives.
 that different names often map to one Rust name or file path.
 """
 
-from dataclasses import replace
-
 from hypothesis import strategies as st
 
+from records import replace
 from tecsrust.model import (
     AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock,
     FactoryScope, FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl,

@@ -445,6 +445,17 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
     assert out.read_text() == golden("kernel_cfg.rs")
 
 
+def test_bindgen_lite_usage_error_and_help_are_returned_codes(capsys):
+    # as for the compile command: argparse's own exit is a return from `run`, not a SystemExit
+    assert run(["bindgen-lite"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: tecsrust bindgen-lite")
+    assert "the following arguments are required: header, -o/--output" in captured.err
+    assert run(["bindgen-lite", "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: tecsrust bindgen-lite")
+
+
 # stdout block-buffered, as into a pipe from a shell, whatever the caller's environment
 _ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
         "PYTHONPATH": str(Path(tecsrust.__file__).parents[1])}
@@ -489,6 +500,16 @@ def test_importing_the_cli_loads_no_compile_stage_and_no_dataclasses():
     code, err, imported = _importtime("-c", "import tecsrust.cli")
     assert (code, err) == (EXIT_OK, "") and "tecsrust.cli" in imported
     assert not imported & NOT_AT_START
+
+
+def test_a_compile_loads_its_stages_and_no_dataclasses(tmp_path):
+    # each node and record is a plain slotted class, so a build where bytecode is not cached
+    # compiles neither `dataclasses` nor the `inspect` it brings
+    out = tmp_path / "gen"
+    code, err, imported = _importtime("-m", "tecsrust.cli", SAMPLE, "--out", str(out))
+    assert (code, err) == (EXIT_OK, "") and COMPILE_STAGES <= imported
+    assert not imported & {"dataclasses", "inspect"}
+    assert (out / "t_sensor.rs").read_text() == golden("t_sensor.rs")
 
 
 def _cli_process(argv, prefix=("-m", "tecsrust.cli")):

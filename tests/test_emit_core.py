@@ -1,7 +1,6 @@
 import ast
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden
+from records import replace
 from rustc_check import rustc_check, rustc_check_tree
 from strategies import cdl_units
 from tecsrust import emit_core, emit_rtos

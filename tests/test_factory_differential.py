@@ -17,9 +17,9 @@ second celltype whose `$ct$` targets must not share the first one's fills.
 """
 
 import random
-from dataclasses import replace
 
 import reference_factory
+from records import replace
 from tecsrust import linker
 from tecsrust.frontend import parse_unit
 

@@ -1,13 +1,17 @@
 import sys
-from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 from conftest import golden
+from records import fields, is_record, replace
 from tecsrust import model
 from tecsrust.cli import generate
-from tecsrust.frontend import LineIndex, parse_unit
+from tecsrust.emit_core import GeneratedFile, SkeletonFile
+from tecsrust.frontend import LineIndex, ParseResult, parse_unit
+from tecsrust.linker import (
+    EmissionPlan, GenerationReport, PlannedWrite, ResolvedBinding, ResolvedCell, ResolvedModel,
+)
 from tecsrust.model import (
     AttrInit, Binding, CdlUnit, CellDef, Diagnostic, FactoryBlock, FunctionDecl, Initializer,
     ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef,
@@ -123,7 +127,9 @@ def test_integer_literal_without_digits_is_rejected(text, message, column, fixed
     assert validate_unit(parse_unit(text.replace(f"= {literal};", f"= {fixed};")).unit) == []
 
 
-NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_dataclass(c)}
+# each class `model` defines with fields: not `_Node` or `_LazyLocation`, nor `Diagnostic`
+NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_record(c)
+                and fields(c) and c.__module__ == model.__name__}
 # the fields each node class leaves out of equality and hash; `location` for the rest
 UNCOMPARED = {CdlUnit: {"source_name"}, Initializer: set(), FactoryBlock: set(),
               FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"},
@@ -133,10 +139,10 @@ UNCOMPARED = {CdlUnit: {"source_name"}, Initializer: set(), FactoryBlock: set(),
 
 def _nodes(value):
     """`value` and every model node inside it, depth first."""
-    if is_dataclass(value):
+    if is_record(value):
         yield value
         for f in fields(value):
-            yield from _nodes(getattr(value, f.name))
+            yield from _nodes(getattr(value, f))
     elif isinstance(value, (tuple, frozenset)):
         for item in value:
             yield from _nodes(item)
@@ -153,20 +159,68 @@ def test_every_model_node_is_a_slotted_value():
                  "source_name": "elsewhere.cdl"}
     for cls, nodes in found.items():
         assert "__slots__" in vars(cls)
-        uncompared = {f.name for f in fields(cls) if not f.compare}
-        assert uncompared == UNCOMPARED.get(cls, {"location"}), cls
+        uncompared = UNCOMPARED.get(cls, {"location"})
+        assert uncompared <= set(fields(cls)), cls
         for node in nodes:
             assert not hasattr(node, "__dict__")
             with pytest.raises(AttributeError):
                 node.misspelt = 1
             copy = replace(node)
             assert copy is not node and copy == node and repr(copy) == repr(node)
+            assert hash(copy) == hash(node) and repr(node).startswith(cls.__name__ + "(")
             for name in uncompared:
                 moved = replace(node, **{name: elsewhere[name]})
                 assert moved == node and hash(moved) == hash(node) and repr(moved) != repr(node)
-            for f in fields(cls):
-                if f.compare:
-                    assert replace(node, **{f.name: object()}) != node, (cls, f.name)
+            for name in set(fields(cls)) - uncompared:
+                assert replace(node, **{name: object()}) != node, (cls, name)
+    assert repr(ParamDecl(ParamSpecifier.OUT, "int32_t", 1, "d", 7, LineIndex("", "f.cdl"))) == (
+        "ParamDecl(specifier=<ParamSpecifier.OUT: 'out'>, c_type='int32_t', pointer_depth=1, "
+        "name='d', at=7, lines=<LineIndex of 'f.cdl'>)")
+
+
+PIPELINE_RECORDS = {ResolvedBinding, ResolvedCell, ResolvedModel, PlannedWrite, GenerationReport,
+                    EmissionPlan, GeneratedFile, SkeletonFile, ParseResult}
+
+
+def test_every_pipeline_record_is_slotted():
+    # `rtos_tasks` builds 32,016 `PlannedWrite`s and `app_16k` 16,020 `ResolvedCell`s
+    text = golden("kernel_rs.cdl")
+    files, plan, resolved, diags = generate([("kernel_rs.cdl", text)])
+    assert not diags
+    records = [parse_unit(text, "kernel_rs.cdl"), resolved, plan, plan.report, *files,
+               *resolved.cells, *resolved.config_writes,
+               *(rb for rc in resolved.cells for rb in rc.bindings.values())]
+    assert {type(r) for r in records} == PIPELINE_RECORDS
+    for record in records:
+        cls = type(record)
+        assert "__slots__" in vars(cls) and not hasattr(record, "__dict__"), cls
+        with pytest.raises(AttributeError):
+            record.misspelt = 1
+        copy = replace(record)
+        assert repr(copy) == repr(record) and repr(record).startswith(cls.__name__ + "(")
+        if cls is SkeletonFile:  # equal only to itself
+            assert copy != record and record == record and hash(record) == object.__hash__(record)
+        elif cls is GeneratedFile:  # a value
+            assert copy == record and hash(copy) == hash(record)
+            assert replace(record, content="") != record
+        else:  # equal by fields, and never hashed
+            assert copy == record
+            with pytest.raises(TypeError):
+                hash(record)
+    cell, ct = resolved.cells[0].cell, resolved.cells[0].celltype
+    assert ResolvedCell(cell, ct).bindings is not ResolvedCell(cell, ct).bindings
+    assert GenerationReport().file_lines is not GenerationReport().file_lines
+    assert GenerationReport().skeleton_files is not GenerationReport().skeleton_files
+    assert EmissionPlan([], [], [], []).report is not EmissionPlan([], [], [], []).report
+
+
+def test_a_record_that_holds_itself_shows_as_dots():
+    rc = ResolvedCell(CellDef("c", "t"), CelltypeDef("t"))
+    rc.bindings["p"] = ResolvedBinding(None, rc, None)
+    shown = repr(rc)
+    assert shown.startswith("ResolvedCell(cell=CellDef(name='c', ") and shown.endswith(
+        "bindings={'p': ResolvedBinding(call_port=None, target_cell=..., target_entry=None)}, "
+        "attr_texts=())")
 
 
 def test_diagnostic_is_a_slotted_value():

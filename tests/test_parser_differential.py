@@ -21,7 +21,6 @@ names, a directive before a signature, a signature inside a celltype body,
 signatures back to back, and truncation.
 """
 
-import dataclasses
 import re
 
 import pytest
@@ -31,6 +30,7 @@ from hypothesis import strategies as st
 import reference_parser
 from cdl_renderer import render_unit
 from conftest import golden
+from records import fields, is_record
 from strategies import cdl_units
 from tecsrust.frontend import CELL, SIGNATURE, parse_unit, tokenize
 
@@ -42,9 +42,9 @@ _PIECE = re.compile(r'(//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\w+|\S)(\s*)', re.
 
 def locations(node, path="unit"):
     """(path, SourceLoc) for every node's `location` in an AST, after its children."""
-    if dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            yield from locations(getattr(node, f.name), f"{path}.{f.name}")
+    if is_record(node):
+        for f in fields(node):
+            yield from locations(getattr(node, f), f"{path}.{f}")
         if hasattr(node, "location"):
             yield f"{path}.location", node.location
     elif isinstance(node, tuple):
