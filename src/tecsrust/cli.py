@@ -128,7 +128,14 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def _open_nofollow(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NOFOLLOW)
+    return os.open(path, flags | os.O_NOFOLLOW, 0o666)  # as `open()`: the umask applies
+
+
+def _linked_dir(out_dir: Path, paths: List[str]) -> Optional[str]:
+    """The first directory below `out_dir` that one of `paths` (relative to it) is written
+    into and that is a symlink, dangling or not. A path with no directory costs no call."""
+    dirs = dict.fromkeys(p[:i] for p in paths if "/" in p for i, c in enumerate(p) if c == "/")
+    return next((d for d in dirs if os.path.islink(os.path.join(out_dir, d))), None)
 
 
 def emit_diagram(model: ResolvedModel) -> str:
@@ -247,6 +254,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     out_dir = Path(args.out)
     diagram = Path(args.diagram) if args.diagram else None
+    paths = [f.path for f in files]  # each relative to `out_dir`
     if diagram:  # written before the tree: it may take no path that the tree needs
         at, out = diagram.resolve(), out_dir.resolve()
         outputs = {(out_dir / f.path).resolve() for f in files}
@@ -254,6 +262,14 @@ def run(argv: Optional[List[str]] = None) -> int:
             what = "a generated file" if at in outputs else "a directory outputs are written into"
             print(f"error: --diagram {args.diagram} names {what}", file=sys.stderr)
             return EXIT_USAGE
+        below = os.path.relpath(diagram, out_dir)  # as written: no link on the way is followed
+        if below.split(os.sep)[0] != os.pardir:
+            paths.append(below)
+    linked = _linked_dir(out_dir, paths)
+    if linked is not None:
+        print(f"error: {out_dir / linked} is a symlink: nothing is written through it",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:  # the diagram first: one that cannot be written leaves no tree behind
         if diagram:
             if out in at.parents:  # made like an output's directory

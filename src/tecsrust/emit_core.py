@@ -56,6 +56,11 @@ class SkeletonFile(Record):
         return emit_skeleton(self.ct, self.model).content
 
 
+def _escape(text: str) -> str:
+    """`text` as a literal part of a `%` template."""
+    return text.replace("%", "%%")
+
+
 def _finish(lines: List[str]) -> str:
     return "\n".join(lines) + "\n"
 
@@ -96,7 +101,8 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
     (RAM side), one entry-port record per entry port, per-cell statics,
     and the inline get_cell_ref accessor returning the access tuple.
     Everything but the statics is the same for every cell, so it is
-    derived once per celltype.
+    derived once per celltype, and so is a `%` template of a cell's statics:
+    each cell fills its holes with its static names and attr texts.
     """
     record = naming.record_name(ct.name)
     visible = [a for a in ct.attrs if not a.omit]
@@ -164,34 +170,34 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
         lines.append("}")
         lines.append("")
 
+    # a cell's statics: one `%` template, with a `%s` hole per name or attr text of the cell
+    e = _escape
     static_type = record + ("<" + ", ".join(bound_types) + ">" if bound_types else "")
-    var_inits = [f"{INDENT}{naming.rust_name(v.name)}: {v.default.text}," for v in ct.vars]
+    block = [f"pub static %s: {e(static_type)} = {e(record)} {{",
+             *(f"{INDENT}{e(field)}: &%s," for field in call_fields),
+             *(f"{INDENT}{e(field)}: %s," for field in attr_fields),
+             *[f"{INDENT}variable: &%s,"] * bool(ct.vars), "};", ""]
+    if ct.vars:
+        block += [f"pub static %s: Mutex<{e(var_record)}> = Mutex::new({e(var_record)} {{",
+                  *(e(f"{INDENT}{naming.rust_name(v.name)}: {v.default.text},") for v in ct.vars),
+                  "});", ""]
+    for entry_type in map(e, entry_types):
+        block += [f"pub static %s: {entry_type} = {entry_type} {{", f"{INDENT}cell: &%s,", "};", ""]
+    statics = "\n".join(block)
+    ports = [p.port_name for p in ct.call_ports]
+    entries = [p.port_name for p in ct.entry_ports]
     for rc in cells:
-        instance = naming.static_instance_name(rc.cell.name)
-        var_static = naming.static_var_name(rc.cell.name)
-        lines.append(f"pub static {instance}: {static_type} = {record} {{")
-        for port, field in zip(ct.call_ports, call_fields):
-            rb = rc.bindings[port.port_name]
-            target = naming.static_entry_name(rb.target_entry.port_name, rb.target_cell.cell.name)
-            lines.append(f"{INDENT}{field}: &{target},")
-        for field, text in zip(attr_fields, rc.attr_texts):
-            lines.append(f"{INDENT}{field}: {text},")
+        name = rc.cell.name
+        values = [naming.static_instance_name(name)]
+        for rb in map(rc.bindings.__getitem__, ports):
+            values.append(naming.static_entry_name(rb.target_entry.port_name,
+                                                   rb.target_cell.cell.name))
+        values += rc.attr_texts
         if ct.vars:
-            lines.append(f"{INDENT}variable: &{var_static},")
-        lines.append("};")
-        lines.append("")
-        if ct.vars:
-            lines.append(f"pub static {var_static}: Mutex<{var_record}> = "
-                         f"Mutex::new({var_record} {{")
-            lines.extend(var_inits)
-            lines.append("});")
-            lines.append("")
-        for port, entry_type in zip(ct.entry_ports, entry_types):
-            lines.append(f"pub static {naming.static_entry_name(port.port_name, rc.cell.name)}: "
-                         f"{entry_type} = {entry_type} {{")
-            lines.append(f"{INDENT}cell: &{instance},")
-            lines.append("};")
-            lines.append("")
+            values += [naming.static_var_name(name)] * 2
+        for port in entries:
+            values += naming.static_entry_name(port, name), values[0]
+        lines.append(statics % tuple(values))
 
     impl_generics = "<" + ", ".join(lifetime + bounds) + ">" if lifetime else ""
     tuple_types = [f"&{tp}" for tp in type_params] + [f"&{t}" for t in attr_types]

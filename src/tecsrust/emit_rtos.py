@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Dict, List
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .model import CelltypeDef
 
@@ -27,22 +28,28 @@ class MacroError(ValueError):
 _HOLE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)\$")
 
 
-def substitute_macros(template: str, lookup: Callable[[str], str],
-                      pieces: Dict[str, List[str]]) -> str:
-    """Fill $ct$ / $cell$ / $attr$ holes in a single pass, each with `lookup(name)`,
-    such as `linker.macro_lookup`'s; a template is split at its holes once per `pieces` table.
+def substitute_macros(template: str, values: Dict[str, str],
+                      pieces: Dict[str, Tuple[str, Optional[Callable]]]) -> str:
+    """Fill $ct$ / $cell$ / $attr$ holes in a single pass from `values`, such as
+    `linker.macro_table` gives. A template is prepared once per `pieces` table: its
+    text between holes, each `%` doubled, joined by `%s`, and a getter of its holes' values.
 
     Substituted text is not rescanned; a residual '$' after the pass
     (unbalanced holes, or a hole whose value itself carries holes) is an
     error rather than silent passthrough.
     """
-    split = pieces.get(template)
-    if split is None:
-        split = pieces[template] = _HOLE.split(template)  # text, hole name, text, ...
-    parts = split[:]
-    for i in range(1, len(parts), 2):
-        parts[i] = lookup(parts[i])
-    rendered = "".join(parts)
+    prepared = pieces.get(template)
+    if prepared is None:
+        parts = _HOLE.split(template.replace("%", "%%"))  # text, hole name, text, ...
+        prepared = pieces[template] = ("%s".join(parts[::2]),
+                                       itemgetter(*parts[1::2]) if len(parts) > 1 else None)
+    fmt, get = prepared
+    try:
+        rendered = template if get is None else fmt % get(values)
+    except KeyError as exc:  # the first hole, in template order, with no value
+        if exc.args[0] == "cell":
+            raise MacroError("$cell$ is not available outside a cell context") from None
+        raise MacroError(f"unresolved macro '${exc.args[0]}$'") from None
     if "$" in rendered:
         raise MacroError(f"residual '$' after substitution in {rendered!r}")
     return rendered

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import naming
 from .emit_rtos import MacroError, substitute_macros
 from .model import (
-    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind, Initializer,
+    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind,
     PortDecl, Record, SignatureDef, error, has_errors,
 )
 
@@ -277,15 +277,19 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     f"celltype '{ct.name}' has call port '{port.port_name}' but no "
                     f"bound cell to fix its concrete entry type", port.location))
             continue
-        defaults = _defaults(ct)
+        defaults, pieces = _defaults(ct), {}
         for rc in cells:
-            rc.attr_texts = tuple(_attr_text(ct, rc.cell, a, defaults, diags) for a in visible)
-            keys = [naming.static_instance_name(rc.cell.name)] + [
-                naming.static_entry_name(p.port_name, rc.cell.name) for p in ct.entry_ports]
-            keys += [naming.static_var_name(rc.cell.name)] if ct.vars else []
+            cell = rc.cell
+            rc.attr_texts = tuple([_attr_text(ct, cell, a, defaults, pieces, diags)
+                                   for a in visible])
+            keys = [naming.static_instance_name(cell.name)]
+            for port in ct.entry_ports:
+                keys.append(naming.static_entry_name(port.port_name, cell.name))
+            if ct.vars:
+                keys.append(naming.static_var_name(cell.name))
             for static in keys:
-                if statics.setdefault(static, rc.cell) is not rc.cell or keys.count(static) > 1:
-                    _claim({"static": statics}, rc.cell, diags, static=keys)
+                if statics.setdefault(static, cell) is not cell or keys.count(static) > 1:
+                    _claim({"static": statics}, cell, diags, static=keys)
                     break
         for v in ct.vars:
             if v.default is None:
@@ -333,33 +337,33 @@ def _unwritable(generating, named, sig_index):
                     for f in sig.functions for p in f.params if p.name in bad)
 
 
-def _defaults(ct: CelltypeDef) -> Dict[str, Optional[Initializer]]:
-    """Each declared attr -> its default, the last one given winning."""
-    defaults = {a.name: a.default for a in ct.attrs}
-    defaults.update((a.name, a.default) for a in ct.attrs if a.default is not None)
-    return defaults
+def _defaults(ct: CelltypeDef) -> Tuple[Dict[str, str], Set[str]]:
+    """Each declared attr's default text, the last one given winning; and each declared attr."""
+    return {a.name: a.default.text for a in ct.attrs if a.default is not None}, {
+        a.name for a in ct.attrs}
 
 
-def macro_lookup(ct: CelltypeDef, cell: Optional[CellDef], defaults) -> Callable[[str], str]:
-    """The `lookup` that fills `$macro$` holes in the scope of `cell`, or of `ct` when cell
-    is None: `$ct$`, then `$cell$`, then a declared attr's text (the cell's first initializer
-    of it, else its entry in `defaults`). [omit] attrs count: they exist to feed the factory."""
-    def lookup(name: str) -> str:
-        if name == "ct":
-            return ct.name
-        if name == "cell":
-            if cell is None:
-                raise MacroError("$cell$ is not available outside a cell context")
-            return cell.name
-        value = ((cell is not None and cell.init_for(name)) or defaults[name]
-                 if name in defaults else None)
-        if value is None:
-            raise MacroError(f"unresolved macro '${name}$'")
-        return value.text
-    return lookup
+def macro_table(ct: CelltypeDef, cell: Optional[CellDef], defaults) -> Dict[str, str]:
+    """The values that fill `$macro$` holes in the scope of `cell`, or of `ct` when cell is
+    None: `$ct$`, then `$cell$`, then a declared attr's text (the cell's first initializer of
+    it, else its default), from `defaults` as `_defaults(ct)` gives them. [omit] attrs count:
+    they exist to feed the factory. `substitute_macros` reports a hole with no value."""
+    texts, declared = defaults
+    table = texts.copy()
+    if cell is None:
+        table.pop("cell", None)
+    else:
+        for init in reversed(cell.attr_inits):  # so the first initializer of an attr wins
+            if init.attr_name in declared:
+                table[init.attr_name] = init.value.text
+        table["cell"] = cell.name
+    table["ct"] = ct.name
+    return table
 
 
-def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
+def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, pieces, diags) -> str:
+    """The text of `attr` in `cell`, holes filled; a default's template is prepared once per
+    `pieces` table, a cell's own text per call: they may differ in every cell."""
     init = cell.init_for(attr.name) or attr.default
     if init is None:
         diags.append(error(
@@ -368,8 +372,9 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, diags) -> str:
             f"nor a cell initializer", cell.location))
         return ""
     if init.kind is InitKind.C_EXP and "$" in init.text:
-        try:  # texts may differ per cell: no shared `pieces` table
-            return substitute_macros(init.text, macro_lookup(ct, cell, defaults), {})
+        try:
+            return substitute_macros(init.text, macro_table(ct, cell, defaults),
+                                     pieces if init is attr.default else {})
         except MacroError as exc:
             diags.append(error("unresolved-macro", str(exc), cell.location))
     return init.text
@@ -393,9 +398,9 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     """Render every factory write in plan order: each generating celltype's FACTORY
     writes first, then its cells' factory writes in cell declaration order.
 
-    Holes are filled with `macro_lookup` in each celltype or cell scope that has
-    writes, and each distinct template is split at its holes once. A template whose only
-    holes are `$ct$`, if any, is filled once per celltype. Each distinct target is
+    Holes are filled from one `macro_table` per celltype or cell scope that has writes,
+    and each distinct template is prepared once. A template whose only holes are `$ct$`,
+    if any, is filled once per celltype. Each distinct target is
     checked once, at its first write: it must name a file inside `--out`, with no
     control character, that no core emitter writes, and no output may need its
     path, or a parent of it, as both a file and a directory.
@@ -411,11 +416,11 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
     rendered: List[PlannedWrite] = []
     paths: Dict[str, str] = {}  # rendered target -> `target_file`
     files, dirs = set(owners["file"]), set()  # each output file, each target's parents
-    pieces: Dict[str, List[str]] = {}  # template -> its split
+    pieces: Dict[str, tuple] = {}  # template -> its `%` format and hole getter
     fixed: Dict[str, Dict[str, str]] = {}  # celltype -> template -> fill, if no scope changes it
     defaults = {ct.name: _defaults(ct) for ct in generating if ct.factory_blocks}
     for ct in generating:
-        ct_only = macro_lookup(ct, None, {})  # raises at any hole but `$ct$`
+        ct_only = macro_table(ct, None, ({}, ()))  # no value but `$ct$`
         fixed[ct.name] = done = {}
         for t in {t for block in ct.factory_blocks for w in block.writes
                   for t in (w.target_file, w.template)}:
@@ -424,11 +429,11 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
             except MacroError:  # filled per scope, so each write reports its own error
                 pass
     for ct, cell, writes in scopes:
-        lookup, done = macro_lookup(ct, cell, defaults[ct.name]), fixed[ct.name]
+        values, done = macro_table(ct, cell, defaults[ct.name]), fixed[ct.name]
         for w in writes:
             try:
-                target = done.get(w.target_file) or substitute_macros(w.target_file, lookup, pieces)
-                line = done.get(w.template) or substitute_macros(w.template, lookup, pieces)
+                target = done.get(w.target_file) or substitute_macros(w.target_file, values, pieces)
+                line = done.get(w.template) or substitute_macros(w.template, values, pieces)
             except MacroError as exc:
                 diags.append(error("unresolved-macro", str(exc), w.location))
                 continue

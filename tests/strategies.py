@@ -19,6 +19,8 @@ from tecsrust.model import (
 )
 
 _RUST_PLUGIN = PluginDirective("RustGenPlugin", "lib")
+# tails for C_EXP texts and factory lines: format specifiers, braces, a backslash and a NUL
+_ODD_TEXTS = ("", "%", "%s", "%%", "{}", "\\", "\0")
 
 
 @st.composite
@@ -43,7 +45,7 @@ def _attr(j, draw):
     if draw(st.booleans()):
         default = Initializer(InitKind.LITERAL, str(draw(st.integers(0, 99))))
     else:
-        default = Initializer(InitKind.C_EXP, f"VAL_{j}")
+        default = Initializer(InitKind.C_EXP, f"VAL_{j}{draw(st.sampled_from(_ODD_TEXTS))}")
     return AttrDecl(f"attr{j}", "int32_t", default, omit)
 
 
@@ -80,11 +82,12 @@ def cdl_units(draw) -> CdlUnit:
         attrs = tuple(_attr(j, draw) for j in range(draw(st.integers(0, 2))))
         vars_ = ()
         if draw(st.booleans()):
-            vars_ = (VarDeclFactory(i),)
+            vars_ = (VarDeclFactory(i, draw(st.sampled_from(_ODD_TEXTS))),)
         blocks = ()
         if draw(st.booleans()):
             blocks = (FactoryBlock(FactoryScope.PER_CELLTYPE, (
-                FactoryWrite("gen.cfg", f"LINE_{i} ct=$ct$"),)),)
+                FactoryWrite("gen.cfg", f"LINE_{i} ct=$ct$"
+                             f"{draw(st.sampled_from(_ODD_TEXTS))}"),)),)
         directive = _RUST_PLUGIN if draw(st.booleans()) else None
         ct = CelltypeDef(f"tCons{i}", tuple(call_ports), entries, attrs, vars_,
                          blocks, directive)
@@ -109,7 +112,8 @@ def cdl_units(draw) -> CdlUnit:
                 bindings.append(Binding(port.port_name, target_cell,
                                         target_entry.port_name))
             inits = tuple(
-                AttrInit(a.name, Initializer(InitKind.LITERAL, str(j)))
+                AttrInit(a.name, Initializer(InitKind.LITERAL, str(j)) if draw(st.booleans())
+                         else Initializer(InitKind.C_EXP, draw(st.sampled_from(_ODD_TEXTS))))
                 for a in ct.attrs if draw(st.booleans()))
             cells.append(CellDef(f"C{ct.name[5:]}n{j}", ct.name,
                                  tuple(bindings), inits))
@@ -134,9 +138,9 @@ def cdl_units_with_gaps(draw) -> CdlUnit:
         for ct in unit.celltypes))
 
 
-def VarDeclFactory(i):
+def VarDeclFactory(i, tail=""):
     return VarDecl(f"state{i}", "Option_Ref_a_mut__dev_t__",
-                   Initializer(InitKind.C_EXP, "None"))
+                   Initializer(InitKind.C_EXP, "None" + tail))
 
 
 def brute_force_counts(unit: CdlUnit):

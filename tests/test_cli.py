@@ -708,6 +708,67 @@ def test_a_symlink_at_a_skeleton_path_is_kept(tmp_path, dangling):
     assert target.read_text() == "// hand-written\n" if not dangling else not target.exists()
 
 
+def test_outputs_are_not_executable_under_umask_022(tmp_path):
+    # each kind of output is created as `open()` creates a file: 0o666 less the umask
+    src = tmp_path / "w.cdl"
+    src.write_text(FACTORY_UNIT.format(target="sub/x.cfg", dst="d"))
+    out = tmp_path / "gen"
+    old = os.umask(0o022)
+    try:
+        assert run([SAMPLE, "--out", str(out), "--diagram", str(tmp_path / "d.dot")]) == EXIT_OK
+        assert run([str(src), "--out", str(out), "--diagram", str(out / "docs" / "d.dot")]) == 0
+        assert run(["bindgen-lite", str(GOLDENS / "kernel_cfg.h"), "-o",
+                    str(tmp_path / "k.rs")]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for path in [out / "s_sensor.rs", out / "t_sensor.rs", out / "t_sensor_impl.rs",
+                 out / "sub" / "x.cfg", tmp_path / "d.dot", out / "docs" / "d.dot",
+                 tmp_path / "k.rs"]:
+        assert oct(path.stat().st_mode & 0o777) == oct(0o644), path
+
+
+@pytest.mark.parametrize("what", ["factory-target", "diagram"])
+@pytest.mark.parametrize("dangling", [False, True], ids=["live", "dangling"])
+def test_a_symlinked_directory_inside_out_writes_nothing(tmp_path, monkeypatch, capsys, what,
+                                                         dangling):
+    monkeypatch.chdir(tmp_path)
+    Path("w.cdl").write_text(FACTORY_UNIT.format(
+        target="sub/x.cfg" if what == "factory-target" else "x.cfg", dst="d"))
+    Path("gen").mkdir()
+    if not dangling:
+        Path("elsewhere").mkdir()
+    Path("gen/sub").symlink_to("../elsewhere")
+    before = _tree(tmp_path)
+    diagram = ["--diagram", "gen/sub/d.dot"] if what == "diagram" else []
+    assert run(["w.cdl", "--out", "gen", *diagram]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: gen/sub is a symlink: nothing is written through it\n")
+    assert _tree(tmp_path) == before and Path("gen/sub").is_symlink()
+    assert list(Path("gen").iterdir()) == [Path("gen/sub")]
+    assert not Path("elsewhere").exists() if dangling else not any(Path("elsewhere").iterdir())
+
+
+def test_a_symlinked_directory_deeper_inside_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    # each directory below --out is checked, not only the first
+    monkeypatch.chdir(tmp_path)
+    Path("w.cdl").write_text(FACTORY_UNIT.format(target="a/b/x.cfg", dst="d"))
+    Path("gen/a").mkdir(parents=True)
+    Path("elsewhere").mkdir()
+    Path("gen/a/b").symlink_to("../../elsewhere")
+    assert run(["w.cdl", "--out", "gen"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: gen/a/b is a symlink: nothing is written through it\n")
+    assert not any(Path("elsewhere").iterdir()) and list(Path("gen").rglob("*.rs")) == []
+
+
+def test_a_symlinked_out_directory_is_written_into(tmp_path):
+    # --out itself may be a link: only the directories below it are checked
+    (tmp_path / "real").mkdir()
+    (tmp_path / "gen").symlink_to("real")
+    assert run([SAMPLE, "--out", str(tmp_path / "gen")]) == EXIT_OK
+    assert {p.name for p in (tmp_path / "real").iterdir()} == EXPECTED_SAMPLE_FILES
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
 def test_an_unchanged_output_leaves_no_descriptor_open(tmp_path):
     # the unchanged check reads through a bare descriptor, which no ResourceWarning reports

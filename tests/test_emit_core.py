@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_definition
 from conftest import golden
 from records import replace
 from rustc_check import rustc_check, rustc_check_tree
@@ -165,6 +166,42 @@ cell tSensor Sensor2 {
                    "SENSOR2:", "SENSOR2VAR:", "ESENSORFORSENSOR2:"]:
         assert f"pub static {static}" in content
     assert content.count("pub struct TSensor<") == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(cdl_units())
+def test_definitions_match_the_line_by_line_reference(unit):
+    # every celltype generates; attr, var and cell texts draw `%`, `%s`, `{}`, `\\` and NUL
+    model, diags = resolve([unit], "RustGenPlugin")
+    assert model is not None, diags
+    for ct in plan_emission(model).definition_cts:
+        cells = model.cells_of(ct.name)
+        got = emit_core.emit_definition(ct, cells, model)
+        assert got == reference_definition.emit_definition(ct, cells, model)
+
+
+def test_format_characters_in_a_var_default_and_attr_texts_are_verbatim():
+    text = """signature sA { void f( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tP { entry sA eA; };
+[generate(RustGenPlugin, "lib")]
+celltype tX {
+    call sA cA;
+    entry sA eX;
+    attr { int32_t k = C_EXP("K %s %% {}"); };
+    var { int32_t n = C_EXP("a % b"); };
+};
+cell tP P1 {};
+cell tX X1 { cA = P1.eA; };
+cell tX X2 { cA = P1.eA; k = C_EXP("%d % $cell$"); };
+"""
+    _, _, model, diags = generate([("pct.cdl", text)])
+    assert not diags
+    ct = model.celltype_index["tX"]
+    got = emit_core.emit_definition(ct, model.cells_of("tX"), model)
+    assert got == reference_definition.emit_definition(ct, model.cells_of("tX"), model)
+    assert got.content.count("  n: a % b,\n") == 2
+    assert "  k: K %s %% {},\n" in got.content and "  k: %d % X2,\n" in got.content
 
 
 def test_skeleton_matches_figure(sample_outputs):

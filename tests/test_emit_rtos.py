@@ -1,20 +1,25 @@
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import golden
 from rustc_check import build_shim, rustc_check_tree
 from tecsrust import linker
+from tecsrust.cli import generate
 from tecsrust.emit_rtos import (
     KERNEL_PREAMBLE_LINES, MacroError, config_files, run_factory, substitute_macros,
 )
 from tecsrust.frontend import parse_unit
 from tecsrust.header_const import convert_defines
-from tecsrust.linker import PlannedWrite, macro_lookup, plan_emission, resolve
+from tecsrust.linker import PlannedWrite, macro_table, plan_emission, resolve
 from tecsrust.model import (
     AttrDecl, AttrInit, CelltypeDef, CellDef, InitKind, Initializer, validate_unit,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def literal(text):
@@ -24,23 +29,26 @@ def literal(text):
 def test_substitute_attr_macro():
     ct = CelltypeDef("tTask_rs", attrs=(AttrDecl("id", "int32_t"),))
     cell = CellDef("Task1", "tTask_rs", attr_inits=(AttrInit("id", literal("1")),))
-    lookup = macro_lookup(ct, cell, {"id": None})
-    assert substitute_macros("TSKID_$id$", lookup, {}) == "TSKID_1"
+    values = macro_table(ct, cell, linker._defaults(ct))
+    assert substitute_macros("TSKID_$id$", values, {}) == "TSKID_1"
 
 
 def test_substitute_ct_macro():
-    lookup = macro_lookup(CelltypeDef("tTask_rs"), None, {})
-    assert substitute_macros("$ct$_factory.h", lookup, {}) == "tTask_rs_factory.h"
+    ct = CelltypeDef("tTask_rs")
+    values = macro_table(ct, None, linker._defaults(ct))
+    assert substitute_macros("$ct$_factory.h", values, {}) == "tTask_rs_factory.h"
 
 
 def test_substitute_without_holes():
-    lookup = macro_lookup(CelltypeDef("tX"), None, {})
-    assert substitute_macros("no holes", lookup, {}) == "no holes"
+    ct = CelltypeDef("tX")
+    assert substitute_macros("no holes", macro_table(ct, None, linker._defaults(ct)),
+                             {}) == "no holes"
 
 
 def test_unknown_macro_is_an_error():
     with pytest.raises(MacroError, match=r"^unresolved macro '\$nope\$'$"):
-        substitute_macros("$nope$", macro_lookup(CelltypeDef("tX"), None, {}), {})
+        ct = CelltypeDef("tX")
+        substitute_macros("$nope$", macro_table(ct, None, linker._defaults(ct)), {})
     text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
             '  factory { write("x.cfg", "$nope$"); };\n};\ncell tX X1 {};\n')
     model, diags = resolve([parse_unit(text, "m.cdl").unit])
@@ -63,14 +71,15 @@ def test_unbalanced_holes_are_rejected():
 def test_single_pass_no_rescan():
     ct = CelltypeDef("tX", attrs=(AttrDecl("a", "int32_t", literal("$b$")),
                                   AttrDecl("b", "int32_t", literal("2"))))
-    lookup = macro_lookup(ct, None, linker._defaults(ct))
+    values = macro_table(ct, None, linker._defaults(ct))
     with pytest.raises(MacroError):
-        substitute_macros("$a$", lookup, {})  # residual hole is an error, not re-expanded
+        substitute_macros("$a$", values, {})  # residual hole is an error, not re-expanded
 
 
 def test_cell_macro_outside_cell_context():
     with pytest.raises(MacroError, match=r"^\$cell\$ is not available outside a cell context$"):
-        substitute_macros("$cell$", macro_lookup(CelltypeDef("tX"), None, {}), {})
+        ct = CelltypeDef("tX")
+        substitute_macros("$cell$", macro_table(ct, None, linker._defaults(ct)), {})
 
 
 def test_cell_macro_in_a_factory_write_is_reported_at_the_write():
@@ -83,42 +92,43 @@ def test_cell_macro_in_a_factory_write_is_reported_at_the_write():
         "f.cdl:3:38: error[unresolved-macro]: $cell$ is not available outside a cell context"]
 
 
-def test_omit_attrs_feed_the_lookup(kernel_text):
+def test_omit_attrs_feed_the_macro_table(kernel_text):
     unit = parse_unit(kernel_text, "kernel_rs.cdl").unit
     ct = next(c for c in unit.celltypes if c.name == "tTask_rs")
     cell = next(c for c in unit.cells if c.name == "Task1")
-    lookup = macro_lookup(ct, cell, linker._defaults(ct))
-    assert lookup("id") == "1"
-    assert lookup("priority") == "MID_PRIORITY"
+    values = macro_table(ct, cell, linker._defaults(ct))
+    assert values["id"] == "1"
+    assert values["priority"] == "MID_PRIORITY"
 
 
-def test_macro_lookup_keeps_the_first_of_duplicate_initializers():
-    # validate_unit rejects such a cell, but macro_lookup takes any cell
+def test_macro_table_keeps_the_first_of_duplicate_initializers():
+    # validate_unit rejects such a cell, but macro_table takes any cell
     ct = CelltypeDef("tX", attrs=(AttrDecl("id", "int32_t", literal("9")),
                                   AttrDecl("n", "int32_t")))
     cell = CellDef("X1", "tX", attr_inits=(AttrInit("id", literal("1")),
                                            AttrInit("id", literal("2"))))
     assert cell.init_for("id").text == "1"
     defaults = linker._defaults(ct)
-    assert macro_lookup(ct, cell, defaults)("id") == "1"
-    assert macro_lookup(ct, None, defaults)("id") == "9"
+    assert macro_table(ct, cell, defaults)["id"] == "1"
+    assert macro_table(ct, None, defaults)["id"] == "9"
     for scope in (cell, None):  # `n` is declared, but has no default and no initializer
         with pytest.raises(MacroError, match=r"^unresolved macro '\$n\$'$"):
-            macro_lookup(ct, scope, defaults)("n")
+            substitute_macros("$n$", macro_table(ct, scope, defaults), {})
 
 
-def test_run_factory_builds_one_lookup_per_scope(kernel_text, monkeypatch):
+def test_run_factory_builds_one_table_per_scope(kernel_text, monkeypatch):
     text = kernel_text + """
 [generate(ItronrsGenPlugin, "lib")]
 cell tTask_rs Task2 { cTaskBody = MainBody.eBody; id = 2; priority = 1; stackSize = 2; };
 """
-    built = []  # (caller, celltype, cell, whether `defaults` is empty) per lookup built
+    built = []  # (caller, celltype, cell, whether `defaults` has no attr) per table built
 
-    def counting_lookup(ct, cell, defaults):
-        built.append((sys._getframe(1).f_code.co_name, ct.name, cell and cell.name, not defaults))
-        return macro_lookup(ct, cell, defaults)
+    def counting_table(ct, cell, defaults):
+        built.append((sys._getframe(1).f_code.co_name, ct.name, cell and cell.name,
+                      not defaults[1]))
+        return macro_table(ct, cell, defaults)
 
-    monkeypatch.setattr(linker, "macro_lookup", counting_lookup)
+    monkeypatch.setattr(linker, "macro_table", counting_table)
     model, diags = resolve([parse_unit(text, "kernel_rs.cdl").unit])
     assert not diags
     plan = plan_emission(model)
@@ -155,8 +165,8 @@ cell tA A1 {}; cell tB B1 {}; cell tA A2 {}; cell tB B2 {};
 def test_fixed_templates_are_filled_once_per_celltype(monkeypatch):
     filled = []  # each template filled without an error, once per fill
 
-    def counting_fill(template, lookup, pieces):
-        text = substitute_macros(template, lookup, pieces)
+    def counting_fill(template, values, pieces):
+        text = substitute_macros(template, values, pieces)
         filled.append(template)
         return text
 
@@ -182,6 +192,21 @@ def test_a_fixed_template_that_fails_is_reported_at_each_write():
         "6:15", "5:15", "11:15", "5:15", "11:15"]]
 
 
+def test_format_characters_in_templates_and_values_are_verbatim():
+    values = {"ct": "tX", "cell": "X1", "v": "P%s%%"}
+    assert substitute_macros("%s %% %d {} $v$ %", values, {}) == "%s %% %d {} P%s%% %"
+    assert substitute_macros("a%s$ct$%%$cell$%", values, {}) == "a%stX%%X1%"
+    text = ('[generate(RustGenPlugin, "lib")]\ncelltype tX {\n'
+            '  attr { [omit] int32_t v = C_EXP("V%s"); };\n'
+            '  factory { write("%s/$cell$%.cfg", "L %s %% $v$ %d"); };\n'
+            '  FACTORY { write("%%.cfg", "%s$ct$"); };\n};\n'
+            'cell tX X1 {};\ncell tX X2 { v = C_EXP("%%"); };\n')
+    model, diags = resolve([parse_unit(text, "p.cdl").unit])
+    assert not diags
+    assert [(w.target_file, w.rendered_line) for w in model.config_writes] == [
+        ("%%.cfg", "%stX"), ("%s/X1%.cfg", "L %s %% V%s %d"), ("%s/X2%.cfg", "L %s %% %% %d")]
+
+
 def test_preamble_lines(kernel_outputs):
     files, _, _ = kernel_outputs
     content = files["t_task_rs.rs"].content
@@ -203,6 +228,27 @@ def test_toppers_tree_type_checks_but_for_nonzero_i32(kernel_outputs, tmp_path):
     # `core::num::NonZeroI32` in the CDL) makes this set empty; update the test then.
     assert set(re.findall(r"^error\[(E\d+)\]", stderr, re.M)) == {"E0433"}, stderr
     assert "cannot find type `NonZeroI32`" in stderr
+
+
+TCB_STUB = "pub struct tcb_t;\n"  # the kernel's task control block, as the var type names it
+
+
+def test_an_rtos_tasks_slice_type_checks_but_for_known_errors(tmp_path, spin_crate):
+    # the benchmark's TOPPERS flow on 8 celltypes x 5 tasks: definitions with a borrowing var,
+    # and bindgen-lite's constants mounted as `crate::kernel_cfg`, which re-exports the stub
+    wl = workloads.build("rtos_tasks", 1, 0.005)
+    files, _, _, diags = generate(list(wl.sources.items()))
+    assert not diags
+    tree = {f.path: f.content for f in files}
+    kernel_cfg, _ = convert_defines(wl.header, "kernel_cfg.h")
+    tree["kernel_cfg.rs"] = kernel_cfg + "pub use crate::tcb::*;\n"
+    tree["tcb.rs"] = TCB_STUB
+    externs = {"itron": build_shim("itron", tmp_path), **spin_crate}
+    stderr = rustc_check_tree(tree, tmp_path, externs, check=False)
+    # Known failures, as in the golden trees: `NonZeroI32` in every task's `task_ref` (E0433)
+    # and `get_cell_ref<'a>` inside `impl<'a>` in every definition (E0496). Any other code,
+    # such as a misnamed static, fails the test; mending one of these changes the set.
+    assert set(re.findall(r"^error\[(E\d+)\]", stderr, re.M)) == {"E0433", "E0496"}, stderr
 
 
 def test_preamble_absent_for_core_plugin(sample_outputs):
