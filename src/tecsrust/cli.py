@@ -256,10 +256,16 @@ def run(argv: Optional[List[str]] = None) -> int:
     diagram = Path(args.diagram) if args.diagram else None
     paths = [f.path for f in files]  # each relative to `out_dir`
     if diagram:  # written before the tree: it may take no path that the tree needs
-        at, out = diagram.resolve(), out_dir.resolve()
-        outputs = {(out_dir / f.path).resolve() for f in files}
-        if at in outputs or at in {out, *out.parents}.union(*(p.parents for p in outputs)):
-            what = "a generated file" if at in outputs else "a directory outputs are written into"
+        # a link at the diagram's own path is replaced, as at an output's: it is not followed
+        at = diagram.resolve() if diagram.name == ".." else diagram.parent.resolve() / diagram.name
+        out = out_dir.resolve()
+        rel = at.relative_to(out).as_posix() if out in at.parents else None  # outputs' form
+        if rel is None and at.exists():  # an output may be a link to it, as a kept skeleton is
+            rel = next((p for p in paths if os.path.islink(os.path.join(out_dir, p))
+                        and (out_dir / p).resolve() == at), None)
+        if rel in paths or at in {out, *out.parents} or rel and any(
+                p.startswith(rel + "/") for p in paths):
+            what = "a generated file" if rel in paths else "a directory outputs are written into"
             print(f"error: --diagram {args.diagram} names {what}", file=sys.stderr)
             return EXIT_USAGE
         below = os.path.relpath(diagram, out_dir)  # as written: no link on the way is followed

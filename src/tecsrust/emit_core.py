@@ -29,9 +29,6 @@ class WritePolicy(Enum):
 class GeneratedFile(Value):
     __slots__ = ("path", "content", "policy")
 
-    def __init__(self, path: str, content: str, policy: WritePolicy):
-        self.path, self.content, self.policy = path, content, policy
-
     @property
     def lines(self) -> int:
         return self.content.count("\n")
@@ -47,9 +44,6 @@ class SkeletonFile(Record):
     __slots__ = ("path", "lines", "ct", "model")
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
     policy = WritePolicy.SKIP_IF_EXISTS
-
-    def __init__(self, path: str, lines: int, ct: CelltypeDef, model: ResolvedModel):
-        self.path, self.lines, self.ct, self.model = path, lines, ct, model
 
     @property
     def content(self) -> str:

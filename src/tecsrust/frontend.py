@@ -253,9 +253,6 @@ def _scan_other(text, i, tokens, diags) -> int:
 class ParseResult(Record):
     __slots__ = ("unit", "diagnostics")
 
-    def __init__(self, unit: Optional[CdlUnit], diagnostics: List[Diagnostic]):
-        self.unit, self.diagnostics = unit, diagnostics
-
 
 class _ParseError(Exception):
     def __init__(self, diag: Diagnostic):

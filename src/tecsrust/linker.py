@@ -22,11 +22,6 @@ _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
 class ResolvedBinding(Record):
     __slots__ = ("call_port", "target_cell", "target_entry")
 
-    def __init__(self, call_port: PortDecl, target_cell: ResolvedCell, target_entry: PortDecl):
-        self.call_port = call_port
-        self.target_cell = target_cell
-        self.target_entry = target_entry
-
 
 class ResolvedCell(Record):
     __slots__ = ("cell", "celltype", "bindings", "attr_texts")
@@ -42,19 +37,11 @@ class ResolvedCell(Record):
 
 
 class ResolvedModel(Record):
-    __slots__ = ("cells", "signature_index", "celltype_index", "plugin_by_celltype",
-                 "cells_by_celltype", "owners", "config_writes")
-
-    def __init__(self, cells: List[ResolvedCell], signature_index: Dict[str, SignatureDef],
-                 celltype_index: Dict[str, CelltypeDef], plugin_by_celltype: Dict[str, str],
-                 cells_by_celltype: Dict[str, List[ResolvedCell]],
-                 owners: Dict[str, Dict[str, object]], config_writes: List[PlannedWrite]):
-        self.cells = cells
-        self.signature_index, self.celltype_index = signature_index, celltype_index
-        self.plugin_by_celltype = plugin_by_celltype  # celltype name -> plugin name
-        self.cells_by_celltype = cells_by_celltype  # in declaration order
-        self.owners = owners  # 'file'/'type' -> output path or name -> first owner
-        self.config_writes = config_writes  # rendered factory lines, in plan order
+    __slots__ = ("cells", "signature_index", "celltype_index",
+                 "plugin_by_celltype",  # celltype name -> plugin name
+                 "cells_by_celltype",  # in declaration order
+                 "owners",  # 'file'/'type' -> output path or name -> first owner
+                 "config_writes")  # rendered factory lines, in plan order
 
     def cells_of(self, celltype_name: str) -> List[ResolvedCell]:
         return self.cells_by_celltype.get(celltype_name, [])
@@ -381,17 +368,11 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, pieces, diags) ->
 
 
 class PlannedWrite(Record):
-    __slots__ = ("celltype", "cell", "target_template", "line_template", "target_file",
+    __slots__ = ("celltype",
+                 "cell",  # None for per-celltype FACTORY writes
+                 "target_template", "line_template",
+                 "target_file",  # the rendered target without its empty and '.' parts
                  "rendered_line")
-
-    def __init__(self, celltype: CelltypeDef, cell: Optional[CellDef], target_template: str,
-                 line_template: str, target_file: str, rendered_line: str):
-        self.celltype = celltype
-        self.cell = cell  # None for per-celltype FACTORY writes
-        self.target_template = target_template
-        self.line_template = line_template
-        self.target_file = target_file  # the rendered target without its empty and '.' parts
-        self.rendered_line = rendered_line
 
 
 def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:

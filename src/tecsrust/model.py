@@ -3,8 +3,8 @@
 Value types with no I/O, immutable by convention (a test checks it); slotted, not frozen,
 as freezing made each node 3-4x dearer to build. Locations and a unit's source name serve
 diagnostics only: equality and hash leave them out, so a re-parsed rendering compares equal.
-Each node is a `Record` that writes its own `__init__`, one statement per field where many
-are built: as fast to build as a dataclass, with no `dataclasses` to load.
+Each node is a `Record` that states its fields once, in `__slots__`; `Record` generates its
+`__init__`, one statement per field: as fast to build as a dataclass, with no `dataclasses`.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ _NOWHERE = SourceLoc()  # where a node built without a location is
 class _Node(Value):
     __slots__ = ()
     _uncompared = frozenset(("at", "lines", "location", "source_name"))  # where a node is
+    _defaults = {"at": _NOWHERE, "lines": None, "location": _NOWHERE}
 
 
 class Initializer(_Node):
     __slots__ = ("kind", "text")
-
-    def __init__(self, kind: InitKind, text: str):
-        self.kind = kind
-        self.text = text
 
 
 class _LazyLocation(_Node):  # `at` is a `SourceLoc`, or an offset into `lines` located when read
@@ -54,33 +51,13 @@ class _LazyLocation(_Node):  # `at` is a `SourceLoc`, or an offset into `lines` 
 class ParamDecl(_LazyLocation):
     __slots__ = ("specifier", "c_type", "pointer_depth", "name", "at", "lines")
 
-    def __init__(self, specifier: ParamSpecifier, c_type: str, pointer_depth: int, name: str,
-                 at: SourceLoc | int = _NOWHERE, lines: object = None):
-        self.specifier = specifier
-        self.c_type = c_type
-        self.pointer_depth = pointer_depth
-        self.name = name
-        self.at = at
-        self.lines = lines
-
 
 class FunctionDecl(_LazyLocation):
     __slots__ = ("name", "return_type", "params", "at", "lines")
 
-    def __init__(self, name: str, return_type: str, params: tuple,
-                 at: SourceLoc | int = _NOWHERE, lines: object = None):
-        self.name = name
-        self.return_type = return_type
-        self.params = params
-        self.at = at
-        self.lines = lines
-
 
 class SignatureDef(_Node):
     __slots__ = ("name", "functions", "location")
-
-    def __init__(self, name: str, functions: tuple, location: SourceLoc = _NOWHERE):
-        self.name, self.functions, self.location = name, functions, location
 
 
 class PortDirection(Enum):
@@ -90,29 +67,17 @@ class PortDirection(Enum):
 
 class PortDecl(_Node):
     __slots__ = ("direction", "signature_name", "port_name", "modifiers", "location")
-
-    def __init__(self, direction: PortDirection, signature_name: str, port_name: str,
-                 modifiers: frozenset = frozenset(), location: SourceLoc = _NOWHERE):
-        self.direction, self.signature_name, self.port_name = direction, signature_name, port_name
-        self.modifiers, self.location = modifiers, location
+    _defaults = {"modifiers": frozenset()}
 
 
 class AttrDecl(_Node):
     __slots__ = ("name", "c_type", "default", "omit", "location")
-
-    def __init__(self, name: str, c_type: str, default: Optional[Initializer] = None,
-                 omit: bool = False, location: SourceLoc = _NOWHERE):
-        self.name, self.c_type, self.default = name, c_type, default
-        self.omit, self.location = omit, location
+    _defaults = {"default": None, "omit": False}
 
 
 class VarDecl(_Node):
     __slots__ = ("name", "type_text", "default", "location")
-
-    def __init__(self, name: str, type_text: str, default: Optional[Initializer] = None,
-                 location: SourceLoc = _NOWHERE):
-        self.name, self.type_text = name, type_text
-        self.default, self.location = default, location
+    _defaults = {"default": None}
 
 
 class FactoryScope(Enum):
@@ -123,39 +88,20 @@ class FactoryScope(Enum):
 class FactoryWrite(_Node):
     __slots__ = ("target_file", "template", "location")
 
-    def __init__(self, target_file: str, template: str, location: SourceLoc = _NOWHERE):
-        self.target_file, self.template, self.location = target_file, template, location
-
 
 class FactoryBlock(_Node):
     __slots__ = ("scope", "writes")
-
-    def __init__(self, scope: FactoryScope, writes: tuple):
-        self.scope, self.writes = scope, writes
 
 
 class PluginDirective(_LazyLocation):
     __slots__ = ("plugin_name", "argument", "at", "lines")
 
-    def __init__(self, plugin_name: str, argument: str, at: SourceLoc | int = _NOWHERE,
-                 lines: object = None):
-        self.plugin_name = plugin_name
-        self.argument = argument
-        self.at = at
-        self.lines = lines
-
 
 class CelltypeDef(_Node):
     __slots__ = ("name", "call_ports", "entry_ports", "attrs", "vars", "factory_blocks",
                  "generate_directive", "location")
-
-    def __init__(self, name: str, call_ports: tuple = (), entry_ports: tuple = (),
-                 attrs: tuple = (), vars: tuple = (), factory_blocks: tuple = (),
-                 generate_directive: Optional[PluginDirective] = None,
-                 location: SourceLoc = _NOWHERE):
-        self.name, self.call_ports, self.entry_ports = name, call_ports, entry_ports
-        self.attrs, self.vars, self.factory_blocks = attrs, vars, factory_blocks
-        self.generate_directive, self.location = generate_directive, location
+    _defaults = {"call_ports": (), "entry_ports": (), "attrs": (), "vars": (),
+                 "factory_blocks": (), "generate_directive": None}
 
     @property
     def ports(self):
@@ -165,40 +111,15 @@ class CelltypeDef(_Node):
 class Binding(_LazyLocation):
     __slots__ = ("call_port_name", "target_cell_name", "target_entry_port_name", "at", "lines")
 
-    def __init__(self, call_port_name: str, target_cell_name: str, target_entry_port_name: str,
-                 at: SourceLoc | int = _NOWHERE, lines: object = None):
-        self.call_port_name = call_port_name
-        self.target_cell_name = target_cell_name
-        self.target_entry_port_name = target_entry_port_name
-        self.at = at
-        self.lines = lines
-
 
 class AttrInit(_LazyLocation):
     __slots__ = ("attr_name", "value", "at", "lines")
-
-    def __init__(self, attr_name: str, value: Initializer, at: SourceLoc | int = _NOWHERE,
-                 lines: object = None):
-        self.attr_name = attr_name
-        self.value = value
-        self.at = at
-        self.lines = lines
 
 
 class CellDef(_LazyLocation):
     __slots__ = ("name", "celltype_name", "bindings", "attr_inits", "generate_directive", "at",
                  "lines")
-
-    def __init__(self, name: str, celltype_name: str, bindings: tuple = (),
-                 attr_inits: tuple = (), generate_directive: Optional[PluginDirective] = None,
-                 at: SourceLoc | int = _NOWHERE, lines: object = None):
-        self.name = name
-        self.celltype_name = celltype_name
-        self.bindings = bindings
-        self.attr_inits = attr_inits
-        self.generate_directive = generate_directive
-        self.at = at
-        self.lines = lines
+    _defaults = {"bindings": (), "attr_inits": (), "generate_directive": None}
 
     def binding_for(self, call_port_name: str) -> Optional[Binding]:
         for b in self.bindings:
@@ -215,11 +136,7 @@ class CellDef(_LazyLocation):
 
 class CdlUnit(_Node):
     __slots__ = ("source_name", "signatures", "celltypes", "cells")
-
-    def __init__(self, source_name: str = "<memory>", signatures: tuple = (),
-                 celltypes: tuple = (), cells: tuple = ()):
-        self.source_name, self.signatures = source_name, signatures
-        self.celltypes, self.cells = celltypes, cells
+    _defaults = {"source_name": "<memory>", "signatures": (), "celltypes": (), "cells": ()}
 
 
 def _dupes(names: list) -> list:

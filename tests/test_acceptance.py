@@ -5,7 +5,10 @@ tests/test_acceptance.py` doubles as the acceptance report.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,11 +17,15 @@ from hypothesis import given, settings
 from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
 from strategies import brute_force_counts, cdl_units, non_generating_bindings
+import tecsrust
 from tecsrust import naming
 from tecsrust.cli import EXIT_DIAGNOSTICS, EXIT_OK, generate, run
 from tecsrust.frontend import parse_unit
 from tecsrust.header_const import convert_defines
 from tecsrust.linker import plan_emission, resolve
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SAMPLE = str(GOLDENS / "sample.cdl")
 
@@ -145,6 +152,56 @@ def test_criterion_8_determinism(tmp_path):
         hashes.append(_tree_hash(out))
     assert hashes[0] == hashes[1]
     _passed(8, f"two full runs hash identically ({hashes[0][:12]}...)")
+
+
+# link errors of several kinds in one unit, reported in an order no string hash may decide
+SEVERAL_ERRORS = """signature sA { void f( void ); };
+signature sB { void g( void ); };
+[generate(RustGenPlugin, "lib")]
+celltype tP { entry sB eB; };
+[generate(RustGenPlugin, "lib")]
+celltype tC { call sA cA; call sA cB; attr { int32_t a; int32_t b; }; };
+cell tP P {};
+cell tC C1 { cA = P.eB; };
+cell tC C2 { cA = Q.eA; cB = P.eX; };
+cell tX X {};
+"""
+
+
+def _processes_under_hash_seed(seed: str, runs, cwd: Path):
+    """Each of `runs` as a CLI process in `cwd` under `PYTHONHASHSEED=seed`: the exit codes
+    and texts, then every file the runs left in `cwd`, by relative path."""
+    cwd.mkdir()
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(tecsrust.__file__).parents[1])}
+    done = [subprocess.run([sys.executable, "-m", "tecsrust.cli", *argv], cwd=cwd, env=env,
+                           capture_output=True, text=True) for argv in runs]
+    files = {str(p.relative_to(cwd)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return [(d.returncode, d.stdout, d.stderr) for d in done], files
+
+
+def test_criterion_8_determinism_across_hash_seeds(tmp_path):
+    # the same bytes from separate processes whose str hashes differ: no set or dict order
+    # that follows a hash reaches an output, a report, a diagram or a diagnostic
+    runs = []
+    for name in workloads.WORKLOADS:
+        cdl, header = workloads.build(name, 1, scale=0.05).write_inputs(tmp_path / "in" / name)
+        runs.append([*map(str, cdl), "--out", name])
+        if header is not None:
+            runs.append(["bindgen-lite", str(header), "-o", f"{name}/kernel_cfg.rs"])
+    runs.append([SAMPLE, str(GOLDENS / "kernel_rs.cdl"), "--out", "goldens",
+                 "--diagram", "goldens.dot", "--report"])
+    (tmp_path / "in" / "errors.cdl").write_text(SEVERAL_ERRORS)
+    runs.append([str(tmp_path / "in" / "errors.cdl"), "--out", "errors"])
+    first, *others = [_processes_under_hash_seed(seed, runs, tmp_path / f"seed-{seed}")
+                      for seed in ("0", "1", "12345")]
+    results, files = first
+    assert [code for code, _, _ in results] == [EXIT_OK] * (len(runs) - 1) + [EXIT_DIAGNOSTICS]
+    assert len(results[-1][2].splitlines()) == 9
+    assert {p.split("/")[0] for p in files} == {*workloads.WORKLOADS, "goldens", "goldens.dot"}
+    for other in others:
+        assert other == first
 
 
 DIAG_SCENARIOS = {

@@ -20,6 +20,9 @@ from tecsrust.frontend import parse_unit
 from tecsrust.linker import resolve
 from tecsrust.model import Severity
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 SAMPLE = str(GOLDENS / "sample.cdl")
 
 EXPECTED_SAMPLE_FILES = {
@@ -369,6 +372,35 @@ def test_diagram_may_not_name_an_output_directory(tmp_path, monkeypatch, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["u.cdl"]
     assert capsys.readouterr() == (
         "", f"error: --diagram {diagram} names a directory outputs are written into\n")
+
+
+@pytest.mark.parametrize("diagram", ["gen/t_sensor_impl.rs", "x.rs", "./x.rs"])
+def test_diagram_may_not_name_a_linked_output(tmp_path, monkeypatch, capsys, diagram):
+    # a kept skeleton may be a link to a hand-edited file: neither path may take the diagram
+    monkeypatch.chdir(tmp_path)
+    Path("gen").mkdir()
+    Path("x.rs").write_text("// hand edit\n")
+    Path("gen/t_sensor_impl.rs").symlink_to("../x.rs")
+    assert run([SAMPLE, "--out", "gen", "--diagram", diagram]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --diagram {diagram} names a generated file\n"
+    assert Path("x.rs").read_text() == "// hand edit\n"
+    assert Path("gen/t_sensor_impl.rs").is_symlink() and len(list(Path("gen").iterdir())) == 1
+
+
+def test_diagram_check_resolves_only_out_and_the_diagram(tmp_path, monkeypatch):
+    # the diagram is compared with the outputs' relative paths: no system call per output
+    cdl, _ = workloads.build("app_16k", 1, scale=0.05).write_inputs(tmp_path / "in")
+    resolved = []
+    resolve = Path.resolve
+
+    def counting(path, *args, **kwargs):
+        resolved.append(path)
+        return resolve(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", counting)
+    out = tmp_path / "gen"
+    assert run([*map(str, cdl), "--out", str(out), "--diagram", str(out / "d.dot")]) == EXIT_OK
+    assert len(list(out.iterdir())) == 85 and len(resolved) <= 2, resolved[:3]
 
 
 def test_diagram_inside_out_is_written(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from tecsrust.linker import (
     EmissionPlan, GenerationReport, PlannedWrite, ResolvedBinding, ResolvedCell, ResolvedModel,
 )
 from tecsrust.model import (
-    AttrInit, Binding, CdlUnit, CellDef, Diagnostic, FactoryBlock, FunctionDecl, Initializer,
-    ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection, CelltypeDef, SignatureDef,
-    Severity, SourceLoc,
+    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, Diagnostic, FactoryBlock, FactoryWrite,
+    FunctionDecl, Initializer, ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection,
+    CelltypeDef, Record, SignatureDef, Severity, SourceLoc, VarDecl,
     has_errors, validate_unit,
 )
 
@@ -221,6 +222,100 @@ def test_a_record_that_holds_itself_shows_as_dots():
     assert shown.startswith("ResolvedCell(cell=CellDef(name='c', ") and shown.endswith(
         "bindings={'p': ResolvedBinding(call_port=None, target_cell=..., target_entry=None)}, "
         "attr_texts=())")
+
+
+def _params(*required, **defaults) -> list:
+    """Constructor parameters as (name, default) pairs, in order; `REQUIRED` for no default."""
+    return [(name, REQUIRED) for name in required] + list(defaults.items())
+
+
+REQUIRED, NOWHERE = inspect.Parameter.empty, model._NOWHERE
+# each record class's constructor, pinned: its parameters in order, and their defaults
+CONSTRUCTORS = {
+    Diagnostic: _params("severity", "code", "message", "location"),
+    Initializer: _params("kind", "text"),
+    ParamDecl: _params("specifier", "c_type", "pointer_depth", "name", at=NOWHERE, lines=None),
+    FunctionDecl: _params("name", "return_type", "params", at=NOWHERE, lines=None),
+    SignatureDef: _params("name", "functions", location=NOWHERE),
+    PortDecl: _params("direction", "signature_name", "port_name", modifiers=frozenset(),
+                      location=NOWHERE),
+    AttrDecl: _params("name", "c_type", default=None, omit=False, location=NOWHERE),
+    VarDecl: _params("name", "type_text", default=None, location=NOWHERE),
+    FactoryWrite: _params("target_file", "template", location=NOWHERE),
+    FactoryBlock: _params("scope", "writes"),
+    PluginDirective: _params("plugin_name", "argument", at=NOWHERE, lines=None),
+    CelltypeDef: _params("name", call_ports=(), entry_ports=(), attrs=(), vars=(),
+                         factory_blocks=(), generate_directive=None, location=NOWHERE),
+    Binding: _params("call_port_name", "target_cell_name", "target_entry_port_name",
+                     at=NOWHERE, lines=None),
+    AttrInit: _params("attr_name", "value", at=NOWHERE, lines=None),
+    CellDef: _params("name", "celltype_name", bindings=(), attr_inits=(),
+                     generate_directive=None, at=NOWHERE, lines=None),
+    CdlUnit: _params(source_name="<memory>", signatures=(), celltypes=(), cells=()),
+    ResolvedBinding: _params("call_port", "target_cell", "target_entry"),
+    ResolvedCell: _params("cell", "celltype", bindings=None, attr_texts=()),
+    ResolvedModel: _params("cells", "signature_index", "celltype_index", "plugin_by_celltype",
+                           "cells_by_celltype", "owners", "config_writes"),
+    PlannedWrite: _params("celltype", "cell", "target_template", "line_template", "target_file",
+                          "rendered_line"),
+    GenerationReport: _params(file_lines=None, skeleton_files=None),
+    EmissionPlan: _params("contract_sigs", "definition_cts", "skeleton_cts", "config_writes",
+                          report=None),
+    GeneratedFile: _params("path", "content", "policy"),
+    SkeletonFile: _params("path", "lines", "ct", "model"),
+    ParseResult: _params("unit", "diagnostics"),
+}
+# records whose `None` default stands for a fresh dict, set or report: they write `__init__`
+FRESH_DEFAULTS = {ResolvedCell, GenerationReport, EmissionPlan}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_each_record_constructor_is_pinned():
+    records = {c for c in _subclasses(Record)
+               if c.__module__.startswith("tecsrust.") and vars(c).get("__slots__")}
+    assert records == set(CONSTRUCTORS)
+    for cls, expected in CONSTRUCTORS.items():
+        params = list(inspect.signature(cls).parameters.values())
+        assert [(p.name, p.default) for p in params] == expected, cls
+        assert {p.kind for p in params} <= {inspect.Parameter.POSITIONAL_OR_KEYWORD}, cls
+        assert all(type(p.default) is type(d) for p, (_, d) in zip(params, expected)), cls
+        assert [p.name for p in params] == list(cls.__slots__), cls
+        assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
+        required = [object() for _, d in expected if d is REQUIRED]
+        record = cls(*required)
+        assert [getattr(record, name) for name, _ in expected[:len(required)]] == required
+        for name, default in expected[len(required):]:
+            if default is not None or cls not in FRESH_DEFAULTS:
+                assert getattr(record, name) == default, (cls, name)
+        given = {name: object() for name, _ in expected}
+        record = cls(**given)
+        assert all(getattr(record, name) is value for name, value in given.items()), cls
+        with pytest.raises(TypeError, match="misspelt"):
+            cls(*required, misspelt=1)
+        if required:
+            with pytest.raises(TypeError):
+                cls(*required[:-1])
+        with pytest.raises(TypeError):
+            cls(*required, *[None] * (len(expected) - len(required) + 1))
+
+
+def test_a_record_that_writes_its_own_init_keeps_it():
+    for cls in FRESH_DEFAULTS:
+        assert vars(cls)["__init__"].__code__.co_filename == sys.modules[cls.__module__].__file__
+
+    class Counted(Record):
+        __slots__ = ("items",)
+
+        def __init__(self, items=None):
+            self.items = [] if items is None else items
+
+    assert Counted().items == [] and Counted().items is not Counted().items
+    assert Counted.__init__.__code__.co_filename == __file__
 
 
 def test_diagnostic_is_a_slotted_value():
