@@ -260,9 +260,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         at = diagram.resolve() if diagram.name == ".." else diagram.parent.resolve() / diagram.name
         out = out_dir.resolve()
         rel = at.relative_to(out).as_posix() if out in at.parents else None  # outputs' form
-        if rel is None and at.exists():  # an output may be a link to it, as a kept skeleton is
-            rel = next((p for p in paths if os.path.islink(os.path.join(out_dir, p))
-                        and (out_dir / p).resolve() == at), None)
+        if rel not in paths:  # a kept skeleton may link to it, dangling too; other links are replaced
+            rel = next((p for p in plan.report.skeleton_files if os.path.islink(out_dir / p)
+                        and os.path.realpath(out_dir / p) == os.path.realpath(diagram)), rel)
         if rel in paths or at in {out, *out.parents} or rel and any(
                 p.startswith(rel + "/") for p in paths):
             what = "a generated file" if rel in paths else "a directory outputs are written into"

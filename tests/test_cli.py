@@ -374,17 +374,49 @@ def test_diagram_may_not_name_an_output_directory(tmp_path, monkeypatch, capsys,
         "", f"error: --diagram {diagram} names a directory outputs are written into\n")
 
 
-@pytest.mark.parametrize("diagram", ["gen/t_sensor_impl.rs", "x.rs", "./x.rs"])
-def test_diagram_may_not_name_a_linked_output(tmp_path, monkeypatch, capsys, diagram):
-    # a kept skeleton may be a link to a hand-edited file: neither path may take the diagram
+@pytest.mark.parametrize("link, diagram", [
+    ("../x.rs", "gen/t_sensor_impl.rs"), ("../x.rs", "x.rs"), ("../x.rs", "./x.rs"),
+    ("x.rs", "gen/x.rs"), ("impl/t.rs", "gen/impl/t.rs"), ("impl/t.rs", "gen/impl/../impl/t.rs")])
+def test_diagram_may_not_name_a_linked_output(tmp_path, monkeypatch, capsys, link, diagram):
+    # a kept skeleton may be a link to a hand-edited file, inside --out or outside it:
+    # neither path may take the diagram
     monkeypatch.chdir(tmp_path)
-    Path("gen").mkdir()
-    Path("x.rs").write_text("// hand edit\n")
-    Path("gen/t_sensor_impl.rs").symlink_to("../x.rs")
+    edit = Path(os.path.normpath(Path("gen", link)))
+    edit.parent.mkdir(parents=True, exist_ok=True)
+    Path("gen").mkdir(exist_ok=True)
+    edit.write_text("// hand edit\n")
+    Path("gen/t_sensor_impl.rs").symlink_to(link)
+    before = sorted(Path().rglob("*"))
     assert run([SAMPLE, "--out", "gen", "--diagram", diagram]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: --diagram {diagram} names a generated file\n"
-    assert Path("x.rs").read_text() == "// hand edit\n"
-    assert Path("gen/t_sensor_impl.rs").is_symlink() and len(list(Path("gen").iterdir())) == 1
+    assert edit.read_text() == "// hand edit\n"
+    assert Path("gen/t_sensor_impl.rs").is_symlink() and sorted(Path().rglob("*")) == before
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_diagram_may_not_name_a_kept_skeleton_link_target(tmp_path, monkeypatch, capsys, chained):
+    # dangling, or through a second link: a diagram at x.rs would become the skeleton's file
+    monkeypatch.chdir(tmp_path)
+    Path("gen").mkdir()
+    Path("gen/t_sensor_impl.rs").symlink_to("../x.rs")
+    if chained:
+        Path("y.rs").write_text("// hand edit\n")
+        Path("x.rs").symlink_to("y.rs")
+    before = sorted(Path().rglob("*"))
+    assert run([SAMPLE, "--out", "gen", "--diagram", "x.rs"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --diagram x.rs names a generated file\n"
+    assert os.path.lexists("x.rs") is chained and sorted(Path().rglob("*")) == before
+    assert not chained or Path("x.rs").read_text() == "// hand edit\n"
+
+
+def test_diagram_beside_a_kept_skeleton_link_loop_is_written(tmp_path, monkeypatch):
+    # the link check follows no loop to an error: the skeleton is kept, as without --diagram
+    monkeypatch.chdir(tmp_path)
+    Path("gen").mkdir()
+    Path("gen/t_sensor_impl.rs").symlink_to("t_sensor_impl.rs")
+    assert run([SAMPLE, "--out", "gen", "--diagram", "x.dot"]) == EXIT_OK
+    assert Path("x.dot").read_text().startswith("digraph")
+    assert os.readlink("gen/t_sensor_impl.rs") == "t_sensor_impl.rs"
 
 
 def test_diagram_check_resolves_only_out_and_the_diagram(tmp_path, monkeypatch):
