@@ -88,26 +88,29 @@ class Severity(Enum):
 class Record:
     """A plain slotted record: `__slots__` names its fields in constructor order. A class with
     fields and no `__init__` of its own is given one that stores each argument in its field,
-    one statement per field, as a hand-written one would; a field named in `_defaults`, merged
-    from the class and its bases, may be left out. Only immutable defaults go there: they are
-    shared by every record. It equals a record of its class whose fields are equal but for
-    those named in `_uncompared`, if any, and shows as `Name(field=value, ...)`. Not a
+    one statement per field, as a hand-written one would. A field named in `_defaults` or
+    `_fresh`, each merged from the class and its bases, may be left out: `_defaults` gives an
+    immutable value, shared by every record; `_fresh` a callable, such as `dict`, called for
+    each record whose argument is None. It equals a record of its class whose fields are equal
+    but for those named in `_uncompared`, if any, and shows as `Name(field=value, ...)`. Not a
     dataclass: where bytecode is not cached, each build would compile `dataclasses`,
     `inspect`, `ast` and `dis`, then generate every class's methods."""
 
     __slots__ = ()
     _uncompared = frozenset()
-    _defaults = {}
 
     def __init_subclass__(cls):
         fields = vars(cls).get("__slots__")
         if not fields or "__init__" in vars(cls):
             return
         name = f"{cls.__qualname__}.__init__"
-        defaults = {k: v for c in cls.__mro__[::-1] for k, v in vars(c).get("_defaults", {}).items()}
-        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
-        body = "".join(f"\n    self.{f} = {f}" for f in fields)  # slot names are identifiers
-        scope = {"__name__": cls.__module__, "_d": defaults}
+        defaults, fresh = ({k: v for c in cls.__mro__[::-1] for k, v in vars(c).get(t, {}).items()}
+                           for t in ("_defaults", "_fresh"))
+        params = ", ".join(f"{f}=None" if f in fresh else f"{f}=_d[{f!r}]" if f in defaults
+                           else f for f in fields)
+        body = "".join(f"\n    self.{f} = _f[{f!r}]() if {f} is None else {f}" if f in fresh
+                       else f"\n    self.{f} = {f}" for f in fields)  # slot names are identifiers
+        scope = {"__name__": cls.__module__, "_d": defaults, "_f": fresh}
         exec(compile(f"def __init__(self, {params}):{body}", f"<{cls.__module__}.{name}>",
                      "exec"), scope)
         cls.__init__ = scope["__init__"]

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import List
 
 from . import naming
-from .emit_rtos import KERNEL_PREAMBLE_LINES, uses_kernel_wrappers
+from .emit_rtos import KERNEL_PREAMBLE_LINES, escape_percent, uses_kernel_wrappers
 from .linker import ResolvedCell, ResolvedModel
 from .model import CelltypeDef, ParamSpecifier, Record, SignatureDef, Value
 
@@ -48,11 +48,6 @@ class SkeletonFile(Record):
     @property
     def content(self) -> str:
         return emit_skeleton(self.ct, self.model).content
-
-
-def _escape(text: str) -> str:
-    """`text` as a literal part of a `%` template."""
-    return text.replace("%", "%%")
 
 
 def _finish(lines: List[str]) -> str:
@@ -165,7 +160,7 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
         lines.append("")
 
     # a cell's statics: one `%` template, with a `%s` hole per name or attr text of the cell
-    e = _escape
+    e = escape_percent
     static_type = record + ("<" + ", ".join(bound_types) + ">" if bound_types else "")
     block = [f"pub static %s: {e(static_type)} = {e(record)} {{",
              *(f"{INDENT}{e(field)}: &%s," for field in call_fields),

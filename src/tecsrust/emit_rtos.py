@@ -28,6 +28,11 @@ class MacroError(ValueError):
 _HOLE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)\$")
 
 
+def escape_percent(text: str) -> str:
+    """`text` as a literal part of a `%` template: each `%` doubled."""
+    return text.replace("%", "%%")
+
+
 def substitute_macros(template: str, values: Dict[str, str],
                       pieces: Dict[str, Tuple[str, Optional[Callable]]]) -> str:
     """Fill $ct$ / $cell$ / $attr$ holes in a single pass from `values`, such as
@@ -40,7 +45,7 @@ def substitute_macros(template: str, values: Dict[str, str],
     """
     prepared = pieces.get(template)
     if prepared is None:
-        parts = _HOLE.split(template.replace("%", "%%"))  # text, hole name, text, ...
+        parts = _HOLE.split(escape_percent(template))  # text, hole name, text, ...
         prepared = pieces[template] = ("%s".join(parts[::2]),
                                        itemgetter(*parts[1::2]) if len(parts) > 1 else None)
     fmt, get = prepared

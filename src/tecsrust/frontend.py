@@ -18,8 +18,8 @@ keeps the index and the offset; the line is found only when that is read.
 
 `_Parser` walks the stream by index: its helpers compare entries and
 return token indices, and an `EOF` tag after the last token spares them a
-bounds check. A clean parse resolves no location: signatures, celltypes and
-their members keep a `SourceLoc`; cells, directives and the rest an offset.
+bounds check. A clean parse makes no location: a located node keeps its
+token's offset and the `LineIndex`, and is located when a diagnostic reads it.
 
 A `cell` or `signature` declaration of the common shape is scanned once, by `_scan_cell`
 or `_scan_signature`, which build its node as the parser would. It is one token: tag
@@ -224,7 +224,7 @@ def _scan_signature(text, start, lines) -> Optional[Tuple[SignatureDef, int]]:
         elif kind != 10:
             funcs.append(FunctionDecl(intern(name), intern(ret), tuple(params), at, lines))
         else:
-            return SignatureDef(intern(head[1]), tuple(funcs), lines.locate(start)), m.end()
+            return SignatureDef(intern(head[1]), tuple(funcs), start, lines), m.end()
         state = kind
 
 
@@ -391,7 +391,7 @@ class _Parser:
         start = self.expect("signature")
         name = self.expect_ident("signature name")
         return SignatureDef(self.texts[name], tuple(self.block(self.parse_function)),
-                            self.loc(start))
+                            self.offsets[start], self.lines)
 
     def parse_function(self) -> FunctionDecl:
         ret = self.expect_ident("return type")
@@ -433,7 +433,7 @@ class _Parser:
         for kind, nodes in self.block(self.parse_celltype_member):
             members[kind] += nodes
         return CelltypeDef(self.texts[name], *map(tuple, members.values()), directive,
-                           self.loc(start))
+                           self.offsets[start], self.lines)
 
     def parse_celltype_member(self) -> Tuple[str, list]:
         """A port, an attr or var block, or a factory block: its kind and its nodes."""
@@ -463,7 +463,8 @@ class _Parser:
         sig = self.expect_ident("signature name")
         port = self.expect_ident("port name")
         self.expect(";")
-        return PortDecl(direction, self.texts[sig], self.texts[port], modifiers, self.loc(kw))
+        return PortDecl(direction, self.texts[sig], self.texts[port], modifiers, self.offsets[kw],
+                        self.lines)
 
     def parse_member(self, kind: str):
         """An attr or a var, `kind`, of a block: `T N [= init];`, an attr maybe `[omit]`."""
@@ -475,8 +476,8 @@ class _Parser:
         name = self.expect_ident(f"{kind} name")
         default = self.parse_initializer() if self.accept("=") else None
         self.expect(";")
-        loc, texts = self.loc(start), (self.texts[name], self.texts[c_type], default)
-        return AttrDecl(*texts, omit, loc) if kind == "attr" else VarDecl(*texts, loc)
+        fields = (self.texts[name], self.texts[c_type], default) + (omit,) * (kind == "attr")
+        return (AttrDecl if kind == "attr" else VarDecl)(*fields, self.offsets[start], self.lines)
 
     def parse_factory_block(self) -> FactoryBlock:
         kw = self.take()
@@ -491,7 +492,7 @@ class _Parser:
         template = self.expect("string")
         self.expect(")")
         self.expect(";")
-        return FactoryWrite(self.texts[target], self.texts[template], self.loc(w))
+        return FactoryWrite(self.texts[target], self.texts[template], self.offsets[w], self.lines)
 
     def parse_cell(self, directive) -> CellDef:
         at = self.offsets[self.expect("cell")]

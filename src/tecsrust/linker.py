@@ -24,16 +24,10 @@ class ResolvedBinding(Record):
 
 
 class ResolvedCell(Record):
-    __slots__ = ("cell", "celltype", "bindings", "attr_texts")
-
-    def __init__(self, cell: CellDef, celltype: CelltypeDef,
-                 bindings: Optional[Dict[str, ResolvedBinding]] = None,
-                 attr_texts: Tuple[str, ...] = ()):
-        self.cell = cell
-        self.celltype = celltype
-        self.bindings = {} if bindings is None else bindings
-        # generating celltypes only: initializer text per visible attr, macros filled
-        self.attr_texts = attr_texts
+    __slots__ = ("cell", "celltype", "bindings",
+                 "attr_texts")  # generating celltypes only: text per visible attr, macros filled
+    _defaults = {"attr_texts": ()}
+    _fresh = {"bindings": dict}
 
 
 class ResolvedModel(Record):
@@ -97,7 +91,7 @@ def resolve(units: List[CdlUnit], default_plugin: Optional[str] = None
                     f"cell '{cell.name}' has unknown celltype '{cell.celltype_name}'",
                     cell.location))
                 continue
-            rc = ResolvedCell(cell, ct)
+            rc = ResolvedCell(cell, ct, {})
             cell_index[cell.name] = rc
             cells.append(rc)
             cells_by_ct[ct.name].append(rc)
@@ -223,15 +217,15 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                  for ct in generating for rc in cells_by_ct[ct.name]
                  for port, rb in rc.bindings.items()
                  if (t := rb.target_cell.celltype.name) not in written)
-    named = {(kind, e.name): e.location for kind, e in _named(generating, sig_index)}
-    for (kind, name), loc in named.items():
+    named = {(kind, e.name): e for kind, e in _named(generating, sig_index)}
+    for (kind, name), e in named.items():
         mapped = naming.contract_name(name) if kind == "signature" else naming.record_name(name)
         if len(name) < 2:
-            diags.append(error("bad-name", f"{kind} name '{name}' too short", loc))
+            diags.append(error("bad-name", f"{kind} name '{name}' too short", e.location))
         # '__' maps to ''; 'self' to module `self` and type `Self`, which `r#` cannot write
         elif not mapped.isidentifier() or {mapped, naming.module_name(name)} & naming.NOT_RAW:
             diags.append(error(
-                "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", loc))
+                "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", e.location))
     for kind, name, loc in _unwritable(generating, named, sig_index):
         diags.append(error("bad-name", f"{kind} name '{name}' is not a Rust identifier", loc))
 
@@ -441,11 +435,7 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
 
 class GenerationReport(Record):
     __slots__ = ("file_lines", "skeleton_files")
-
-    def __init__(self, file_lines: Optional[Dict[str, int]] = None,
-                 skeleton_files: Optional[set] = None):
-        self.file_lines = {} if file_lines is None else file_lines
-        self.skeleton_files = set() if skeleton_files is None else skeleton_files
+    _fresh = {"file_lines": dict, "skeleton_files": set}
 
     @property
     def auto_total(self) -> int:
@@ -460,13 +450,7 @@ class GenerationReport(Record):
 
 class EmissionPlan(Record):
     __slots__ = ("contract_sigs", "definition_cts", "skeleton_cts", "config_writes", "report")
-
-    def __init__(self, contract_sigs: List[SignatureDef], definition_cts: List[CelltypeDef],
-                 skeleton_cts: List[CelltypeDef], config_writes: List[PlannedWrite],
-                 report: Optional[GenerationReport] = None):
-        self.contract_sigs, self.definition_cts = contract_sigs, definition_cts
-        self.skeleton_cts, self.config_writes = skeleton_cts, config_writes
-        self.report = GenerationReport() if report is None else report
+    _fresh = {"report": GenerationReport}
 
     def skeleton_files(self) -> List[str]:
         return [naming.file_name("skeleton", ct.name) for ct in self.skeleton_cts]
@@ -484,6 +468,5 @@ def plan_emission(model: ResolvedModel) -> EmissionPlan:
 
     contract_sigs = [e for e in model.owners["file"].values() if isinstance(e, SignatureDef)]
 
-    definition_cts = list(generating)
     skeleton_cts = [ct for ct in generating if ct.entry_ports]
-    return EmissionPlan(contract_sigs, definition_cts, skeleton_cts, model.config_writes)
+    return EmissionPlan(contract_sigs, generating, skeleton_cts, model.config_writes)

@@ -1,7 +1,8 @@
 """Abstract syntax for the supported CDL subset and the resolved component graph.
 
 Value types with no I/O, immutable by convention (a test checks it); slotted, not frozen,
-as freezing made each node 3-4x dearer to build. Locations and a unit's source name serve
+as freezing made each node 3-4x dearer to build. A located node keeps its start as an offset
+into its source's `LineIndex`, located when read; that and a unit's source name serve
 diagnostics only: equality and hash leave them out, so a re-parsed rendering compares equal.
 Each node is a `Record` that states its fields once, in `__slots__`; `Record` generates its
 `__init__`, one statement per field: as fast to build as a dataclass, with no `dataclasses`.
@@ -33,18 +34,14 @@ class InitKind(Enum):
 _NOWHERE = SourceLoc()  # where a node built without a location is
 
 
-class _Node(Value):
-    __slots__ = ()
-    _uncompared = frozenset(("at", "lines", "location", "source_name"))  # where a node is
-    _defaults = {"at": _NOWHERE, "lines": None, "location": _NOWHERE}
-
-
-class Initializer(_Node):
+class Initializer(Value):
     __slots__ = ("kind", "text")
 
 
-class _LazyLocation(_Node):  # `at` is a `SourceLoc`, or an offset into `lines` located when read
+class _LazyLocation(Value):  # `at` is an offset into `lines`, located when read; or a `SourceLoc`
     __slots__ = ()
+    _uncompared = frozenset(("at", "lines"))  # where a node is
+    _defaults = {"at": _NOWHERE, "lines": None}
     location = property(lambda n: n.at if n.lines is None else SourceLoc.at(n.lines, n.at))
 
 
@@ -56,8 +53,8 @@ class FunctionDecl(_LazyLocation):
     __slots__ = ("name", "return_type", "params", "at", "lines")
 
 
-class SignatureDef(_Node):
-    __slots__ = ("name", "functions", "location")
+class SignatureDef(_LazyLocation):
+    __slots__ = ("name", "functions", "at", "lines")
 
 
 class PortDirection(Enum):
@@ -65,18 +62,18 @@ class PortDirection(Enum):
     ENTRY = "entry"
 
 
-class PortDecl(_Node):
-    __slots__ = ("direction", "signature_name", "port_name", "modifiers", "location")
+class PortDecl(_LazyLocation):
+    __slots__ = ("direction", "signature_name", "port_name", "modifiers", "at", "lines")
     _defaults = {"modifiers": frozenset()}
 
 
-class AttrDecl(_Node):
-    __slots__ = ("name", "c_type", "default", "omit", "location")
+class AttrDecl(_LazyLocation):
+    __slots__ = ("name", "c_type", "default", "omit", "at", "lines")
     _defaults = {"default": None, "omit": False}
 
 
-class VarDecl(_Node):
-    __slots__ = ("name", "type_text", "default", "location")
+class VarDecl(_LazyLocation):
+    __slots__ = ("name", "type_text", "default", "at", "lines")
     _defaults = {"default": None}
 
 
@@ -85,11 +82,11 @@ class FactoryScope(Enum):
     PER_CELLTYPE = "FACTORY"
 
 
-class FactoryWrite(_Node):
-    __slots__ = ("target_file", "template", "location")
+class FactoryWrite(_LazyLocation):
+    __slots__ = ("target_file", "template", "at", "lines")
 
 
-class FactoryBlock(_Node):
+class FactoryBlock(Value):
     __slots__ = ("scope", "writes")
 
 
@@ -97,9 +94,9 @@ class PluginDirective(_LazyLocation):
     __slots__ = ("plugin_name", "argument", "at", "lines")
 
 
-class CelltypeDef(_Node):
+class CelltypeDef(_LazyLocation):
     __slots__ = ("name", "call_ports", "entry_ports", "attrs", "vars", "factory_blocks",
-                 "generate_directive", "location")
+                 "generate_directive", "at", "lines")
     _defaults = {"call_ports": (), "entry_ports": (), "attrs": (), "vars": (),
                  "factory_blocks": (), "generate_directive": None}
 
@@ -134,8 +131,9 @@ class CellDef(_LazyLocation):
         return None
 
 
-class CdlUnit(_Node):
+class CdlUnit(Value):
     __slots__ = ("source_name", "signatures", "celltypes", "cells")
+    _uncompared = frozenset(("source_name",))
     _defaults = {"source_name": "<memory>", "signatures": (), "celltypes": (), "cells": ()}
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,9 +20,10 @@ from tecsrust.cli import (
     EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run, write_files,
 )
 from tecsrust.emit_core import GeneratedFile, WritePolicy
-from tecsrust.frontend import parse_unit
+from tecsrust.frontend import KEYWORDS, parse_unit
 from tecsrust.linker import resolve
 from tecsrust.model import Severity
+from test_parser_differential import mutants
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -975,12 +980,14 @@ _SIG = "signature sA { void f( void ); };\n"
      "2:27: error[misplaced-modifier]: a factory block takes no modifiers"),
     (_SIG + 'celltype tP { [omit] [inline] FACTORY { write("x.cfg", "X"); }; };\n',
      "2:15: error[misplaced-modifier]: a FACTORY block takes no modifiers"),
+    # [omit] before a token that starts no celltype member: at the '['
+    ("celltype tP { [omit] foo; };\n", "1:15: error[unexpected-token]: expected celltype member"),
 ], ids=["unknown-signature", "not-a-call-port", "unknown-call-port", "unknown-attribute",
         "duplicate-definition", "duplicate-attr", "duplicate-var", "duplicate-binding",
         "duplicate-attr-init", "empty-write-target", "duplicate-function", "duplicate-param",
         "duplicate-port", "duplicate-cell", "duplicate-definition-celltype",
         "misplaced-modifier-attr", "misplaced-modifier-var", "misplaced-modifier-factory",
-        "misplaced-modifier-FACTORY"])
+        "misplaced-modifier-FACTORY", "omit-before-no-member"])
 def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expected):
     src = tmp_path / "u.cdl"
     src.write_text(text)
@@ -1014,3 +1021,34 @@ def test_binding_into_a_celltype_that_generates_no_rust_is_a_located_error(tmp_p
     assert run([str(src), "--out", str(out), "--plugin", "RustGenPlugin"]) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == [
         "s_sig0.rs", "t_cons0.rs", "t_prov0.rs", "t_prov0_impl.rs"]
+
+
+# what a mutant may put in place of a lexeme: keywords, punctuation, `$` holes bare and in
+# strings, NUL, non-ASCII letters, and names that map to no Rust identifier
+MUTANT_POOL = sorted(KEYWORDS) + list("{}()[];,=*.") + [
+    "$ct$", "$cell$", '"$ct$"', '"$cell$_$x$"', "\x00", '"\x00"', "é", "名前", "self", "__"]
+_LOCATED = r"{}:\d+:\d+: (error|warning)\[[a-z-]+\]: .*"
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutants(MUTANT_POOL))
+def test_a_text_mutant_runs_the_whole_pipeline_without_a_traceback(text):
+    # a fresh directory per example: hypothesis reuses a function-scoped `tmp_path`
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "m.cdl"
+        src.write_text(text, encoding="utf-8")
+        located = re.compile(_LOCATED.format(re.escape(str(src))))
+        for plugin in ([], ["--plugin", "RustGenPlugin"]):
+            out, err = Path(tmp) / ("out" + "".join(plugin)), io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([str(src), "--out", str(out), *plugin])
+            lines = err.getvalue().splitlines()
+            found = [located.fullmatch(line) for line in lines]
+            assert code in (EXIT_OK, EXIT_DIAGNOSTICS, EXIT_USAGE), code
+            assert all(m or code == EXIT_USAGE and line.startswith("error: ")
+                       for m, line in zip(found, lines)), lines
+            assert (code == EXIT_DIAGNOSTICS) == any(m and m[1] == "error" for m in found), lines
+            if code == EXIT_OK:
+                for path in out.rglob("*"):
+                    if path.is_file():
+                        path.read_bytes().decode("utf-8")

@@ -401,6 +401,23 @@ def test_definitions_type_check_with_spin(tmp_path, spin_crate, calls, members):
     rustc_check_tree({path: f.content for path, f in files.items()}, tmp_path, spin_crate)
 
 
+# a hand-completed skeleton body reaches its cell's var only through the lock, as with the
+# real `spin`: the stand-in's `data` is private (E0616). `i32` borrows nothing (no E0496).
+@pytest.mark.parametrize("body, errors", [
+    ("let _n = &self.cell.variable.data;", {"E0616"}),
+    ("self.cell.variable.lock().n += 1;", set()),
+], ids=["bypasses-the-lock", "takes-the-lock"])
+def test_a_skeleton_body_reaches_a_var_only_through_the_lock(tmp_path, spin_crate, body, errors):
+    files = _gen('signature sA { void f( void ); };\n[generate(RustGenPlugin, "lib")]\n'
+                 "celltype tC { entry sA eC; var { i32 n = 0; }; };\ncell tC c1 {};\n")
+    tree = {path: f.content for path, f in files.items()}
+    stub = "let cell_ref = self.cell.get_cell_ref();"
+    assert tree["t_c_impl.rs"].count(stub) == 1
+    tree["t_c_impl.rs"] = tree["t_c_impl.rs"].replace(stub, body)
+    stderr = rustc_check_tree(tree, tmp_path, spin_crate, check=not errors)
+    assert set(re.findall(r"^error\[(E\d+)\]", stderr, re.M)) == errors, stderr
+
+
 # a hand-written stand-in for the C types the golden sample passes through; the tree's
 # `s_sensor` re-exports it, so `t_sensor.rs` finds them through its `s_sensor::*` import
 PBIO_STUB = """#![allow(non_camel_case_types)]

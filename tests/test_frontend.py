@@ -308,8 +308,21 @@ def test_clean_build_resolves_no_location(where_calls):
     assert where_calls == []
 
 
-def test_clean_signature_makes_one_location(monkeypatch):
-    # functions and parameters keep an offset; only the signature keeps a `SourceLoc`
+def test_clean_build_makes_no_location(monkeypatch):
+    # every node keeps an offset, and a clean build reads no location, so it makes none
+    made, at = [], SourceLoc.at
+    monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
+    inputs = [[(name, golden(name))] for name in ("sample.cdl", "kernel_rs.cdl")]
+    inputs += [list(workloads.build(name, 1, scale=0.02).sources.items())
+               for name in ("app_16k", "rtos_tasks", "api_regen")]
+    for sources in inputs:
+        files, _, _, diags = generate(sources)
+        assert files and diags == []
+    assert made == []
+
+
+def test_clean_signature_makes_no_location(monkeypatch):
+    # the signature, its functions and their parameters keep an offset, located when read
     made, at = [], SourceLoc.at
     monkeypatch.setattr(SourceLoc, "at", classmethod(lambda cls, *a: made.append(a) or at(*a)))
     params = "[in] int32_t a, [out] uint8_t* b, [in] T c"
@@ -317,7 +330,10 @@ def test_clean_signature_makes_one_location(monkeypatch):
     result = parse_unit(text, "s.cdl")
     assert result.diagnostics == []
     assert [len(f.params) for f in result.unit.signatures[0].functions] == [3] * 4
-    assert [offset for _, offset in made] == [0]
+    assert made == []
+    sig = result.unit.signatures[0]
+    assert [n.location for n in (sig, sig.functions[1])] == [
+        SourceLoc("s.cdl", 1, 1), SourceLoc("s.cdl", 3, 8)]
 
 
 @pytest.mark.parametrize("comment", ["", "/* plain tokens */ "], ids=["fast-path", "token-path"])

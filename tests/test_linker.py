@@ -147,6 +147,20 @@ def test_celltype_directive_governs_cells_without_one():
     assert model.plugin_by_celltype["tProv"] == "RustGenPlugin"
 
 
+@pytest.mark.parametrize("b_directive", ["", '[generate(ItronrsGenPlugin, "")] '],
+                         ids=["plain", "conflicting"])
+def test_cell_directive_governs_a_celltype_without_one(b_directive):
+    text = ('signature sS { void f( void ); };\ncelltype tT { entry sS eS; };\n'
+            '[generate(RustGenPlugin, "")] cell tT A {};\n' + b_directive + "cell tT B {};\n")
+    files, _, _, diags = generate([("x.cdl", text)])
+    if not b_directive:  # the celltype takes A's plugin, and B follows it
+        assert diags == [] and sorted(f.path for f in files) == ["s_s.rs", "t_t.rs", "t_t_impl.rs"]
+    else:
+        assert [str(d) for d in diags] == [
+            "x.cdl:4:1: error[conflicting-plugin-directives]: cell 'B' requests plugin "
+            "'ItronrsGenPlugin' but celltype 'tT' uses 'RustGenPlugin'"]
+
+
 def test_default_plugin_applies_only_without_directives():
     text = """
     signature sA { void f( void ); };

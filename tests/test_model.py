@@ -128,14 +128,11 @@ def test_integer_literal_without_digits_is_rejected(text, message, column, fixed
     assert validate_unit(parse_unit(text.replace(f"= {literal};", f"= {fixed};")).unit) == []
 
 
-# each class `model` defines with fields: not `_Node` or `_LazyLocation`, nor `Diagnostic`
+# each class `model` defines with fields: not `_LazyLocation`, nor `Diagnostic`
 NODE_CLASSES = {c for c in vars(model).values() if isinstance(c, type) and is_record(c)
                 and fields(c) and c.__module__ == model.__name__}
-# the fields each node class leaves out of equality and hash; `location` for the rest
-UNCOMPARED = {CdlUnit: {"source_name"}, Initializer: set(), FactoryBlock: set(),
-              FunctionDecl: {"at", "lines"}, ParamDecl: {"at", "lines"},
-              Binding: {"at", "lines"}, AttrInit: {"at", "lines"},
-              CellDef: {"at", "lines"}, PluginDirective: {"at", "lines"}}
+# the fields each node class leaves out of equality and hash; `at` and `lines` for the rest
+UNCOMPARED = {CdlUnit: {"source_name"}, Initializer: set(), FactoryBlock: set()}
 
 
 def _nodes(value):
@@ -156,12 +153,11 @@ def test_every_model_node_is_a_slotted_value():
         found.setdefault(type(node), []).append(node)
     assert set(found) == NODE_CLASSES  # the goldens build a node of each class
     loc = SourceLoc("elsewhere.cdl", 99, 9)
-    elsewhere = {"location": loc, "at": loc, "lines": LineIndex("", "elsewhere.cdl"),
-                 "source_name": "elsewhere.cdl"}
+    elsewhere = {"at": loc, "lines": LineIndex("", "elsewhere.cdl"), "source_name": "elsewhere.cdl"}
     for cls, nodes in found.items():
         assert "__slots__" in vars(cls)
-        uncompared = UNCOMPARED.get(cls, {"location"})
-        assert uncompared <= set(fields(cls)), cls
+        uncompared = UNCOMPARED.get(cls, {"at", "lines"})
+        assert uncompared <= set(fields(cls)) and "location" not in fields(cls), cls
         for node in nodes:
             assert not hasattr(node, "__dict__")
             with pytest.raises(AttributeError):
@@ -236,16 +232,16 @@ CONSTRUCTORS = {
     Initializer: _params("kind", "text"),
     ParamDecl: _params("specifier", "c_type", "pointer_depth", "name", at=NOWHERE, lines=None),
     FunctionDecl: _params("name", "return_type", "params", at=NOWHERE, lines=None),
-    SignatureDef: _params("name", "functions", location=NOWHERE),
+    SignatureDef: _params("name", "functions", at=NOWHERE, lines=None),
     PortDecl: _params("direction", "signature_name", "port_name", modifiers=frozenset(),
-                      location=NOWHERE),
-    AttrDecl: _params("name", "c_type", default=None, omit=False, location=NOWHERE),
-    VarDecl: _params("name", "type_text", default=None, location=NOWHERE),
-    FactoryWrite: _params("target_file", "template", location=NOWHERE),
+                      at=NOWHERE, lines=None),
+    AttrDecl: _params("name", "c_type", default=None, omit=False, at=NOWHERE, lines=None),
+    VarDecl: _params("name", "type_text", default=None, at=NOWHERE, lines=None),
+    FactoryWrite: _params("target_file", "template", at=NOWHERE, lines=None),
     FactoryBlock: _params("scope", "writes"),
     PluginDirective: _params("plugin_name", "argument", at=NOWHERE, lines=None),
     CelltypeDef: _params("name", call_ports=(), entry_ports=(), attrs=(), vars=(),
-                         factory_blocks=(), generate_directive=None, location=NOWHERE),
+                         factory_blocks=(), generate_directive=None, at=NOWHERE, lines=None),
     Binding: _params("call_port_name", "target_cell_name", "target_entry_port_name",
                      at=NOWHERE, lines=None),
     AttrInit: _params("attr_name", "value", at=NOWHERE, lines=None),
@@ -265,8 +261,10 @@ CONSTRUCTORS = {
     SkeletonFile: _params("path", "lines", "ct", "model"),
     ParseResult: _params("unit", "diagnostics"),
 }
-# records whose `None` default stands for a fresh dict, set or report: they write `__init__`
-FRESH_DEFAULTS = {ResolvedCell, GenerationReport, EmissionPlan}
+# records whose `None` default stands for a fresh dict, set or report, of the type given
+FRESH_DEFAULTS = {ResolvedCell: {"bindings": dict},
+                  GenerationReport: {"file_lines": dict, "skeleton_files": set},
+                  EmissionPlan: {"report": GenerationReport}}
 
 
 def _subclasses(cls):
@@ -305,8 +303,24 @@ def test_each_record_constructor_is_pinned():
 
 
 def test_a_record_that_writes_its_own_init_keeps_it():
-    for cls in FRESH_DEFAULTS:
-        assert vars(cls)["__init__"].__code__.co_filename == sys.modules[cls.__module__].__file__
+    for cls in CONSTRUCTORS:  # no record in `tecsrust` writes its own
+        made_in = vars(cls)["__init__"].__code__.co_filename
+        assert made_in == f"<{cls.__module__}.{cls.__qualname__}.__init__>", cls
+    for cls, fresh in FRESH_DEFAULTS.items():
+        required = [object() for _, d in CONSTRUCTORS[cls] if d is REQUIRED]
+        one, other = cls(*required), cls(*required)
+        for name, kind in fresh.items():
+            assert type(getattr(one, name)) is kind and getattr(one, name) == kind(), (cls, name)
+            assert getattr(one, name) is not getattr(other, name), (cls, name)
+            value = kind()
+            assert getattr(cls(*required, **{name: value}), name) is value, (cls, name)
+
+    class Tally(Record):
+        __slots__ = ("name", "items")
+        _fresh = {"items": list}
+
+    assert Tally("a").items == [] and Tally("a").items is not Tally("a").items
+    assert Tally("a", ["b"]).items == ["b"] and Tally.__init__.__code__.co_filename != __file__
 
     class Counted(Record):
         __slots__ = ("items",)

@@ -67,15 +67,20 @@ def assert_same(text):
 
 
 @st.composite
-def mutants(draw):
+def mutants(draw, replacements=()):
+    """A golden or rendered unit with 1-3 lexemes dropped, duplicated, swapped, cut after, or
+    replaced by one of `replacements`, if any."""
     text = draw(st.sampled_from(GOLDEN_TEXTS) | cdl_units().map(render_unit))
     pieces = _PIECE.findall(text)
+    ops = ["drop", "duplicate", "swap", "truncate"] + ["replace"] * bool(replacements)
     for _ in range(draw(st.integers(1, 3))):
         if not pieces:
             break
         i = draw(st.integers(0, len(pieces) - 1))
-        op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate"]))
-        if op == "drop":
+        op = draw(st.sampled_from(ops))
+        if op == "replace":
+            pieces[i] = (draw(st.sampled_from(replacements)), pieces[i][1])
+        elif op == "drop":
             del pieces[i]
         elif op == "duplicate":
             pieces.insert(i, pieces[i])
