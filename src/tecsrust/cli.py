@@ -18,7 +18,7 @@ from . import header_const
 from .diagnostics import Diagnostic, LineIndex, error, has_errors
 
 if TYPE_CHECKING:  # the compile pipeline is imported where it runs: bindgen-lite loads none
-    from .emit_core import GeneratedFile, SkeletonFile
+    from .emit_core import GeneratedFile, Output
     from .linker import EmissionPlan, ResolvedModel
 
 EXIT_OK = 0
@@ -27,19 +27,19 @@ EXIT_USAGE = 2
 
 
 def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = None
-             ) -> Tuple[List[Union[GeneratedFile, SkeletonFile]], Optional[EmissionPlan],
-                        Optional[ResolvedModel], List[Diagnostic]]:
+             ) -> Tuple[List[Output], Optional[EmissionPlan], Optional[ResolvedModel],
+                        List[Diagnostic]]:
     """Full pipeline over (source_name, text) pairs.
 
-    Returns the output files, the plan (with report filled in), the
-    resolved model, and all diagnostics. Files are empty whenever any
-    error diagnostic occurred. Skeletons are rendered only when their
-    `content` is read (see `SkeletonFile`).
+    Returns the output files, the plan, the resolved model, and all
+    diagnostics. Files are empty whenever any error diagnostic occurred.
+    No output is rendered here: each renders when its `content` is read (see
+    `emit_core.Output`), and `plan.report` renders those whose lines no write
+    has counted.
     """
-    from . import emit_core, emit_rtos
-    from .emit_core import GeneratedFile, SkeletonFile, WritePolicy
+    from . import emit_core
     from .frontend import parse_unit
-    from .linker import GenerationReport, plan_emission, resolve
+    from .linker import plan_emission, resolve
     from .model import validate_unit
 
     diags: List[Diagnostic] = []
@@ -59,29 +59,17 @@ def generate(sources: List[Tuple[str, str]], default_plugin: Optional[str] = Non
         return [], None, None, diags
 
     plan = plan_emission(model)
-    files: List[Union[GeneratedFile, SkeletonFile]] = []
-
-    for sig in plan.contract_sigs:
-        files.append(emit_core.emit_contract(sig))
-    for ct in plan.definition_cts:
-        files.append(emit_core.emit_definition(ct, model.cells_of(ct.name), model))
-    files.extend(SkeletonFile(path, emit_core.skeleton_lines(ct, model), ct, model)
-                 for ct, path in zip(plan.skeleton_cts, plan.skeleton_files()))
-
-    for target, content in emit_rtos.config_files(plan.config_writes).items():
-        files.append(GeneratedFile(target, content, WritePolicy.OVERWRITE))
-
-    plan.report = GenerationReport({f.path: f.lines for f in files},
-                                   {f.path for f in files if isinstance(f, SkeletonFile)})
-    return files, plan, model, diags
+    plan.files = emit_core.outputs(plan, model)
+    return plan.files, plan, model, diags
 
 
-def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) -> List[str]:
+def write_files(files: List[Union[GeneratedFile, Output]], out_dir: Path) -> List[str]:
     """Materialize output files, honoring each file's overwrite policy.
 
-    Returns every output not skipped; a skipped skeleton is never rendered.
-    An OVERWRITE output whose file already holds its bytes is never opened
-    for writing, so it keeps its mtime and a build tool sees no change. Each
+    Returns every output not skipped. Each output is rendered once, here, and its text
+    dropped once written, so no more than one output's text is held at a time; a skipped
+    skeleton is never rendered. An OVERWRITE output whose file already holds its bytes is
+    never opened for writing, so it keeps its mtime and a build tool sees no change. Each
     output directory is made once.
     """
     from .emit_core import WritePolicy
@@ -97,7 +85,7 @@ def write_files(files: List[Union[GeneratedFile, SkeletonFile]], out_dir: Path) 
         if "/" in f.path and (parent := os.path.dirname(path)) not in made:
             Path(parent).mkdir(parents=True, exist_ok=True)
             made.add(parent)
-        _write_bytes(path, f.content.encode("utf-8"))
+        _write_bytes(path, f.content.encode("utf-8"))  # the text is freed once encoded
         written.append(f.path)
     return written
 
@@ -261,7 +249,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         out = out_dir.resolve()
         rel = at.relative_to(out).as_posix() if out in at.parents else None  # outputs' form
         if rel not in paths:  # a kept skeleton may link to it, dangling too; other links are replaced
-            rel = next((p for p in plan.report.skeleton_files if os.path.islink(out_dir / p)
+            rel = next((p for p in plan.skeleton_files() if os.path.islink(out_dir / p)
                         and os.path.realpath(out_dir / p) == os.path.realpath(diagram)), rel)
         if rel in paths or at in {out, *out.parents} or rel and any(
                 p.startswith(rel + "/") for p in paths):

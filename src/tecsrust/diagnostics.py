@@ -80,6 +80,15 @@ class LineIndex:
         return "<LineIndex of %r>" % self.source_name
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 and DEL
+
+
+def printable(text: str) -> str:
+    """CDL text as a message quotes it: each control character as its escape (a newline as
+    `\\n`), so that a diagnostic stays one line."""
+    return _CONTROL.sub(lambda c: repr(c[0])[1:-1], text)
+
+
 class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import List
+from typing import Dict, List
 
 from . import naming
-from .emit_rtos import KERNEL_PREAMBLE_LINES, escape_percent, uses_kernel_wrappers
-from .linker import ResolvedCell, ResolvedModel
+from .emit_rtos import (
+    KERNEL_PREAMBLE_LINES, config_groups, config_text, escape_percent, uses_kernel_wrappers,
+)
+from .linker import EmissionPlan, PlannedWrite, ResolvedCell, ResolvedModel
 from .model import CelltypeDef, ParamSpecifier, Record, SignatureDef, Value
 
 INDENT = "  "
@@ -29,29 +31,52 @@ class WritePolicy(Enum):
 class GeneratedFile(Value):
     __slots__ = ("path", "content", "policy")
 
-    @property
-    def lines(self) -> int:
-        return self.content.count("\n")
 
+class Output(Record):
+    """One output file, rendered by `emit(*args)` each time `content` is read and never kept:
+    a build renders each output at its write, so it holds one output's text at a time.
 
-class SkeletonFile(Record):
-    """A skeleton output that `emit_skeleton` renders each time `content` is read.
-
-    A regeneration keeps every skeleton that exists and never reads it, so a
-    kept skeleton is never rendered; `lines` is `skeleton_lines`.
+    A render counts the text's lines into `count`. A skeleton's count is given ahead, from
+    `skeleton_lines`: a regeneration keeps every skeleton that exists and never renders it.
     """
 
-    __slots__ = ("path", "lines", "ct", "model")
+    __slots__ = ("path", "policy", "emit", "args", "count")
+    _defaults = {"count": None}
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
-    policy = WritePolicy.SKIP_IF_EXISTS
 
     @property
     def content(self) -> str:
-        return emit_skeleton(self.ct, self.model).content
+        text = self.emit(*self.args).content
+        self.count = text.count("\n")
+        return text
+
+    @property
+    def lines(self) -> int:
+        return self.content.count("\n") if self.count is None else self.count
+
+
+def outputs(plan: EmissionPlan, model: ResolvedModel) -> List[Output]:
+    """Every output `plan` owes, unrendered, in write order: contracts, definitions,
+    skeletons, then one config file per factory target. Each path is the one `linker.resolve`
+    checked: a core output's as `model.owners` holds it (a celltype's definition before its
+    skeleton), a config file's as its writes' target. None is made again."""
+    paths: Dict[int, List[str]] = {}  # a signature's or celltype's id -> the paths it owns
+    for path, owner in model.owners["file"].items():
+        paths.setdefault(id(owner), []).append(path)
+    new = WritePolicy.OVERWRITE
+    files = [Output(paths[id(sig)][0], new, emit_contract, (sig,)) for sig in plan.contract_sigs]
+    files += [Output(paths[id(ct)][0], new, emit_definition, (ct, model.cells_of(ct.name), model))
+              for ct in plan.definition_cts]
+    files += [Output(paths[id(ct)][1], WritePolicy.SKIP_IF_EXISTS, emit_skeleton, (ct, model),
+                     skeleton_lines(ct, model)) for ct in plan.skeleton_cts]
+    files += [Output(target, new, emit_config, (writes,))
+              for target, writes in config_groups(plan.config_writes).items()]
+    return files
 
 
 def _finish(lines: List[str]) -> str:
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
 @functools.cache  # once per distinct parameter type; keyed by `_value_`: enums hash slowly in 3.11
@@ -233,6 +258,11 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
 
     return GeneratedFile(naming.file_name("skeleton", ct.name), _finish(lines),
                          WritePolicy.SKIP_IF_EXISTS)
+
+
+def emit_config(writes: List[PlannedWrite]) -> GeneratedFile:
+    """One factory config file: the lines of `writes`, which share a target, in plan order."""
+    return GeneratedFile(writes[0].target_file, config_text(writes), WritePolicy.OVERWRITE)
 
 
 def skeleton_lines(ct: CelltypeDef, model: ResolvedModel) -> int:

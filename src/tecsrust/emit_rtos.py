@@ -66,12 +66,24 @@ def run_factory(model: ResolvedModel, plan: EmissionPlan) -> tuple[List[PlannedW
     return plan.config_writes, []
 
 
-def config_files(writes: List[PlannedWrite]) -> Dict[str, str]:
-    """Group rendered lines into per-target file contents (append order kept)."""
-    grouped: Dict[str, List[str]] = {}
+def config_groups(writes: List[PlannedWrite]) -> Dict[str, List[PlannedWrite]]:
+    """The writes to each target file, targets and writes in plan order."""
+    grouped: Dict[str, List[PlannedWrite]] = {}
     for w in writes:
-        grouped.setdefault(w.target_file, []).append(w.rendered_line)
-    return {target: "\n".join(lines) + "\n" for target, lines in grouped.items()}
+        grouped.setdefault(w.target_file, []).append(w)
+    return grouped
+
+
+def config_text(writes: List[PlannedWrite]) -> str:
+    """A config file's content: the rendered line of each of `writes`, in order."""
+    lines = [w.rendered_line for w in writes]
+    lines.append("")  # the last newline, without a second copy of the joined text
+    return "\n".join(lines)
+
+
+def config_files(writes: List[PlannedWrite]) -> Dict[str, str]:
+    """Each target file's content, joined at once."""
+    return {target: config_text(ws) for target, ws in config_groups(writes).items()}
 
 
 def uses_kernel_wrappers(model: ResolvedModel, ct: CelltypeDef) -> bool:

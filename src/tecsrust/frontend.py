@@ -36,7 +36,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .diagnostics import Diagnostic, LineIndex, Record, SourceLoc, error, has_errors
+from .diagnostics import Diagnostic, LineIndex, Record, SourceLoc, error, has_errors, printable
 from .model import (
     AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock, FactoryScope,
     FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl, ParamSpecifier,
@@ -282,11 +282,11 @@ class _Parser:
         return self.lines.locate(self.offsets[self.pos if i is None else i])
 
     def found(self) -> str:
-        return "end of input" if self.at_end() else self.texts[self.pos]
+        return "end of input" if self.at_end() else printable(self.texts[self.pos])
 
     def unexpected(self, want: str) -> _ParseError:
         code = "unexpected-eof" if self.at_end() else "unexpected-token"
-        found = "end of input" if self.at_end() else f"'{self.texts[self.pos]}'"
+        found = "end of input" if self.at_end() else f"'{self.found()}'"
         return _ParseError(error(code, f"expected {want}, found {found}", self.loc()))
 
     def take(self) -> int:

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import naming
 from .emit_rtos import MacroError, substitute_macros
 from .model import (
     AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind,
-    PortDecl, Record, SignatureDef, error, has_errors,
+    PortDecl, Record, SignatureDef, error, has_errors, printable,
 )
 
-_CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # C0 and DEL: refused in a factory target
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
                 "field": "duplicate-field"}
 _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
@@ -417,8 +415,8 @@ def _render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
                 path = paths[target] = "/".join(parts)
                 parents = ["/".join(parts[:i]) for i in range(1, len(parts))]
                 both = [p for p in parents if p in files] + [path] * (path in dirs)
-                if target[:1] == "/" or ".." in parts or not parts or _CONTROL.search(target):
-                    shown = _CONTROL.sub(lambda c: repr(c[0])[1:-1], target)  # one line: '\n'
+                shown = printable(target)  # a control character is refused, and shown escaped
+                if target[:1] == "/" or ".." in parts or not parts or shown != target:
                     diags.append(error("write-outside-out", f"factory target '{shown}' "
                                        "is not a file inside --out", w.location))
                 elif path in owners["file"]:
@@ -449,11 +447,18 @@ class GenerationReport(Record):
 
 
 class EmissionPlan(Record):
-    __slots__ = ("contract_sigs", "definition_cts", "skeleton_cts", "config_writes", "report")
-    _fresh = {"report": GenerationReport}
+    __slots__ = ("contract_sigs", "definition_cts", "skeleton_cts", "config_writes",
+                 "files")  # the outputs, unrendered (`emit_core.outputs`)
+    _fresh = {"files": list}
 
     def skeleton_files(self) -> List[str]:
         return [naming.file_name("skeleton", ct.name) for ct in self.skeleton_cts]
+
+    @property
+    def report(self) -> GenerationReport:
+        """Each output's line count: counted when it was rendered to be written or, for a
+        skeleton, from its signatures; an output not yet rendered is rendered to count it."""
+        return GenerationReport({f.path: f.lines for f in self.files}, set(self.skeleton_files()))
 
 
 def plan_emission(model: ResolvedModel) -> EmissionPlan:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .diagnostics import (  # noqa: F401  (re-exported for `from tecsrust.model import`)
-    Diagnostic, Record, Severity, SourceLoc, Value, error, has_errors, warning,
+    Diagnostic, Record, Severity, SourceLoc, Value, error, has_errors, printable, warning,
 )
 
 
@@ -220,7 +220,7 @@ def validate_unit(unit: CdlUnit) -> list:
                 if not (_balanced_holes(w.target_file) and _balanced_holes(w.template)):
                     diags.append(error(
                         "unbalanced-macro",
-                        f"unbalanced '$' holes in write to '{w.target_file}'",
+                        f"unbalanced '$' holes in write to '{printable(w.target_file)}'",
                         w.location))
         _check_directive(ct.generate_directive, diags)
 

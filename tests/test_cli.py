@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cdl_renderer import render_unit
 from conftest import GOLDENS, golden
@@ -982,12 +982,19 @@ _SIG = "signature sA { void f( void ); };\n"
      "2:15: error[misplaced-modifier]: a FACTORY block takes no modifiers"),
     # [omit] before a token that starts no celltype member: at the '['
     ("celltype tP { [omit] foo; };\n", "1:15: error[unexpected-token]: expected celltype member"),
+    # quoted CDL text shows a control character as its escape, so the line stays one
+    ('celltype tP { attr { int32_t x = "a\\nb"; }; };\n',
+     "1:34: error[expected-initializer]: expected initializer, found 'a\\nb'"),
+    ('cell "x\\ny" {};\n', "1:6: error[unexpected-token]: expected celltype name, found 'x\\ny'"),
+    ('celltype tP { factory { write("a\\n$", "x"); }; };\n',
+     "1:25: error[unbalanced-macro]: unbalanced '$' holes in write to 'a\\n$'"),
 ], ids=["unknown-signature", "not-a-call-port", "unknown-call-port", "unknown-attribute",
         "duplicate-definition", "duplicate-attr", "duplicate-var", "duplicate-binding",
         "duplicate-attr-init", "empty-write-target", "duplicate-function", "duplicate-param",
         "duplicate-port", "duplicate-cell", "duplicate-definition-celltype",
         "misplaced-modifier-attr", "misplaced-modifier-var", "misplaced-modifier-factory",
-        "misplaced-modifier-FACTORY", "omit-before-no-member"])
+        "misplaced-modifier-FACTORY", "omit-before-no-member", "escaped-initializer",
+        "escaped-name", "escaped-write-target"])
 def test_each_diagnostic_code_is_one_located_line(tmp_path, capsys, text, expected):
     src = tmp_path / "u.cdl"
     src.write_text(text)
@@ -1024,14 +1031,17 @@ def test_binding_into_a_celltype_that_generates_no_rust_is_a_located_error(tmp_p
 
 
 # what a mutant may put in place of a lexeme: keywords, punctuation, `$` holes bare and in
-# strings, NUL, non-ASCII letters, and names that map to no Rust identifier
+# strings, NUL, a `\n` escape in strings, non-ASCII letters, and names that map to no Rust
+# identifier
 MUTANT_POOL = sorted(KEYWORDS) + list("{}()[];,=*.") + [
-    "$ct$", "$cell$", '"$ct$"', '"$cell$_$x$"', "\x00", '"\x00"', "é", "名前", "self", "__"]
+    "$ct$", "$cell$", '"$ct$"', '"$cell$_$x$"', "\x00", '"\x00"', '"a\\nb"', '"\\n$"', "é",
+    "名前", "self", "__"]
 _LOCATED = r"{}:\d+:\d+: (error|warning)\[[a-z-]+\]: .*"
 
 
 @settings(max_examples=120, deadline=None)
 @given(mutants(MUTANT_POOL))
+@example('celltype tP { attr { int32_t x = "a\\nb"; }; };\n')  # an escape in a quoted string
 def test_a_text_mutant_runs_the_whole_pipeline_without_a_traceback(text):
     # a fresh directory per example: hypothesis reuses a function-scoped `tmp_path`
     with tempfile.TemporaryDirectory() as tmp:

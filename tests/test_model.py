@@ -8,7 +8,7 @@ from conftest import golden
 from records import fields, is_record, replace
 from tecsrust import model
 from tecsrust.cli import generate
-from tecsrust.emit_core import GeneratedFile, SkeletonFile
+from tecsrust.emit_core import GeneratedFile, Output
 from tecsrust.frontend import LineIndex, ParseResult, parse_unit
 from tecsrust.linker import (
     EmissionPlan, GenerationReport, PlannedWrite, ResolvedBinding, ResolvedCell, ResolvedModel,
@@ -176,7 +176,7 @@ def test_every_model_node_is_a_slotted_value():
 
 
 PIPELINE_RECORDS = {ResolvedBinding, ResolvedCell, ResolvedModel, PlannedWrite, GenerationReport,
-                    EmissionPlan, GeneratedFile, SkeletonFile, ParseResult}
+                    EmissionPlan, GeneratedFile, Output, ParseResult}
 
 
 def test_every_pipeline_record_is_slotted():
@@ -184,7 +184,8 @@ def test_every_pipeline_record_is_slotted():
     text = golden("kernel_rs.cdl")
     files, plan, resolved, diags = generate([("kernel_rs.cdl", text)])
     assert not diags
-    records = [parse_unit(text, "kernel_rs.cdl"), resolved, plan, plan.report, *files,
+    emitted = files[0].emit(*files[0].args)  # what an output renders: a `GeneratedFile`
+    records = [parse_unit(text, "kernel_rs.cdl"), resolved, plan, plan.report, *files, emitted,
                *resolved.cells, *resolved.config_writes,
                *(rb for rc in resolved.cells for rb in rc.bindings.values())]
     assert {type(r) for r in records} == PIPELINE_RECORDS
@@ -195,7 +196,7 @@ def test_every_pipeline_record_is_slotted():
             record.misspelt = 1
         copy = replace(record)
         assert repr(copy) == repr(record) and repr(record).startswith(cls.__name__ + "(")
-        if cls is SkeletonFile:  # equal only to itself
+        if cls is Output:  # equal only to itself
             assert copy != record and record == record and hash(record) == object.__hash__(record)
         elif cls is GeneratedFile:  # a value
             assert copy == record and hash(copy) == hash(record)
@@ -209,6 +210,7 @@ def test_every_pipeline_record_is_slotted():
     assert GenerationReport().file_lines is not GenerationReport().file_lines
     assert GenerationReport().skeleton_files is not GenerationReport().skeleton_files
     assert EmissionPlan([], [], [], []).report is not EmissionPlan([], [], [], []).report
+    assert EmissionPlan([], [], [], []).files is not EmissionPlan([], [], [], []).files
 
 
 def test_a_record_that_holds_itself_shows_as_dots():
@@ -256,15 +258,15 @@ CONSTRUCTORS = {
                           "rendered_line"),
     GenerationReport: _params(file_lines=None, skeleton_files=None),
     EmissionPlan: _params("contract_sigs", "definition_cts", "skeleton_cts", "config_writes",
-                          report=None),
+                          files=None),
     GeneratedFile: _params("path", "content", "policy"),
-    SkeletonFile: _params("path", "lines", "ct", "model"),
+    Output: _params("path", "policy", "emit", "args", count=None),
     ParseResult: _params("unit", "diagnostics"),
 }
-# records whose `None` default stands for a fresh dict, set or report, of the type given
+# records whose `None` default stands for a fresh dict, set or list, of the type given
 FRESH_DEFAULTS = {ResolvedCell: {"bindings": dict},
                   GenerationReport: {"file_lines": dict, "skeleton_files": set},
-                  EmissionPlan: {"report": GenerationReport}}
+                  EmissionPlan: {"files": list}}
 
 
 def _subclasses(cls):

@@ -8,20 +8,28 @@ the linker that claims to keep the output as it is must pass this test
 unchanged; a change that means to alter the output updates the pins and
 says why.
 
+The same pins hold for the tree `cli.run` writes, read back from disk: outputs
+render only at their write, so this shows that what is written is what
+`cli.generate`'s outputs hold.
+
 The regenerate-in-place test runs the `api_regen` loop through `cli.run`:
 a build, the developer's skeletons planted over it, and a second build that
 must leave every file's bytes and mtime as they were, and must not render
 the skeletons it keeps.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from tecsrust import cli, emit_core
+from tecsrust.emit_core import WritePolicy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -55,6 +63,72 @@ def test_workload_output_is_byte_identical(name, seed):
             digest.update(part.encode("utf-8") + b"\0")
     total = sum(len(f.content.encode("utf-8")) for f in files)
     assert (len(files), total, digest.hexdigest()) == PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_the_written_tree_matches_the_pinned_digest(tmp_path, name, seed):
+    wl = workloads.build(name, seed, SCALE)
+    cdl, _ = wl.write_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run([*map(str, cdl), "--out", str(out)]) == cli.EXIT_OK
+    files, _, _, _ = cli.generate(list(wl.sources.items()))  # the output order; nothing rendered
+    digest, total = hashlib.sha256(), 0
+    for f in files:
+        data = (out / f.path).read_bytes()
+        for part in (f.path.encode("utf-8"), f.policy.value.encode("utf-8"), data):
+            digest.update(part + b"\0")
+        total += len(data)
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == sorted(
+        f.path for f in files)
+    assert (len(files), total, digest.hexdigest()) == PINNED[name, seed]
+
+
+def _count_renders(monkeypatch) -> Counter:
+    """Renders so far, by output path, of every emitter behind `cli.generate`'s outputs."""
+    renders: Counter = Counter()
+    for name in ("emit_contract", "emit_definition", "emit_skeleton", "emit_config"):
+        def counting(*args, emit=getattr(emit_core, name)):
+            rendered = emit(*args)
+            renders[rendered.path] += 1
+            return rendered
+        monkeypatch.setattr(emit_core, name, counting)
+    return renders
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_a_build_renders_each_output_once_at_its_write(tmp_path, monkeypatch, name):
+    renders = _count_renders(monkeypatch)
+    wl = workloads.build(name, 1, SCALE)
+    cdl, _ = wl.write_inputs(tmp_path / "in")
+    out = tmp_path / "tree"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run([*map(str, cdl), "--out", str(out), "--report"]) == cli.EXIT_OK
+    files, plan, _, _ = cli.generate(list(wl.sources.items()))
+    assert renders == Counter(f.path for f in files)  # written; `generate` rendered none
+    renders.clear()
+    # a caller of `generate` alone pays for the report: each output but the skeletons, once
+    lines = plan.report.file_lines
+    assert renders == Counter(f.path for f in files if f.policy is WritePolicy.OVERWRITE)
+    assert lines == {f.path: f.content.count("\n") for f in files}
+
+
+def test_regenerating_api_regen_renders_each_compared_output_once(tmp_path, monkeypatch):
+    wl = workloads.build("api_regen", 1, SCALE)
+    cdl, _ = wl.write_inputs(tmp_path / "in")
+    out = tmp_path / "tree"
+    argv = [*map(str, cdl), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == cli.EXIT_OK
+    wl.plant_skeletons(out)
+    files, _, _, _ = cli.generate(list(wl.sources.items()))
+    compared = Counter(f.path for f in files if f.policy is WritePolicy.OVERWRITE)
+    renders = _count_renders(monkeypatch)
+    for more in ([], ["--report"], ["--diagram", str(tmp_path / "d.dot")]):
+        renders.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run([*argv, *more]) == cli.EXIT_OK
+        assert renders == compared, more  # no kept skeleton
 
 
 def _tree(out: Path) -> dict:
