@@ -27,6 +27,11 @@ or `_scan_signature`, which build its node as the parser would. It is one token:
 The parser takes the node at top level only, with no directive before it. If that pass
 reports anything, `parse_unit` parses the text again from plain tokens, so the token
 grammar alone reports and recovers.
+
+Each fast-path pattern takes the whitespace and comments after its `};` too, so `_tokenize`
+tries the next declaration right where one ends and returns to `_TOKEN` only where the text
+is not one: a run of back-to-back declarations costs one `_TOKEN` scan, not one per
+declaration. `parse_unit` takes such a run of `CELL` and `SIGNATURE` tokens in one loop.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ EOF = None  # the tag after the last token
 
 _KEYWORD = "(?:%s)(?!\\w)" % "|".join(sorted(KEYWORDS))
 _INTEGER = r"-?(?:0[xX][0-9a-fA-F]*|[0-9]+(?![0-9]|[^\x00-\x7f]))"
-_STRING = r'(?:\\.|[^"\\\n])*'
+_STRING = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'  # `(?:\\.|[^"\\\n])*`, a run at a time
+_SKIP = r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"  # whitespace and comments
 
 # One alternative per token class; the named group that matched is the
 # token class, and whitespace and comments match unnamed. `decl` is where a
@@ -62,9 +68,7 @@ _STRING = r'(?:\\.|[^"\\\n])*'
 # `other` takes a bad character, or the start of a token with non-ASCII
 # letters or digits, which `_scan_other` finishes with the str predicates.
 _TOKEN = r"""
-    [ \t\r\n]+
-  | //[^\n]*
-  | /\*.*?\*/
+    %s
   | [cs\[](?P<decl>(?<=c)ell(?!\w)|(?<=s)ignature(?!\w)|(?<=\[)(?=[ \t\r\n]*generate(?!\w)))
   | (?P<fixed>%s|[{}()\[\];,=*.])
   | (?P<identifier>[A-Za-z_]\w*)
@@ -73,31 +77,33 @@ _TOKEN = r"""
   | (?P<open_string>"%s\\?)
   | (?P<open_comment>/\*)
   | (?P<other>.)
-""" % (_KEYWORD, _INTEGER, _STRING, _STRING)
+""" % (_SKIP, _KEYWORD, _INTEGER, _STRING, _STRING)
 _WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or '_'
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPE = {"n": "\n", "t": "\t"}
 
 # A fast-path declaration is a head, then members up to `};`, each with the separators after
-# it; the empty alternative matches where none does. A match's `lastindex` is its kind. In
-# `_MEMBER`: a binding, C_EXP or literal (3, 4, 5) or the close (6). In `_FUNCTION_MEMBER`: a
-# parameter (4, or 5 with a comma after it), `R F(` (7), `void );` (8), `);` (9) or the close
-# (10); `_FOLLOWS` is what may follow each, the '{' counting as 9. Names are not keywords;
-# T ends at a word boundary, or backtracking would split `Tp` in two.
+# it (whitespace, and after the close comments too); the empty alternative matches where
+# none does. A match's `lastindex` is its kind. In `_MEMBER`: a C_EXP, binding or literal
+# (2, 4, 5) or the close (6). In `_FUNCTION_MEMBER`: a parameter (4, or 5 with a comma after
+# it), `R F(` (7), `void );` (8), `);` (9) or the close (10); `_FOLLOWS` is what may follow
+# each, the '{' counting as 9. Names are not keywords, so at most one of a member's right-hand
+# sides matches; T ends at a word boundary, or backtracking would split `Tp` in two.
 _PARTS = {"s": r"[ \t\r\n]*", "name": r"(?!%s)[A-Za-z_]\w*" % _KEYWORD,
-          "string": _STRING, "integer": _INTEGER}
+          "string": _STRING, "integer": _INTEGER, "close": r"\}[ \t\r\n]*;()(?:%s)*" % _SKIP}
 _CELL_HEAD = r"""(?:\[%(s)sgenerate%(s)s\(%(s)s(?P<plugin>%(name)s)%(s)s,%(s)s"(?P<arg>%(string)s)"
     %(s)s\)%(s)s\]%(s)s)?(?P<cell>cell)[ \t\r\n]+(?P<celltype>%(name)s)[ \t\r\n]+(?P<name>%(name)s)
     %(s)s\{%(s)s""" % _PARTS
 _MEMBER = r"""(?:(%(name)s)%(s)s=%(s)s
-    (?: (%(name)s)%(s)s\.%(s)s(%(name)s) | C_EXP%(s)s\(%(s)s"(%(string)s)"%(s)s\)
-      | (%(integer)s|%(name)s) )%(s)s;%(s)s | \}%(s)s;() | )""" % _PARTS
+    (?: C_EXP%(s)s\(%(s)s"(%(string)s)"%(s)s\) | (%(name)s)%(s)s\.%(s)s(%(name)s)
+      | (%(integer)s|%(name)s) )%(s)s;%(s)s | %(close)s | )""" % _PARTS
 _SIGNATURE_HEAD = r"signature[ \t\r\n]+(%(name)s)%(s)s\{%(s)s" % _PARTS
 _PARAM = r"\[%(s)s(in|out)%(s)s\]%(s)s(%(name)s)(?!\w)%(s)s((?:\*%(s)s)*)(%(name)s)" % _PARTS
 _FUNCTION_MEMBER = r"""(?:%(param)s%(s)s(?:(,)%(s)s)? | (%(name)s)[ \t\r\n]+(%(name)s)%(s)s\(%(s)s
-    | void%(s)s\)%(s)s;%(s)s() | \)%(s)s;%(s)s() | \}%(s)s;() | )""" % dict(_PARTS, param=_PARAM)
+    | void%(s)s\)%(s)s;%(s)s() | \)%(s)s;%(s)s() | %(close)s | )""" % dict(_PARTS, param=_PARAM)
 _FOLLOWS = {9: (7, 10), 8: (7, 10), 7: (4, 5, 8, 9), 5: (4, 5, 9), 4: (9,)}
 _SPECIFIERS = {"in": ParamSpecifier.IN, "out": ParamSpecifier.OUT}
+_C_EXP, _LITERAL = InitKind.C_EXP, InitKind.LITERAL  # an enum member read is slow in 3.11
 CELL, SIGNATURE = "cell declaration", "signature declaration"
 _compiled = functools.cache(lambda p: re.compile(p, re.DOTALL | re.VERBOSE))  # at first use
 
@@ -154,13 +160,16 @@ def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Di
                 word = _unescape(m.group(kind))
                 tag(kind)
             elif kind == "decl":
-                sig = text[m.start()] == "s"
-                decl = decls and (_scan_signature if sig else _scan_cell)(text, m.start(), lines)
-                if decl:  # resume the scan after the declaration
-                    tokens.decls[len(tokens.texts)], pos = decl
-                    tag(SIGNATURE if sig else CELL)
-                    add_text(text[m.start():pos])
-                    add_offset(m.start())
+                decl = decls and _scan_decl(text, m.start(), lines)
+                if decl:  # it and each fast-path declaration right after it; then resume
+                    pos = m.start()
+                    while decl:
+                        tokens.decls[len(tokens.texts)], end, next_pos = decl
+                        tag(SIGNATURE if text[pos] == "s" else CELL)
+                        add_text(text[pos:end])
+                        add_offset(pos)
+                        pos = next_pos
+                        decl = _scan_decl(text, pos, lines)
                     break
                 word = intern(m.group())
                 tag(word)
@@ -189,8 +198,15 @@ def _tokenize(text: str, source_name: str, decls: bool) -> Tuple[Tokens, List[Di
     return tokens, diags
 
 
-def _scan_cell(text, start, lines) -> Optional[Tuple[CellDef, int]]:
-    """The fast-path cell at `start`, as `parse_cell` builds it, and its end; or None."""
+def _scan_decl(text, start, lines):
+    """The fast-path signature or cell at `start`, or None. Where either is found at a
+    token's start, `_TOKEN` finds a `decl` there too."""
+    return (_scan_signature if text.startswith("s", start) else _scan_cell)(text, start, lines)
+
+
+def _scan_cell(text, start, lines) -> Optional[Tuple[CellDef, int, int]]:
+    """The fast-path cell at `start`, as `parse_cell` builds it, its end, and the end of the
+    separators after it; or None."""
     head, intern, bindings, inits = _compiled(_CELL_HEAD).match(text, start), sys.intern, [], []
     for m in _compiled(_MEMBER).finditer(text, head.end()) if head else ():
         kind = m.lastindex
@@ -198,19 +214,20 @@ def _scan_cell(text, start, lines) -> Optional[Tuple[CellDef, int]]:
             directive = head["plugin"] and PluginDirective(
                 intern(head["plugin"]), _unescape(head["arg"]), start, lines)
             return CellDef(intern(head["name"]), intern(head["celltype"]), tuple(bindings),
-                           tuple(inits), directive, head.start("cell"), lines), m.end()
+                           tuple(inits), directive, head.start("cell"), lines), m.end(6), m.end()
         if kind is None:
             return None
-        if kind == 3:
-            bindings.append(Binding(intern(m[1]), intern(m[2]), intern(m[3]), m.start(), lines))
+        if kind == 4:
+            bindings.append(Binding(intern(m[1]), intern(m[3]), intern(m[4]), m.start(), lines))
         else:
-            value = (Initializer(InitKind.C_EXP, _unescape(m[4])) if kind == 4
-                     else Initializer(InitKind.LITERAL, intern(m[5])))
+            value = (Initializer(_C_EXP, _unescape(m[2])) if kind == 2
+                     else Initializer(_LITERAL, intern(m[5])))
             inits.append(AttrInit(intern(m[1]), value, m.start(), lines))
 
 
-def _scan_signature(text, start, lines) -> Optional[Tuple[SignatureDef, int]]:
-    """The fast-path signature at `start`, as `parse_signature` builds it, and its end; or None."""
+def _scan_signature(text, start, lines) -> Optional[Tuple[SignatureDef, int, int]]:
+    """The fast-path signature at `start`, as `parse_signature` builds it, its end, and the end
+    of the separators after it; or None."""
     head, intern, funcs, state = _compiled(_SIGNATURE_HEAD).match(text, start), sys.intern, [], 9
     for m in _compiled(_FUNCTION_MEMBER).finditer(text, head.end()) if head else ():
         kind = m.lastindex
@@ -224,7 +241,7 @@ def _scan_signature(text, start, lines) -> Optional[Tuple[SignatureDef, int]]:
         elif kind != 10:
             funcs.append(FunctionDecl(intern(name), intern(ret), tuple(params), at, lines))
         else:
-            return SignatureDef(intern(head[1]), tuple(funcs), start, lines), m.end()
+            return SignatureDef(intern(head[1]), tuple(funcs), start, lines), m.end(10), m.end()
         state = kind
 
 
@@ -330,7 +347,15 @@ class _Parser:
 
     def parse_unit(self) -> CdlUnit:
         signatures, celltypes, cells = [], [], []
+        tags, decls = self.tags, self.decls
         while not self.at_end():
+            i = self.pos
+            while tags[i] == CELL or tags[i] == SIGNATURE:  # a run of nodes `tokenize` built
+                (cells if tags[i] == CELL else signatures).append(decls[i])
+                i += 1
+            if i > self.pos:
+                self.pos = i
+                continue
             try:
                 directive = None
                 if self.check("["):
@@ -346,10 +371,7 @@ class _Parser:
                     celltypes.append(self.parse_celltype(directive))
                 elif self.check("cell"):
                     cells.append(self.parse_cell(directive))
-                elif self.tags[self.pos] in (CELL, SIGNATURE) and directive is None:
-                    # a node `tokenize` built; after a directive, the plain pass parses it
-                    (cells if self.check(CELL) else signatures).append(self.decls[self.take()])
-                else:
+                else:  # after a directive, the plain pass parses a node `tokenize` built
                     raise self.unexpected("'signature', 'celltype', or 'cell'")
             except _ParseError as exc:
                 self.diags.append(exc.diag)
@@ -529,9 +551,9 @@ class _Parser:
             self.expect("(")
             text = self.expect("string")
             self.expect(")")
-            return Initializer(InitKind.C_EXP, self.texts[text])
+            return Initializer(_C_EXP, self.texts[text])
         if self.check("integer") or self.check("identifier"):
-            return Initializer(InitKind.LITERAL, self.texts[self.take()])
+            return Initializer(_LITERAL, self.texts[self.take()])
         raise _ParseError(error(
             "expected-initializer", f"expected initializer, found '{self.found()}'",
             self.loc()))

@@ -13,6 +13,11 @@ from .model import (
 
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
                 "field": "duplicate-field"}
+# The values a field of each C integer scalar holds in Rust. rustc rejects an integer literal
+# outside them (`overflowing_literals`, denied by default), a '-' for an unsigned type (E0600),
+# and any integer literal for a float (E0308).
+_HOLDS = {**{f"int{n}_t": range(-1 << n - 1, 1 << n - 1) for n in (8, 16, 32, 64)},
+          **{f"uint{n}_t": range(1 << n) for n in (8, 16, 32, 64)}, "float": None, "double": None}
 _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
           PortDecl: "call port", AttrDecl: "attr"}
 
@@ -206,8 +211,8 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
     """Report every entity that would stop an emitter or share an output name, enter
     each file and type name in `owners`, and keep each cell's rendered attr texts.
     Order: bindings into non-generating celltypes; bad names, each once; contracts' names;
-    then per celltype its names, record fields, var types, call ports without cells, attrs
-    and statics cell by cell, and vars."""
+    then per celltype its names, record fields, var types, call ports without cells, attr
+    defaults that do not fit their type, attrs and statics cell by cell, and vars."""
     written = {ct.name for ct in generating}
     diags.extend(error("non-generating-target", f"cell '{rc.cell.name}' binds '{port}' to cell "
                        f"'{rb.target_cell.cell.name}', whose celltype '{t}' generates no Rust",
@@ -257,6 +262,9 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     f"bound cell to fix its concrete entry type", port.location))
             continue
         defaults, pieces = _defaults(ct), {}
+        for a in visible:
+            if a.c_type in _HOLDS:
+                _check_fit(a.default, a, "default of attr '{0.name}'", a.c_type, diags)
         for rc in cells:
             cell = rc.cell
             rc.attr_texts = tuple([_attr_text(ct, cell, a, defaults, pieces, diags)
@@ -276,6 +284,28 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     "uninitialized-variable",
                     f"var '{v.name}' of celltype '{ct.name}' has no initializer",
                     v.location))
+
+
+def _check_fit(init, node, where: str, c_type: str, diags) -> None:
+    """Report `init` if it is an integer literal that Rust rejects for a field of `c_type`;
+    `where` names `node`, its attr or cell initializer, as `where.format(node)`."""
+    if init is None or init.kind is not InitKind.LITERAL:
+        return
+    text = init.text
+    if not (text[0] == "-" or text[0].isdigit()):  # an identifier
+        return
+    try:
+        value = int(text, 0)
+    except ValueError:  # `validate_unit` rejects it
+        return
+    holds, rust = _HOLDS[c_type], naming.map_base_type(c_type)
+    problem = ("is an integer, which Rust does not accept for its type" if holds is None
+               else "has a '-', which Rust does not accept for its unsigned type"
+               if text[0] == "-" and holds.start == 0
+               else "is out of range for its type" if value not in holds else "")
+    if problem:
+        diags.append(error("bad-integer", f"integer literal '{text}' in "
+                           f"{where.format(node)} {problem} '{rust}'", node.location))
 
 
 def _claim(owners, owner, diags, **names) -> None:
@@ -342,7 +372,8 @@ def macro_table(ct: CelltypeDef, cell: Optional[CellDef], defaults) -> Dict[str,
 
 def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, pieces, diags) -> str:
     """The text of `attr` in `cell`, holes filled; a default's template is prepared once per
-    `pieces` table, a cell's own text per call: they may differ in every cell."""
+    `pieces` table, a cell's own text per call: they may differ in every cell. A cell's own
+    integer literal is checked against the attr's Rust type here."""
     init = cell.init_for(attr.name) or attr.default
     if init is None:
         diags.append(error(
@@ -350,12 +381,16 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, pieces, diags) ->
             f"attr '{attr.name}' of cell '{cell.name}' has neither a default "
             f"nor a cell initializer", cell.location))
         return ""
-    if init.kind is InitKind.C_EXP and "$" in init.text:
-        try:
-            return substitute_macros(init.text, macro_table(ct, cell, defaults),
-                                     pieces if init is attr.default else {})
-        except MacroError as exc:
-            diags.append(error("unresolved-macro", str(exc), cell.location))
+    if init.kind is InitKind.C_EXP:
+        if "$" in init.text:
+            try:
+                return substitute_macros(init.text, macro_table(ct, cell, defaults),
+                                         pieces if init is attr.default else {})
+            except MacroError as exc:
+                diags.append(error("unresolved-macro", str(exc), cell.location))
+    elif init is not attr.default and attr.c_type in _HOLDS:  # a default is checked at its attr
+        _check_fit(init, next(i for i in cell.attr_inits if i.value is init),
+                   "initializer of '{0.attr_name}'", attr.c_type, diags)
     return init.text
 
 

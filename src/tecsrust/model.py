@@ -151,10 +151,13 @@ def _balanced_holes(text: str) -> bool:
 
 def _check_literal(init, node, where: str, diags) -> None:
     """Integer literals the tokenizer takes but Rust reads otherwise: '0x' has no
-    digits, Rust has no '0X' prefix, and '010' is octal (8) in C but decimal (10) in Rust.
+    digits, Rust has no '0X' prefix, '010' is octal (8) in C but decimal (10) in Rust, and
+    Rust reads no digit but an ASCII one (not '²' or '٣', which `str.isdigit` takes).
     `where` names `node`, the attr, var or cell initializer, as `where.format(node)`."""
     digits = init.text.lstrip("-") if init is not None and init.kind is InitKind.LITERAL else ""
-    problem = ("has no digits" if digits.lower() == "0x" else "has a '0X' prefix, which Rust "
+    problem = ("has a non-ASCII digit, which Rust does not accept" if not digits.isascii()
+               and digits[:1].isdigit() else  # an identifier starts with no digit
+               "has no digits" if digits.lower() == "0x" else "has a '0X' prefix, which Rust "
                "does not accept" if digits[:2] == "0X" else "has a leading zero (octal in C, "
                "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
     if problem:

@@ -13,6 +13,9 @@ call event however long `cells` is, but a line event per item.
 Rendering the outputs, which `generate` leaves to their write, counts as
 phase `render`.
 
+The tokenizer's scans are counted too: back-to-back fast-path declarations are
+scanned one after another, with no new `_TOKEN` scan between them.
+
 Blind spot: work done inside C makes no event. A scan written as
 `x in some_list` is one event or none however long the list is, so a
 quadratic scan written that way passes.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from tecsrust import cli, linker
+from tecsrust import cli, frontend, linker
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -110,3 +113,23 @@ def test_a_build_holds_one_output_text_at_a_time(tmp_path, monkeypatch):
     text = max(sys.getsizeof(f.content) for f in files)  # the largest output's text
     assert held - resolved[0] < text
     assert peak - resolved[0] < 5 * text
+
+
+def test_back_to_back_cells_start_the_token_scan_once(monkeypatch):
+    """A `_TOKEN` scan that restarted after each of N cells would start N + 1 times."""
+    starts = []
+    compiled = frontend._compiled
+
+    class Counted:
+        def __init__(self, pattern):
+            self.finditer = lambda text, pos: starts.append(pos) or pattern.finditer(text, pos)
+
+    monkeypatch.setattr(frontend, "_compiled", lambda p: Counted(compiled(p))
+                        if p is frontend._TOKEN else compiled(p))
+    cell = '[generate(ItronrsGenPlugin, "lib")]\ncell tTask T%d {\n    id = %d;\n' \
+           '    priority = C_EXP("PRI_1");\n};\n// task %d\n\n'
+    for n in (10, 100):
+        starts.clear()
+        tokens, diags = frontend.tokenize("".join(cell % (i, i, i) for i in range(n)))
+        assert not diags and tokens.tags == [frontend.CELL] * n + [frontend.EOF]
+        assert starts == [0]

@@ -98,6 +98,7 @@ def test_units_compare_structurally():
 
 
 _OCTAL = "has a leading zero (octal in C, decimal in Rust)"
+_NON_ASCII = "has a non-ASCII digit, which Rust does not accept"
 
 
 # each literal passes after `fixed` replaces it
@@ -118,8 +119,16 @@ _OCTAL = "has a leading zero (octal in C, decimal in Rust)"
     # Rust has no 0X prefix
     ("celltype tA { attr { int32_t x = 0X1F; }; };", "integer literal '0X1F' in default of "
      "attr 'x' has a '0X' prefix, which Rust does not accept", 22, "0x1F"),
+    # `str.isdigit` takes a superscript or an Arabic-Indic digit; Rust reads ASCII digits only
+    ("celltype tA { attr { int32_t x = 12\u00b2; }; };", f"integer literal '12\u00b2' in "
+     f"default of attr 'x' {_NON_ASCII}", 22, "12"),
+    ("celltype tA { var { int32_t x = \u0663; }; };",
+     f"integer literal '\u0663' in default of var 'x' {_NON_ASCII}", 21, "3"),
+    ("celltype tA { attr { int32_t x; }; };\ncell tA A { x = -\u0661\u0662; };",
+     f"integer literal '-\u0661\u0662' in initializer of 'x' {_NON_ASCII}", 13, "-12"),
 ], ids=["attr-default", "var-default", "cell-initializer",
-        "octal-attr-default", "octal-var-default", "octal-cell-initializer", "upper-hex-prefix"])
+        "octal-attr-default", "octal-var-default", "octal-cell-initializer", "upper-hex-prefix",
+        "non-ascii-attr-default", "non-ascii-var-default", "non-ascii-cell-initializer"])
 def test_integer_literal_without_digits_is_rejected(text, message, column, fixed):
     diags = validate_unit(parse_unit(text, "lit.cdl").unit)
     assert [(d.code, d.message) for d in diags] == [("bad-integer", message)]

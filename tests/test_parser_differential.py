@@ -18,7 +18,10 @@ declarations are drawn at the edges of the `SIGNATURE` path the same way:
 odd separators and comments, odd parameter lists, specifiers and pointer
 spellings, keywords, words that begin with one and non-ASCII letters in
 names, a directive before a signature, a signature inside a celltype body,
-signatures back to back, and truncation.
+signatures back to back, and truncation. Runs of cells, signatures, celltypes and
+directives are drawn back to back, with comments, '\\f' or '\\v' between them, a
+declaration of another shape inside a run, a last `};` at the end of the text, and
+truncation.
 """
 
 import re
@@ -34,6 +37,7 @@ from records import fields, is_record
 from strategies import cdl_units
 from tecsrust.diagnostics import Diagnostic, printable
 from tecsrust.frontend import CELL, SIGNATURE, parse_unit, tokenize
+from test_tokenizer_differential import reference_stream, stream
 
 GOLDEN_TEXTS = [golden("sample.cdl"), golden("kernel_rs.cdl")]
 
@@ -303,3 +307,46 @@ def test_signature_declaration_edges(text):
     assert_same(text)
     if text in ONE_PASS_EDGES:
         assert tokenize(text)[0].tags.count(SIGNATURE) == text.count("signature ")
+
+
+# Runs of declarations back to back, as `tokenize` chains them: what may come between two,
+# what ends the text, and declarations of shapes the one-token paths leave to the plain
+# tokens (a comment inside, two directives, a directive before a signature, a bad character)
+BETWEEN = ["", "\n", " ", "\n\n", "/* c */", "// c\n", "\n/* a\n b */ // c\n", "\f", "\v",
+           "/* c", "\r\n\t"]
+OTHER_DECLARATIONS = [
+    "celltype tX { entry sS eS; attr { int32_t a = 1; }; };",
+    '[generate(RustGenPlugin, "lib")] celltype tX { call sS cS; };',
+    '[generate(RustGenPlugin, "lib")]',
+    "cell tT c { x = 1; /* c */ y = a.b; };",
+    "cell tT c { // c\n  x = C_EXP(\"v\"); };",
+    '[generate(P, "a")]\n[generate(Q, "b")]\ncell tT c {};',
+    "signature sS { void f( /* c */ void ); };",
+    "cell tT c { x = 1;\f};",
+]
+
+
+@st.composite
+def declaration_runs(draw):
+    pieces = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "signature", "other"]))
+        pieces.append(draw(cell_texts() if kind == "cell" else signature_texts()
+                           if kind == "signature" else st.sampled_from(OTHER_DECLARATIONS)))
+        pieces.append(draw(st.sampled_from(BETWEEN)))
+    text = "".join(pieces)
+    end = draw(st.sampled_from(["as drawn", "at the last ';'", "cut"]))
+    if end == "at the last ';'":
+        text = text[:text.rfind(";") + 1]
+    elif end == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(declaration_runs())
+def test_declaration_runs(text):
+    assert_same(text)
+    # Any error sends `parse_unit` back to plain tokens, which hides a run that ends or
+    # resumes at the wrong place; the token stream shows it.
+    assert stream(text) == reference_stream(text)

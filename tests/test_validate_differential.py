@@ -8,8 +8,8 @@ code, message, location and order.
 Each mutant of `sample.cdl` or `kernel_rs.cdl` applies a few edits drawn from
 `EDITS`, which reach every check: repeated functions, parameters, ports, attrs, vars,
 bindings and initializers, `[out]` without `*` and `**`, an odd number of `$` in an
-initializer, a default or a write, the literals `0x`, `0X1F`, `010` and `-010`, an
-empty write target, and unknown plugins.
+initializer, a default or a write, the literals `0x`, `0X1F`, `010`, `-010`, and
+`1²` and `-٣` with non-ASCII digits, an empty write target, and unknown plugins.
 """
 
 import random
@@ -63,6 +63,8 @@ EDITS = [
     ("    id = 1;\n", "    id = -010;\n"),
     ("    id = 1;\n", "    id = 0x1F;\n"),
     ("    id = 1;\n", "    id = 0;\n"),
+    ("    id = 1;\n", "    id = 1\u00b2;\n"),
+    ("[omit] PRI priority;", "[omit] PRI priority = -\u0663;"),
     # cells: bindings and initializers repeated, odd `$` in an initializer
     ("    cPowerdown = Powerdown.ePowerdown2;\n",
      "    cPowerdown = Powerdown.ePowerdown2;\n    cPowerdown = Powerdown.ePowerdown2;\n"),
