@@ -8,7 +8,7 @@ integer object-like macros are translated; everything else is skipped
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .diagnostics import Diagnostic, SourceLoc, warning
 
@@ -26,10 +26,12 @@ def convert_defines(header_text: str, source_name: str = "<header>"
     (`010`) is respelled `0o10` and a `0X` prefix `0x`, so the value stays
     the same in Rust. #defines that are not bare integers (function-like
     macros, parenthesized expressions, `08`) or whose value does not fit in
-    i32 are skipped with a warning.
+    i32 are skipped with a warning, as is each later bare-integer #define of a name:
+    the first is kept. `#if` and `#undef` are not evaluated.
     """
     out: List[str] = []
     diags: List[Diagnostic] = []
+    first: Dict[str, int] = {}  # name -> line of its first bare-integer #define
     # lines end at '\r\n', '\r' or '\n' only, as C and `cli._read` count them
     lines = header_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -38,7 +40,11 @@ def convert_defines(header_text: str, source_name: str = "<header>"
             name, sign, digits = m.groups()
             value = sign + ("0o" + digits[1:] if digits[:1] == "0" and digits[1:].isdigit()
                             else digits.replace("X", "x"))  # C's 010 is 8; Rust has no 0X
-            if -2**31 <= int(value, 0) < 2**31:
+            if first.setdefault(name, lineno) != lineno:
+                diags.append(warning("duplicate-define", f"skipped #define {name}: already "
+                                     f"defined at line {first[name]}",
+                                     SourceLoc(source_name, lineno, 1)))
+            elif -2**31 <= int(value, 0) < 2**31:
                 out.append(f"pub const {name}: i32 = {value};")
             else:
                 diags.append(warning(

@@ -8,16 +8,11 @@ from . import naming
 from .emit_rtos import MacroError, substitute_macros
 from .model import (
     AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind,
-    PortDecl, Record, SignatureDef, error, has_errors, printable,
+    PortDecl, Record, SignatureDef, check_literal, error, has_errors, printable,
 )
 
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
                 "field": "duplicate-field"}
-# The values a field of each C integer scalar holds in Rust. rustc rejects an integer literal
-# outside them (`overflowing_literals`, denied by default), a '-' for an unsigned type (E0600),
-# and any integer literal for a float (E0308).
-_HOLDS = {**{f"int{n}_t": range(-1 << n - 1, 1 << n - 1) for n in (8, 16, 32, 64)},
-          **{f"uint{n}_t": range(1 << n) for n in (8, 16, 32, 64)}, "float": None, "double": None}
 _KINDS = {SignatureDef: "signature", CelltypeDef: "celltype", CellDef: "cell",
           PortDecl: "call port", AttrDecl: "attr"}
 
@@ -263,8 +258,7 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
             continue
         defaults, pieces = _defaults(ct), {}
         for a in visible:
-            if a.c_type in _HOLDS:
-                _check_fit(a.default, a, "default of attr '{0.name}'", a.c_type, diags)
+            check_literal(a.default, a, "default of attr '{0.name}'", diags, a.c_type)
         for rc in cells:
             cell = rc.cell
             rc.attr_texts = tuple([_attr_text(ct, cell, a, defaults, pieces, diags)
@@ -284,28 +278,6 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
                     "uninitialized-variable",
                     f"var '{v.name}' of celltype '{ct.name}' has no initializer",
                     v.location))
-
-
-def _check_fit(init, node, where: str, c_type: str, diags) -> None:
-    """Report `init` if it is an integer literal that Rust rejects for a field of `c_type`;
-    `where` names `node`, its attr or cell initializer, as `where.format(node)`."""
-    if init is None or init.kind is not InitKind.LITERAL:
-        return
-    text = init.text
-    if not (text[0] == "-" or text[0].isdigit()):  # an identifier
-        return
-    try:
-        value = int(text, 0)
-    except ValueError:  # `validate_unit` rejects it
-        return
-    holds, rust = _HOLDS[c_type], naming.map_base_type(c_type)
-    problem = ("is an integer, which Rust does not accept for its type" if holds is None
-               else "has a '-', which Rust does not accept for its unsigned type"
-               if text[0] == "-" and holds.start == 0
-               else "is out of range for its type" if value not in holds else "")
-    if problem:
-        diags.append(error("bad-integer", f"integer literal '{text}' in "
-                           f"{where.format(node)} {problem} '{rust}'", node.location))
 
 
 def _claim(owners, owner, diags, **names) -> None:
@@ -388,9 +360,9 @@ def _attr_text(ct: CelltypeDef, cell: CellDef, attr, defaults, pieces, diags) ->
                                          pieces if init is attr.default else {})
             except MacroError as exc:
                 diags.append(error("unresolved-macro", str(exc), cell.location))
-    elif init is not attr.default and attr.c_type in _HOLDS:  # a default is checked at its attr
-        _check_fit(init, next(i for i in cell.attr_inits if i.value is init),
-                   "initializer of '{0.attr_name}'", attr.c_type, diags)
+    elif init is not attr.default:  # a default is checked at its attr
+        check_literal(init, next(i for i in cell.attr_inits if i.value is init),
+                      "initializer of '{0.attr_name}'", diags, attr.c_type)
     return init.text
 
 

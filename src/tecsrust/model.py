@@ -137,6 +137,26 @@ class CdlUnit(Value):
     _defaults = {"source_name": "<memory>", "signatures": (), "celltypes": (), "cells": ()}
 
 
+# Each C scalar type: its Rust type, then the values a field of it holds (`void` holds none).
+# rustc rejects an integer literal outside them (`overflowing_literals`, denied by default),
+# a '-' for an unsigned type (E0600), and any integer literal for a float (E0308, so None).
+# Other type names pass through `naming.map_base_type` verbatim, on the assumption that an
+# external binding layer defines them.
+C_SCALARS = {
+    "int8_t": ("i8", range(-1 << 7, 1 << 7)),
+    "int16_t": ("i16", range(-1 << 15, 1 << 15)),
+    "int32_t": ("i32", range(-1 << 31, 1 << 31)),
+    "int64_t": ("i64", range(-1 << 63, 1 << 63)),
+    "uint8_t": ("u8", range(1 << 8)),
+    "uint16_t": ("u16", range(1 << 16)),
+    "uint32_t": ("u32", range(1 << 32)),
+    "uint64_t": ("u64", range(1 << 64)),
+    "float": ("f32", None),
+    "double": ("f64", None),
+    "void": ("()",),
+}
+
+
 def _dupes(names: list) -> list:
     """Each name that repeats an earlier one, in order; a list with no repeat is not walked."""
     if len(set(names)) == len(names):
@@ -149,10 +169,11 @@ def _balanced_holes(text: str) -> bool:
     return "$" not in text or text.count("$") % 2 == 0
 
 
-def _check_literal(init, node, where: str, diags) -> None:
-    """Integer literals the tokenizer takes but Rust reads otherwise: '0x' has no
+def check_literal(init, node, where: str, diags, c_type: Optional[str] = None) -> None:
+    """Report `init` if it is an integer literal that Rust reads otherwise: '0x' has no
     digits, Rust has no '0X' prefix, '010' is octal (8) in C but decimal (10) in Rust, and
-    Rust reads no digit but an ASCII one (not '²' or '٣', which `str.isdigit` takes).
+    Rust reads no digit but an ASCII one (not '²' or '٣', which `str.isdigit` takes). Given
+    the C type of its field, also one that Rust rejects for that type (see `C_SCALARS`).
     `where` names `node`, the attr, var or cell initializer, as `where.format(node)`."""
     digits = init.text.lstrip("-") if init is not None and init.kind is InitKind.LITERAL else ""
     problem = ("has a non-ASCII digit, which Rust does not accept" if not digits.isascii()
@@ -160,6 +181,13 @@ def _check_literal(init, node, where: str, diags) -> None:
                "has no digits" if digits.lower() == "0x" else "has a '0X' prefix, which Rust "
                "does not accept" if digits[:2] == "0X" else "has a leading zero (octal in C, "
                "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
+    if not problem and len(C_SCALARS.get(c_type, ())) == 2 and digits[:1].isdigit():
+        rust, holds = C_SCALARS[c_type]  # a type that holds values; `int` reads the form
+        problem = ("is an integer, which Rust does not accept for its type" if holds is None
+                   else "has a '-', which Rust does not accept for its unsigned type"
+                   if init.text[0] == "-" and holds.start == 0
+                   else "is out of range for its type" if int(init.text, 0) not in holds else "")
+        problem = problem and f"{problem} '{rust}'"
     if problem:
         diags.append(error("bad-integer", f"integer literal '{init.text}' in "
                            f"{where.format(node)} {problem}", node.location))
@@ -211,9 +239,9 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in default of attr '{a.name}'",
                     a.location))
-            _check_literal(a.default, a, "default of attr '{0.name}'", diags)
+            check_literal(a.default, a, "default of attr '{0.name}'", diags)
         for v in ct.vars:
-            _check_literal(v.default, v, "default of var '{0.name}'", diags)
+            check_literal(v.default, v, "default of var '{0.name}'", diags)
         for block in ct.factory_blocks:
             for w in block.writes:
                 if not w.target_file:
@@ -242,8 +270,8 @@ def validate_unit(unit: CdlUnit) -> list:
                     "unbalanced-macro",
                     f"unbalanced '$' holes in initializer of '{init.attr_name}'",
                     init.location))
-            if init.value.kind is literal:  # the guard `_check_literal` has, without a call
-                _check_literal(init.value, init, "initializer of '{0.attr_name}'", diags)
+            if init.value.kind is literal:  # the guard `check_literal` has, without a call
+                check_literal(init.value, init, "initializer of '{0.attr_name}'", diags)
         if cell.generate_directive is not None:  # as above
             _check_directive(cell.generate_directive, diags)
 

@@ -12,24 +12,7 @@ import functools
 import re
 from typing import Optional
 
-from .model import ParamSpecifier
-
-
-# Fixed C -> Rust scalar table; unknown names pass through verbatim on the
-# assumption that an external binding layer defines them.
-SCALAR_TYPES = {
-    "int8_t": "i8",
-    "int16_t": "i16",
-    "int32_t": "i32",
-    "int64_t": "i64",
-    "uint8_t": "u8",
-    "uint16_t": "u16",
-    "uint32_t": "u32",
-    "uint64_t": "u64",
-    "float": "f32",
-    "double": "f64",
-    "void": "()",
-}
+from .model import C_SCALARS, ParamSpecifier
 
 
 RUST_KEYWORDS = frozenset("""as async await break const continue crate dyn else enum extern
@@ -106,7 +89,7 @@ def module_name(name: str) -> str:
 
 
 def map_base_type(c_type: str) -> str:
-    return SCALAR_TYPES.get(c_type, c_type)
+    return C_SCALARS[c_type][0] if c_type in C_SCALARS else c_type
 
 
 def map_param_type(c_type: str, specifier: ParamSpecifier) -> str:

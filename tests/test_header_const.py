@@ -74,6 +74,20 @@ def test_converted_literals_have_their_c_values_in_rust(tmp_path):
     rustc_check(out + "const _: () = assert!(OCT == 8 && NEG == -15 && HEX == 31);\n", tmp_path)
 
 
+
+def test_a_repeated_define_keeps_the_first_with_a_located_warning(tmp_path):
+    # two `pub const A` are an error in Rust (E0428), whether or not their values agree;
+    # `#undef` is not evaluated, so it does not clear the first
+    text = "#define A 1\n#define B 2\n#define A 1\n#undef A\n#define A 0x3\n#define A 1x\n"
+    out, diags = convert_defines(text, "k.h")
+    assert out == "pub const A: i32 = 1;\npub const B: i32 = 2;\n"
+    assert [str(d) for d in diags] == [
+        "k.h:3:1: warning[duplicate-define]: skipped #define A: already defined at line 1",
+        "k.h:5:1: warning[duplicate-define]: skipped #define A: already defined at line 1",
+        "k.h:6:1: warning[non-literal-define]: skipped #define without a bare integer value: "
+        "'#define A 1x'"]
+    rustc_check(out, tmp_path)
+
 def test_order_preserved():
     out, _ = convert_defines("#define B 2\n#define A 1\n")
     assert out.splitlines() == ["pub const B: i32 = 2;", "pub const A: i32 = 1;"]

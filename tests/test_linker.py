@@ -661,3 +661,48 @@ def test_integer_literals_at_their_types_bounds_build(tmp_path):
     assert "  lo: -128,\n  hi: 255,\n  top: 0x7FFFFFFF,\n  bottom: -2147483648,\n  k: 5.0," \
         in definition
     rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
+# each integer scalar's Rust bounds, from its width: the oracle does not read the table
+_WIDTHS = (8, 16, 32, 64)
+_INTEGER_BOUNDS = {**{f"int{n}_t": (f"i{n}", -1 << n - 1, (1 << n - 1) - 1) for n in _WIDTHS},
+                   **{f"uint{n}_t": (f"u{n}", 0, (1 << n) - 1) for n in _WIDTHS}}
+
+
+def _bounded(past: int, float_default: str, double_default: str) -> str:
+    """A celltype with attrs `lo_T` and `hi_T` of each integer type T, defaulted `past`
+    beyond T's bounds, and attrs `f` and `d` of `float` and `double`."""
+    attrs = "".join(f"{t} lo_{t} = {lo - past}; {t} hi_{t} = {hi + past}; "
+                    for t, (_, lo, hi) in _INTEGER_BOUNDS.items())
+    return _PROVIDER + _directed(f"tS {{ entry sA e; attr {{ {attrs}float f = {float_default}; "
+                                 f"double d = {double_default}; }}; }}")
+
+
+def test_every_integer_scalar_takes_its_bounds_in_rust(tmp_path):
+    # each bound, as a default and as a cell's own literal; floats only through C_EXP
+    swapped = " ".join(f"lo_{t} = {hi}; hi_{t} = {lo};"
+                       for t, (_, lo, hi) in _INTEGER_BOUNDS.items())
+    text = (_bounded(0, 'C_EXP("1.5")', 'C_EXP("2.5")')
+            + f"cell tS a {{}};\ncell tS b {{ {swapped} }};\n")
+    files, _, _, diags = generate([("b.cdl", text)])
+    assert diags == []
+    definition = next(f.content for f in files if f.path == "t_s.rs")
+    assert "  lo_int64_t: -9223372036854775808,\n" in definition
+    assert "  hi_uint64_t: 18446744073709551615,\n" in definition
+    rustc_check_tree({f.path: f.content for f in files}, tmp_path)
+
+
+def test_one_past_each_integer_scalars_bounds_is_a_bad_integer():
+    files, _, _, diags = generate([("p.cdl", _bounded(1, "1", "2") + "cell tS a {};\n")])
+    assert files == []
+    expected = []
+    for t, (rust, lo, hi) in _INTEGER_BOUNDS.items():
+        expected.append(f"integer literal '{lo - 1}' in default of attr 'lo_{t}' " + (
+            f"is out of range for its type '{rust}'" if lo else
+            f"has a '-', which Rust does not accept for its unsigned type '{rust}'"))
+        expected.append(f"integer literal '{hi + 1}' in default of attr 'hi_{t}' "
+                        f"is out of range for its type '{rust}'")
+    for literal, attr, rust in [("1", "f", "f32"), ("2", "d", "f64")]:
+        expected.append(f"integer literal '{literal}' in default of attr '{attr}' is an "
+                        f"integer, which Rust does not accept for its type '{rust}'")
+    assert [(d.code, d.message) for d in diags] == [("bad-integer", m) for m in expected]

@@ -21,7 +21,8 @@ names, a directive before a signature, a signature inside a celltype body,
 signatures back to back, and truncation. Runs of cells, signatures, celltypes and
 directives are drawn back to back, with comments, '\\f' or '\\v' between them, a
 declaration of another shape inside a run, a last `};` at the end of the text, and
-truncation.
+truncation. Any error sends `parse_unit` back to plain tokens, so the declaration tests
+also compare the two token streams, which show a fault in the one-token paths.
 """
 
 import re
@@ -170,6 +171,7 @@ def cell_units(draw):
 @given(cell_units())
 def test_cell_declarations(text):
     assert_same(text)
+    assert stream(text) == reference_stream(text)
 
 
 # shapes the one-pass cell scan takes: each cell here is one `CELL` token
@@ -199,6 +201,7 @@ CELL_ONE_PASS_EDGES = [
 ])
 def test_cell_declaration_edges(text):
     assert_same(text)
+    assert stream(text) == reference_stream(text)
     if text in CELL_ONE_PASS_EDGES:
         assert tokenize(text)[0].tags.count(CELL) == text.count("cell ")
 
@@ -255,6 +258,7 @@ def signature_units(draw):
 @given(signature_units())
 def test_signature_declarations(text):
     assert_same(text)
+    assert stream(text) == reference_stream(text)
 
 
 # shapes `_scan_signature` takes in one pass: each signature here is one `SIGNATURE` token
@@ -305,6 +309,7 @@ ONE_PASS_EDGES = [
 ])
 def test_signature_declaration_edges(text):
     assert_same(text)
+    assert stream(text) == reference_stream(text)
     if text in ONE_PASS_EDGES:
         assert tokenize(text)[0].tags.count(SIGNATURE) == text.count("signature ")
 
