@@ -26,12 +26,12 @@ def convert_defines(header_text: str, source_name: str = "<header>"
     (`010`) is respelled `0o10` and a `0X` prefix `0x`, so the value stays
     the same in Rust. #defines that are not bare integers (function-like
     macros, parenthesized expressions, `08`) or whose value does not fit in
-    i32 are skipped with a warning, as is each later bare-integer #define of a name:
-    the first is kept. `#if` and `#undef` are not evaluated.
+    i32 are skipped with a warning, as is each later bare-integer #define of a name
+    that is emitted already: the first is kept. `#if` and `#undef` are not evaluated.
     """
     out: List[str] = []
     diags: List[Diagnostic] = []
-    first: Dict[str, int] = {}  # name -> line of its first bare-integer #define
+    first: Dict[str, int] = {}  # name -> line of the #define it is emitted from
     # lines end at '\r\n', '\r' or '\n' only, as C and `cli._read` count them
     lines = header_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -40,17 +40,18 @@ def convert_defines(header_text: str, source_name: str = "<header>"
             name, sign, digits = m.groups()
             value = sign + ("0o" + digits[1:] if digits[:1] == "0" and digits[1:].isdigit()
                             else digits.replace("X", "x"))  # C's 010 is 8; Rust has no 0X
-            if first.setdefault(name, lineno) != lineno:
+            if name in first:
                 diags.append(warning("duplicate-define", f"skipped #define {name}: already "
                                      f"defined at line {first[name]}",
                                      SourceLoc(source_name, lineno, 1)))
-            elif -2**31 <= int(value, 0) < 2**31:
+            # no i32 has over 10 decimal digits, and `int` refuses over 4,300
+            elif (len(digits) <= 10 or digits[0] == "0") and -2**31 <= int(value, 0) < 2**31:
+                first[name] = lineno
                 out.append(f"pub const {name}: i32 = {value};")
             else:
-                diags.append(warning(
-                    "constant-out-of-range",
-                    f"skipped #define {name}: {sign}{digits} does not fit in i32",
-                    SourceLoc(source_name, lineno, 1)))
+                diags.append(warning("constant-out-of-range", f"skipped #define {name}: "
+                                     f"{sign}{digits} does not fit in i32",
+                                     SourceLoc(source_name, lineno, 1)))
         elif _ANY_DEFINE.match(line):
             diags.append(warning(
                 "non-literal-define",

@@ -139,9 +139,8 @@ class CdlUnit(Value):
 
 # Each C scalar type: its Rust type, then the values a field of it holds (`void` holds none).
 # rustc rejects an integer literal outside them (`overflowing_literals`, denied by default),
-# a '-' for an unsigned type (E0600), and any integer literal for a float (E0308, so None).
-# Other type names pass through `naming.map_base_type` verbatim, on the assumption that an
-# external binding layer defines them.
+# a '-' for an unsigned type (E0600), and any integer for a float (E0308, so None). Other type
+# names pass through `naming.map_base_type` verbatim, for an external binding layer to define.
 C_SCALARS = {
     "int8_t": ("i8", range(-1 << 7, 1 << 7)),
     "int16_t": ("i16", range(-1 << 15, 1 << 15)),
@@ -170,11 +169,10 @@ def _balanced_holes(text: str) -> bool:
 
 
 def check_literal(init, node, where: str, diags, c_type: Optional[str] = None) -> None:
-    """Report `init` if it is an integer literal that Rust reads otherwise: '0x' has no
-    digits, Rust has no '0X' prefix, '010' is octal (8) in C but decimal (10) in Rust, and
-    Rust reads no digit but an ASCII one (not '²' or '٣', which `str.isdigit` takes). Given
-    the C type of its field, also one that Rust rejects for that type (see `C_SCALARS`).
-    `where` names `node`, the attr, var or cell initializer, as `where.format(node)`."""
+    """Report `init` if it is an integer literal that Rust reads otherwise: '0x' has no digits,
+    Rust has no '0X' prefix, '010' is 8 in C but 10 in Rust, and Rust reads only ASCII digits
+    (not '²' or '٣', which `str.isdigit` takes); or, given its field's C type, one that Rust
+    rejects for that type (see `C_SCALARS`). `where.format(node)` names the attr, var or cell."""
     digits = init.text.lstrip("-") if init is not None and init.kind is InitKind.LITERAL else ""
     problem = ("has a non-ASCII digit, which Rust does not accept" if not digits.isascii()
                and digits[:1].isdigit() else  # an identifier starts with no digit
@@ -183,10 +181,12 @@ def check_literal(init, node, where: str, diags, c_type: Optional[str] = None) -
                "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
     if not problem and len(C_SCALARS.get(c_type, ())) == 2 and digits[:1].isdigit():
         rust, holds = C_SCALARS[c_type]  # a type that holds values; `int` reads the form
+        too_long = len(digits) > 20 and digits[:2] != "0x"  # past 64 bits, or what `int` reads
         problem = ("is an integer, which Rust does not accept for its type" if holds is None
                    else "has a '-', which Rust does not accept for its unsigned type"
                    if init.text[0] == "-" and holds.start == 0
-                   else "is out of range for its type" if int(init.text, 0) not in holds else "")
+                   else "is out of range for its type" if too_long
+                   or int(init.text, 0) not in holds else "")
         problem = problem and f"{problem} '{rust}'"
     if problem:
         diags.append(error("bad-integer", f"integer literal '{init.text}' in "

@@ -74,19 +74,37 @@ def test_converted_literals_have_their_c_values_in_rust(tmp_path):
     rustc_check(out + "const _: () = assert!(OCT == 8 && NEG == -15 && HEX == 31);\n", tmp_path)
 
 
-
 def test_a_repeated_define_keeps_the_first_with_a_located_warning(tmp_path):
     # two `pub const A` are an error in Rust (E0428), whether or not their values agree;
-    # `#undef` is not evaluated, so it does not clear the first
-    text = "#define A 1\n#define B 2\n#define A 1\n#undef A\n#define A 0x3\n#define A 1x\n"
+    # `#undef` is not evaluated, so it does not clear the first. A #define skipped as out of
+    # range is no first: the repeat of C, as in an `#if`/`#else` pair, is kept.
+    text = ("#define A 1\n#define B 2\n#define A 1\n#undef A\n#define A 0x3\n#define A 1x\n"
+            "#define C 0x100000000\n#define C 1\n#define C 2\n")
     out, diags = convert_defines(text, "k.h")
-    assert out == "pub const A: i32 = 1;\npub const B: i32 = 2;\n"
+    assert out == "pub const A: i32 = 1;\npub const B: i32 = 2;\npub const C: i32 = 1;\n"
     assert [str(d) for d in diags] == [
         "k.h:3:1: warning[duplicate-define]: skipped #define A: already defined at line 1",
         "k.h:5:1: warning[duplicate-define]: skipped #define A: already defined at line 1",
         "k.h:6:1: warning[non-literal-define]: skipped #define without a bare integer value: "
-        "'#define A 1x'"]
+        "'#define A 1x'",
+        "k.h:7:1: warning[constant-out-of-range]: skipped #define C: 0x100000000 does not fit "
+        "in i32",
+        "k.h:9:1: warning[duplicate-define]: skipped #define C: already defined at line 8"]
     rustc_check(out, tmp_path)
+
+
+def test_a_define_of_thousands_of_digits_is_out_of_range():
+    # `int` refuses a decimal string of over 4,300 digits; a hex or octal one it reads
+    long = "1" * 5000
+    text = (f"#define D {long}\n#define N -{long}\n#define H 0x{'0' * 5000}1\n"
+            f"#define O 0{'0' * 5000}7\n")
+    out, diags = convert_defines(text, "k.h")
+    assert out == f"pub const H: i32 = 0x{'0' * 5000}1;\npub const O: i32 = 0o{'0' * 5000}7;\n"
+    assert [str(d) for d in diags] == [
+        f"k.h:1:1: warning[constant-out-of-range]: skipped #define D: {long} does not fit in i32",
+        f"k.h:2:1: warning[constant-out-of-range]: skipped #define N: -{long} does not fit in "
+        "i32"]
+
 
 def test_order_preserved():
     out, _ = convert_defines("#define B 2\n#define A 1\n")

@@ -706,3 +706,23 @@ def test_one_past_each_integer_scalars_bounds_is_a_bad_integer():
         expected.append(f"integer literal '{literal}' in default of attr '{attr}' is an "
                         f"integer, which Rust does not accept for its type '{rust}'")
     assert [(d.code, d.message) for d in diags] == [("bad-integer", m) for m in expected]
+
+
+def test_a_literal_of_thousands_of_digits_is_out_of_range(tmp_path, capsys):
+    # `int` refuses a decimal string of over 4,300 digits; a hex one it reads
+    long, zeros = "9" * 5000, "0" * 5000
+    src = tmp_path / "l.cdl"
+    src.write_text(_PROVIDER + _directed(
+        f"tS {{ entry sA e; attr {{ int32_t x = {long}; uint64_t y = 0x{zeros}1; }}; }}")
+        + f"cell tS a {{ y = -{long}; }};\n")
+    assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}:3:34: error[bad-integer]: integer literal '{long}' in default of attr 'x' "
+        "is out of range for its type 'i32'",
+        f"{src}:4:13: error[bad-integer]: integer literal '-{long}' in initializer of 'y' "
+        "has a '-', which Rust does not accept for its unsigned type 'u64'"]
+    # the hex default is in range; a signed cell literal is checked for its range too
+    text = src.read_text().replace(f"x = {long}", "x = 1").replace(f"y = -{long}", f"x = -{long}")
+    assert [(d.code, d.message) for d in generate([("l.cdl", text)])[3]] == [(
+        "bad-integer", f"integer literal '-{long}' in initializer of 'x' is out of range for "
+        "its type 'i32'")]
