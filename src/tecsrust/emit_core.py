@@ -14,11 +14,12 @@ from enum import Enum
 from typing import Dict, List
 
 from . import naming
+from .diagnostics import Record, Value
 from .emit_rtos import (
-    KERNEL_PREAMBLE_LINES, config_groups, config_text, escape_percent, uses_kernel_wrappers,
+    ITRONRS_PLUGIN, KERNEL_PREAMBLE_LINES, config_groups, escape_percent, file_text,
 )
 from .linker import EmissionPlan, PlannedWrite, ResolvedCell, ResolvedModel
-from .model import CelltypeDef, ParamSpecifier, Record, SignatureDef, Value
+from .model import CelltypeDef, ParamSpecifier, SignatureDef
 
 INDENT = "  "
 
@@ -74,11 +75,6 @@ def outputs(plan: EmissionPlan, model: ResolvedModel) -> List[Output]:
     return files
 
 
-def _finish(lines: List[str]) -> str:
-    lines.append("")  # the last newline, without a second copy of the joined text
-    return "\n".join(lines)
-
-
 @functools.cache  # once per distinct parameter type; keyed by `_value_`: enums hash slowly in 3.11
 def _param_type(c_type: str, specifier: str) -> str:
     return naming.map_param_type(c_type, ParamSpecifier(specifier))
@@ -95,7 +91,7 @@ def emit_contract(sig: SignatureDef) -> GeneratedFile:
     """Render the public interface contract (trait) for a signature."""
     lines = [f"pub trait {naming.contract_name(sig.name)} {{",
              *(f"{INDENT}{_method_sig(fn)};" for fn in sig.functions), "}"]
-    return GeneratedFile(naming.file_name("contract", sig.name), _finish(lines),
+    return GeneratedFile(naming.file_name("contract", sig.name), file_text(lines),
                          WritePolicy.OVERWRITE)
 
 
@@ -142,7 +138,7 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
     generics = "<" + ", ".join(lifetime + type_params) + ">" if lifetime else ""
 
     lines: List[str] = []
-    if uses_kernel_wrappers(model, ct):
+    if model.plugin_by_celltype.get(ct.name) == ITRONRS_PLUGIN:  # the kernel wrapper types
         lines.extend(KERNEL_PREAMBLE_LINES)
     if ct.vars:
         lines.append("use spin::Mutex;")
@@ -199,18 +195,18 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
         block += [f"pub static %s: {entry_type} = {entry_type} {{", f"{INDENT}cell: &%s,", "};", ""]
     statics = "\n".join(block)
     ports = [p.port_name for p in ct.call_ports]
-    entries = [p.port_name for p in ct.entry_ports]
+    entries = len(ct.entry_ports)
     for rc in cells:
-        name = rc.cell.name
-        values = [naming.static_instance_name(name)]
+        names = naming.cell_statics(ct, rc.cell.name)  # record, entry ports', var record
+        values = names[:1]
         for rb in map(rc.bindings.__getitem__, ports):
             values.append(naming.static_entry_name(rb.target_entry.port_name,
                                                    rb.target_cell.cell.name))
         values += rc.attr_texts
         if ct.vars:
-            values += [naming.static_var_name(name)] * 2
-        for port in entries:
-            values += naming.static_entry_name(port, name), values[0]
+            values += [names[-1]] * 2
+        for entry in names[1:1 + entries]:
+            values += entry, names[0]
         lines.append(statics % tuple(values))
 
     impl_generics = "<" + ", ".join(lifetime + bounds) + ">" if lifetime else ""
@@ -226,7 +222,7 @@ def emit_definition(ct: CelltypeDef, cells: List[ResolvedCell],
     lines.append(f"{INDENT}}}")
     lines.append("}")
 
-    return GeneratedFile(naming.file_name("definition", ct.name), _finish(lines),
+    return GeneratedFile(naming.file_name("definition", ct.name), file_text(lines),
                          WritePolicy.OVERWRITE)
 
 
@@ -256,13 +252,14 @@ def emit_skeleton(ct: CelltypeDef, model: ResolvedModel) -> GeneratedFile:
             lines.append(f"{INDENT}}}")
         lines.append("}")
 
-    return GeneratedFile(naming.file_name("skeleton", ct.name), _finish(lines),
+    return GeneratedFile(naming.file_name("skeleton", ct.name), file_text(lines),
                          WritePolicy.SKIP_IF_EXISTS)
 
 
 def emit_config(writes: List[PlannedWrite]) -> GeneratedFile:
     """One factory config file: the lines of `writes`, which share a target, in plan order."""
-    return GeneratedFile(writes[0].target_file, config_text(writes), WritePolicy.OVERWRITE)
+    return GeneratedFile(writes[0].target_file, file_text([w.rendered_line for w in writes]),
+                         WritePolicy.OVERWRITE)
 
 
 def skeleton_lines(ct: CelltypeDef, model: ResolvedModel) -> int:

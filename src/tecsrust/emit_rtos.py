@@ -6,8 +6,6 @@ import re
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .model import CelltypeDef
-
 if TYPE_CHECKING:  # annotations only: linker imports this module
     from .linker import EmissionPlan, PlannedWrite, ResolvedModel
 
@@ -74,17 +72,14 @@ def config_groups(writes: List[PlannedWrite]) -> Dict[str, List[PlannedWrite]]:
     return grouped
 
 
-def config_text(writes: List[PlannedWrite]) -> str:
-    """A config file's content: the rendered line of each of `writes`, in order."""
-    lines = [w.rendered_line for w in writes]
-    lines.append("")  # the last newline, without a second copy of the joined text
+def file_text(lines: List[str]) -> str:
+    """A file's content: each of `lines` and a newline. The last newline is appended to
+    `lines`, so the joined text is not copied a second time."""
+    lines.append("")
     return "\n".join(lines)
 
 
 def config_files(writes: List[PlannedWrite]) -> Dict[str, str]:
     """Each target file's content, joined at once."""
-    return {target: config_text(ws) for target, ws in config_groups(writes).items()}
-
-
-def uses_kernel_wrappers(model: ResolvedModel, ct: CelltypeDef) -> bool:
-    return model.plugin_by_celltype.get(ct.name) == ITRONRS_PLUGIN
+    return {target: file_text([w.rendered_line for w in ws])
+            for target, ws in config_groups(writes).items()}

@@ -5,10 +5,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import naming
+from .diagnostics import Diagnostic, Record, error, has_errors, printable
 from .emit_rtos import MacroError, substitute_macros
+from .header_const import NOT_RAW
 from .model import (
-    AttrDecl, CdlUnit, CellDef, CelltypeDef, Diagnostic, FactoryScope, InitKind,
-    PortDecl, Record, SignatureDef, check_literal, error, has_errors, printable,
+    AttrDecl, CdlUnit, CellDef, CelltypeDef, FactoryScope, InitKind, PortDecl, SignatureDef,
+    check_literal,
 )
 
 _CLASH_CODES = {"file": "path-collision", "type": "duplicate-type", "static": "duplicate-static",
@@ -221,7 +223,7 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
         if len(name) < 2:
             diags.append(error("bad-name", f"{kind} name '{name}' too short", e.location))
         # '__' maps to ''; 'self' to module `self` and type `Self`, which `r#` cannot write
-        elif not mapped.isidentifier() or {mapped, naming.module_name(name)} & naming.NOT_RAW:
+        elif not mapped.isidentifier() or {mapped, naming.module_name(name)} & NOT_RAW:
             diags.append(error(
                 "bad-name", f"{kind} name '{name}' does not map to a Rust identifier", e.location))
     for kind, name, loc in _unwritable(generating, named, sig_index):
@@ -263,11 +265,7 @@ def _check_generating(generating, sig_index, cells_by_ct, owners, diags) -> None
             cell = rc.cell
             rc.attr_texts = tuple([_attr_text(ct, cell, a, defaults, pieces, diags)
                                    for a in visible])
-            keys = [naming.static_instance_name(cell.name)]
-            for port in ct.entry_ports:
-                keys.append(naming.static_entry_name(port.port_name, cell.name))
-            if ct.vars:
-                keys.append(naming.static_var_name(cell.name))
+            keys = naming.cell_statics(ct, cell.name)
             for static in keys:
                 if statics.setdefault(static, cell) is not cell or keys.count(static) > 1:
                     _claim({"static": statics}, cell, diags, static=keys)
@@ -306,7 +304,7 @@ def _named(generating, sig_index):
 
 def _unwritable(generating, named, sig_index):
     """(kind, name, location) of each emitted member whose Rust name `r#` cannot write."""
-    bad = naming.NOT_RAW
+    bad = NOT_RAW
     for ct in generating:
         yield from (("port", p.port_name, p.location) for p in ct.call_ports
                     if naming.snake_case(p.port_name) in bad)

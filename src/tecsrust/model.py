@@ -13,9 +13,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .diagnostics import (  # noqa: F401  (re-exported for `from tecsrust.model import`)
-    Diagnostic, Record, Severity, SourceLoc, Value, error, has_errors, printable, warning,
-)
+from .diagnostics import SourceLoc, Value, error, printable
+from .diagnostics import has_errors  # noqa: F401  (perfbench/trace_run.py reads it here)
 
 
 KNOWN_PLUGINS = ("RustGenPlugin", "ItronrsGenPlugin")
@@ -137,9 +136,9 @@ class CdlUnit(Value):
     _defaults = {"source_name": "<memory>", "signatures": (), "celltypes": (), "cells": ()}
 
 
-# Each C scalar type: its Rust type, then the values a field of it holds (`void` holds none).
-# rustc rejects an integer literal outside them (`overflowing_literals`, denied by default),
-# a '-' for an unsigned type (E0600), and any integer for a float (E0308, so None). Other type
+# Each C scalar type: its Rust type, then the integers a field of it holds. rustc rejects an
+# integer literal outside them (`overflowing_literals`, denied by default), a '-' for an
+# unsigned type (E0600), and any integer for a float or `()` (E0308, so None). Other type
 # names pass through `naming.map_base_type` verbatim, for an external binding layer to define.
 C_SCALARS = {
     "int8_t": ("i8", range(-1 << 7, 1 << 7)),
@@ -152,7 +151,7 @@ C_SCALARS = {
     "uint64_t": ("u64", range(1 << 64)),
     "float": ("f32", None),
     "double": ("f64", None),
-    "void": ("()",),
+    "void": ("()", None),
 }
 
 
@@ -179,8 +178,8 @@ def check_literal(init, node, where: str, diags, c_type: Optional[str] = None) -
                "has no digits" if digits.lower() == "0x" else "has a '0X' prefix, which Rust "
                "does not accept" if digits[:2] == "0X" else "has a leading zero (octal in C, "
                "decimal in Rust)" if digits[:1] == "0" and digits[1:].isdigit() else "")
-    if not problem and len(C_SCALARS.get(c_type, ())) == 2 and digits[:1].isdigit():
-        rust, holds = C_SCALARS[c_type]  # a type that holds values; `int` reads the form
+    if not problem and c_type in C_SCALARS and digits[:1].isdigit():
+        rust, holds = C_SCALARS[c_type]  # `int` reads the form
         too_long = len(digits) > 20 and digits[:2] != "0x"  # past 64 bits, or what `int` reads
         problem = ("is an integer, which Rust does not accept for its type" if holds is None
                    else "has a '-', which Rust does not accept for its unsigned type"

@@ -2,7 +2,7 @@
 
 All functions are pure and total: they never raise. The names and var types
 they cannot map well (signature and celltype names of one character or with no
-Rust identifier form, member names in NOT_RAW, unrecognized manglings) are
+Rust identifier form, member names in `header_const.NOT_RAW`, unrecognized manglings) are
 rejected with located diagnostics by `linker.resolve` before any emitter runs.
 """
 
@@ -10,21 +10,10 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Optional
+from typing import List, Optional
 
-from .model import C_SCALARS, ParamSpecifier
-
-
-RUST_KEYWORDS = frozenset("""as async await break const continue crate dyn else enum extern
-    false fn for if impl in let loop match mod move mut pub ref return self Self static struct
-    super trait true type unsafe use where while abstract become box do final macro override
-    priv try typeof unsized virtual yield""".split())
-NOT_RAW = frozenset({"self", "Self", "super", "crate", "_"})  # no Rust identifier spells these
-
-
-def rust_name(name: str) -> str:
-    """match -> r#match: a Rust 2021 strict or reserved keyword is written raw."""
-    return "r#" + name if name in RUST_KEYWORDS else name
+from .header_const import rust_name
+from .model import C_SCALARS, CelltypeDef, ParamSpecifier
 
 
 def _camel(name: str) -> str:
@@ -64,16 +53,16 @@ def entry_impl_name(entry_port: str, celltype: str) -> str:
     return _camel(entry_port) + "For" + record_name(celltype)
 
 
-def static_instance_name(cell_name: str) -> str:
-    return cell_name.upper()
-
-
-def static_var_name(cell_name: str) -> str:
-    return cell_name.upper() + "VAR"
-
-
 def static_entry_name(entry_port: str, cell_name: str) -> str:
     return entry_port.upper() + "FOR" + cell_name.upper()
+
+
+def cell_statics(ct: CelltypeDef, cell_name: str) -> List[str]:
+    """The statics `ct`'s definition declares for a cell: Sensor -> SENSOR (its record), then
+    ESENSORFORSENSOR per entry port, then SENSORVAR (its var record) if `ct` has vars."""
+    name = cell_name.upper()
+    return [name, *[static_entry_name(p.port_name, cell_name) for p in ct.entry_ports],
+            *[name + "VAR"] * bool(ct.vars)]
 
 
 _FILE_SUFFIX = {"contract": ".rs", "definition": ".rs", "skeleton": "_impl.rs"}

@@ -5,21 +5,32 @@ environment per attr text and per factory scope, kept as the reference.
 with `attr_text` and `render_factory` below in place of the linker's own, and
 requires the same attr texts, factory writes and diagnostics. `MacroEnv`,
 `substitute_macros`, `_fill`, `build_env`, `attr_text` and `render_factory` are
-the original code, unchanged but for their names and that a control character
+the original code, but for their names; that a control character
 (U+0000-U+001F, U+007F) in a rendered target is refused (`write-outside-out`), as
 `open()` cannot name a file with a NUL, and shown escaped, so the diagnostic stays
-one line.
+one line; and that it owns every helper it computes with, so that no edit to `src/`
+can change what it gives. So `MacroError` and `error` are its own copies, `attr_text`
+finds a cell's first initializer of an attr itself, not by `CellDef.init_for`, and
+`render_factory` gives each write as its target file and rendered line, in plan order,
+not as a `linker.PlannedWrite`: the celltype, cell and templates of a write are inputs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from tecsrust.emit_rtos import MacroError
-from tecsrust.linker import PlannedWrite
-from tecsrust.model import CellDef, CelltypeDef, FactoryScope, InitKind, error
+from tecsrust.diagnostics import Diagnostic, Severity, SourceLoc
+from tecsrust.model import CellDef, CelltypeDef, FactoryScope, InitKind
+
+
+class MacroError(ValueError):
+    """A `$macro$` hole that cannot be filled; reported as `unresolved-macro`."""
+
+
+def error(code: str, message: str, location: SourceLoc) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message, location)
 
 
 @dataclass(slots=True)
@@ -73,7 +84,8 @@ def build_env(ct: CelltypeDef, cell: Optional[CellDef]) -> MacroEnv:
 
 
 def attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
-    init = cell.init_for(attr.name) or attr.default
+    init = next((i.value for i in cell.attr_inits if i.attr_name == attr.name), None)
+    init = init or attr.default
     if init is None:
         diags.append(error(
             "uninitialized-attribute",
@@ -88,7 +100,7 @@ def attr_text(ct: CelltypeDef, cell: CellDef, attr, diags) -> str:
     return init.text
 
 
-def render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
+def render_factory(generating, cells, owners, diags) -> List[Tuple[str, str]]:
     def writes_of(ct, scope):
         return [w for block in ct.factory_blocks if block.scope is scope for w in block.writes]
 
@@ -97,7 +109,7 @@ def render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
               if (ws := writes_of(ct, FactoryScope.PER_CELLTYPE))]
     scopes += [(rc.celltype, rc.cell, per_cell[rc.celltype.name])
                for rc in cells if rc.celltype.name in per_cell]
-    rendered: List[PlannedWrite] = []
+    rendered: List[Tuple[str, str]] = []
     paths: Dict[str, str] = {}  # rendered target -> `target_file`
     files, dirs = set(owners["file"]), set()  # each output file, each target's parents
     pieces: Dict[str, List[str]] = {}  # template -> its split, for _fill
@@ -128,5 +140,5 @@ def render_factory(generating, cells, owners, diags) -> List[PlannedWrite]:
                                        f"'{both[0]}' as a file and as a directory", w.location))
                 files.add(path)
                 dirs.update(parents)
-            rendered.append(PlannedWrite(ct, cell, w.target_file, w.template, paths[target], line))
+            rendered.append((paths[target], line))
     return rendered

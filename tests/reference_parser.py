@@ -6,7 +6,10 @@ give the same unit, the same diagnostics in the same order and the same
 tokenizer. `_Parser` and `parse_unit` are the original code, unchanged
 except that `parse_unit` tokenizes with `reference_tokenizer.tokenize`, and
 that modifiers before a `var`, `factory` or `FACTORY` block are a
-`misplaced-modifier`, as they always were before an `attr` block.
+`misplaced-modifier`, as they always were before an `attr` block. It builds
+diagnostics with the reference tokenizer's `error` and tests them with its own
+`has_errors`, copies of the `diagnostics` functions as they were when it was
+frozen, so that no edit to `src/` can change what it gives.
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from reference_tokenizer import Token, tokenize
+from reference_tokenizer import Token, error, tokenize
+from tecsrust.diagnostics import Diagnostic, Severity, SourceLoc
 from tecsrust.model import (
-    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, Diagnostic,
-    FactoryBlock, FactoryScope, FactoryWrite, FunctionDecl, InitKind,
-    Initializer, ParamDecl, ParamSpecifier, PluginDirective, PortDecl,
-    PortDirection, SignatureDef, SourceLoc, VarDecl, error, has_errors,
+    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, CelltypeDef, FactoryBlock, FactoryScope,
+    FactoryWrite, FunctionDecl, InitKind, Initializer, ParamDecl, ParamSpecifier,
+    PluginDirective, PortDecl, PortDirection, SignatureDef, VarDecl,
 )
+
+
+def has_errors(diags) -> bool:
+    return any(d.severity is Severity.ERROR for d in diags)
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 `test_tokenizer_differential.py` requires the production tokenizer to
 yield the same tokens, locations and diagnostics as this one on every
-input. The function body is the original, unchanged.
+input. The function body is the original. `KEYWORDS` and `error` are copies
+of `frontend.KEYWORDS` and `diagnostics.error` as they were when it was
+frozen: a reference that shares a helper with the code under test cannot
+catch a fault in that helper, so this one owns them.
 """
 
 from __future__ import annotations
@@ -10,10 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from tecsrust.frontend import KEYWORDS
-from tecsrust.model import Diagnostic, SourceLoc, error
+from tecsrust.diagnostics import Diagnostic, Severity, SourceLoc
 
+KEYWORDS = {
+    "signature", "celltype", "cell", "call", "entry", "attr", "var",
+    "factory", "FACTORY", "generate", "C_EXP", "write",
+}
 PUNCT = set("{}()[];,=*.")
+
+
+def error(code: str, message: str, location: SourceLoc) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message, location)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,22 @@ first, kept as the reference.
 `test_validate_differential.py` requires `tecsrust.model.validate_unit` to give the
 same diagnostics (code, message, location and order) as `validate_unit` below.
 `_dupes`, `_balanced_holes`, `_check_literal`, `_check_directive` and `validate_unit`
-are the original code, unchanged.
+are the original code, but that `validate_unit` reads a celltype's ports as its call
+ports then its entry ports, not through `CelltypeDef.ports`. `KNOWN_PLUGINS` and `error`
+are copies of the `model` and `diagnostics` names as they were when it was frozen: a
+reference that shares a helper with the code under test cannot catch a fault in it.
 """
 
 from __future__ import annotations
 
-from tecsrust.model import KNOWN_PLUGINS, CdlUnit, InitKind, ParamSpecifier, error
+from tecsrust.diagnostics import Diagnostic, Severity, SourceLoc
+from tecsrust.model import CdlUnit, InitKind, ParamSpecifier
+
+KNOWN_PLUGINS = ("RustGenPlugin", "ItronrsGenPlugin")
+
+
+def error(code: str, message: str, location: SourceLoc) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message, location)
 
 
 def _dupes(names):
@@ -75,7 +85,8 @@ def validate_unit(unit: CdlUnit) -> list:
                         p.location))
 
     for ct in unit.celltypes:
-        for code, noun, names in (("duplicate-port", "port", [p.port_name for p in ct.ports]),
+        ports = ct.call_ports + ct.entry_ports
+        for code, noun, names in (("duplicate-port", "port", [p.port_name for p in ports]),
                                   ("duplicate-attr", "attr", [a.name for a in ct.attrs]),
                                   ("duplicate-var", "var", [v.name for v in ct.vars])):
             diags += [error(code, f"{noun} '{n}' declared more than once in celltype "

@@ -19,10 +19,10 @@ from tecsrust import naming
 from tecsrust.cli import (
     EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE, emit_diagram, generate, report, run, write_files,
 )
+from tecsrust.diagnostics import Severity
 from tecsrust.emit_core import GeneratedFile, WritePolicy
 from tecsrust.frontend import KEYWORDS, parse_unit
 from tecsrust.linker import resolve
-from tecsrust.model import Severity
 from test_parser_differential import mutants
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -512,6 +512,17 @@ def test_bindgen_lite_subcommand(tmp_path, capsys):
     header = str(GOLDENS / "kernel_cfg.h")
     assert run(["bindgen-lite", header, "-o", str(out)]) == EXIT_OK
     assert out.read_text() == golden("kernel_cfg.rs")
+
+
+def test_bindgen_lite_writes_a_keyword_raw_and_skips_self_with_one_located_line(tmp_path,
+                                                                              capsys):
+    header, out = tmp_path / "k.h", tmp_path / "k.rs"
+    header.write_text("#define type 1\n#define self 2\n")
+    assert run(["bindgen-lite", str(header), "-o", str(out)]) == EXIT_OK
+    assert out.read_text() == "pub const r#type: i32 = 1;\n"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{header}:2:1: warning[keyword-define]: skipped #define self: 'self' cannot name a "
+        "Rust constant, even as 'r#self'"]
 
 
 def test_bindgen_lite_usage_error_and_help_are_returned_codes(capsys):

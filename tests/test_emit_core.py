@@ -12,7 +12,7 @@ from conftest import golden
 from records import replace
 from rustc_check import rustc_check, rustc_check_tree
 from strategies import cdl_units
-from tecsrust import emit_core, emit_rtos
+from tecsrust import emit_core, emit_rtos, naming
 from tecsrust.cli import generate
 from tecsrust.emit_core import WritePolicy, emit_contract, emit_skeleton, skeleton_lines
 from tecsrust.frontend import parse_unit
@@ -177,7 +177,28 @@ def test_definitions_match_the_line_by_line_reference(unit):
     for ct in plan_emission(model).definition_cts:
         cells = model.cells_of(ct.name)
         got = emit_core.emit_definition(ct, cells, model)
-        assert got == reference_definition.emit_definition(ct, cells, model)
+        assert (got.path, got.content) == reference_definition.emit_definition(ct, cells, model)
+
+
+@pytest.mark.parametrize("name", ["app_16k", "rtos_tasks"])
+def test_the_statics_the_linker_claims_are_the_statics_the_definitions_declare(name,
+                                                                               monkeypatch):
+    # `duplicate-static` is checked over the names `naming.cell_statics` gives `resolve`;
+    # the definitions must declare exactly those, each once
+    claimed = []
+
+    def recorded(ct, cell_name, rule=naming.cell_statics):
+        names = rule(ct, cell_name)
+        claimed.extend(names)
+        return names
+
+    with monkeypatch.context() as patch:
+        patch.setattr(naming, "cell_statics", recorded)
+        files, _, _, diags = generate(list(workloads.build(name, 1, 0.002).sources.items()))
+    assert not diags and claimed  # `generate` renders nothing: these are `resolve`'s names
+    declared = [static for f in files if f.emit is emit_core.emit_definition
+                for static in re.findall(r"^pub static (\w+):", f.content, re.MULTILINE)]
+    assert sorted(declared) == sorted(claimed) and len(set(claimed)) == len(claimed)
 
 
 def test_format_characters_in_a_var_default_and_attr_texts_are_verbatim():
@@ -199,7 +220,8 @@ cell tX X2 { cA = P1.eA; k = C_EXP("%d % $cell$"); };
     assert not diags
     ct = model.celltype_index["tX"]
     got = emit_core.emit_definition(ct, model.cells_of("tX"), model)
-    assert got == reference_definition.emit_definition(ct, model.cells_of("tX"), model)
+    assert (got.path, got.content) == reference_definition.emit_definition(
+        ct, model.cells_of("tX"), model)
     assert got.content.count("  n: a % b,\n") == 2
     assert "  k: K %s %% {},\n" in got.content and "  k: %d % X2,\n" in got.content
 

@@ -3,9 +3,10 @@
 
 `reference_factory` builds a macro environment for every attr text that holds
 a hole and for every factory scope, and fills every template in every scope.
-`linker.resolve` must give the same attr texts, the same factory writes in the
-same order, and the same diagnostics (text, location and order) as `resolve`
-with the reference's `attr_text` and `render_factory` in place of its own.
+`linker.resolve` must give the same attr texts, the same factory writes (each
+write's target file and rendered line) in the same order, and the same
+diagnostics (text, location and order) as `resolve` with the reference's
+`attr_text` and `render_factory` in place of its own.
 
 Each mutant redraws the golden's factory targets and line templates, its attr
 defaults and its cells' initializers from pools that reach every rule:
@@ -17,6 +18,7 @@ second celltype whose `$ct$` targets must not share the first one's fills.
 """
 
 import random
+from operator import attrgetter
 
 import reference_factory
 from records import replace
@@ -116,12 +118,11 @@ def spell_cell(unit):
                                     for i in c.attr_inits)) for c in unit.cells))
 
 
-def outcome(unit):
+def outcome(unit, write=attrgetter("target_file", "rendered_line")):
+    """Diagnostics, each factory write as `write` gives its target file and rendered line,
+    and each cell's attr texts."""
     model, diags = linker.resolve([unit])
-    return ([str(d) for d in diags],
-            model and [(w.celltype.name, w.cell and w.cell.name, w.target_template,
-                        w.line_template, w.target_file, w.rendered_line)
-                       for w in model.config_writes],
+    return ([str(d) for d in diags], model and list(map(write, model.config_writes)),
             model and [(rc.cell.name, rc.attr_texts) for rc in model.cells])
 
 
@@ -133,7 +134,7 @@ def reference_outcome(unit, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(linker, "_attr_text", reference_attr_text)
         patch.setattr(linker, "_render_factory", reference_factory.render_factory)
-        return outcome(unit)
+        return outcome(unit, tuple)  # the reference gives each write as a pair
 
 
 def test_resolve_matches_the_reference_on_kernel_mutants(monkeypatch):

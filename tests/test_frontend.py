@@ -15,7 +15,8 @@ from strategies import cdl_units
 from tecsrust.frontend import (
     CELL, EOF, SIGNATURE, LineIndex, parse_unit, tokenize,
 )
-from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, Severity, SourceLoc, validate_unit
+from tecsrust.diagnostics import Severity, SourceLoc
+from tecsrust.model import CdlUnit, InitKind, ParamSpecifier, validate_unit
 
 from test_model import SIG_TEXT
 

@@ -134,3 +134,23 @@ def test_values_outside_i32_are_skipped_with_a_located_warning():
     assert [d.code for d in diags] == ["constant-out-of-range"] * 3
     assert [str(d.location) for d in diags] == ["k.h:2:1", "k.h:3:1", "k.h:5:1"]
     assert all(d.severity.value == "warning" for d in diags)
+
+
+# Rust 2021's strict and reserved keywords, and `_`; no `r#` spells the last five
+KEYWORDS = """as async await break const continue dyn else enum extern false fn for if impl in
+    let loop match mod move mut pub ref return static struct trait true type unsafe use where
+    while abstract become box do final macro override priv try typeof unsized virtual yield
+    self Self super crate _""".split()
+
+
+def test_a_keyword_is_written_raw_or_skipped_with_a_located_warning(tmp_path):
+    # `pub const type: i32 = 1;` does not parse; `r#type` names the constant
+    text = "".join(f"#define {name} {i}\n" for i, name in enumerate(KEYWORDS))
+    out, diags = convert_defines(text, "k.h")
+    assert out == "".join(f"pub const r#{name}: i32 = {i};\n"
+                          for i, name in enumerate(KEYWORDS[:-5]))
+    assert [str(d) for d in diags] == [
+        f"k.h:{i + 1}:1: warning[keyword-define]: skipped #define {name}: '{name}' cannot "
+        f"name a Rust constant, even as 'r#{name}'"
+        for i, name in enumerate(KEYWORDS) if i >= len(KEYWORDS) - 5]
+    rustc_check(out, tmp_path)

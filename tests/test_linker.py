@@ -8,10 +8,11 @@ from rustc_check import rustc_check_tree
 from strategies import brute_force_counts, cdl_units, colliding_units, non_generating_bindings
 from tecsrust import linker, naming
 from tecsrust.cli import EXIT_DIAGNOSTICS, generate, run
+from tecsrust.diagnostics import Severity
 from tecsrust.emit_core import emit_definition
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import plan_emission, resolve
-from tecsrust.model import CdlUnit, Severity
+from tecsrust.model import CdlUnit
 
 
 def _units(text, name="test.cdl"):
@@ -614,8 +615,8 @@ def test_outputs_have_distinct_paths_and_rust_names_or_a_located_error(unit):
 
 # rustc rejects each of these literals for its attr's type: out of range for `i8`
 # (`overflowing_literals`, denied by default), a '-' for `u8` (E0600), out of range for
-# `i32`, and an integer for `f64` (E0308). `[omit]` attrs are no field, and an identifier
-# is no literal: neither is checked.
+# `i32`, and an integer for `f64` or `()` (E0308). `[omit]` attrs are no field, and an
+# identifier is no literal: neither is checked.
 _SCALAR_ATTRS = """tS { entry sA e; attr {
   int8_t x = 300;
   uint8_t y = -1;
@@ -623,6 +624,7 @@ _SCALAR_ATTRS = """tS { entry sA e; attr {
   double k = 5;
   [omit] int8_t o = 999;
   int8_t w = LIMIT;
+  void v = 7;
 }; }"""
 
 
@@ -631,7 +633,7 @@ def test_an_integer_literal_its_rust_type_does_not_hold_is_a_bad_integer(tmp_pat
     # literal is reported at its initializer, cell by cell in attr order
     src = tmp_path / "s.cdl"
     src.write_text(_PROVIDER + _directed(_SCALAR_ATTRS) + "cell tS a { x = -129; };\n"
-                   "cell tS b { w = 128; k = 1; o = 1000; };\ncell tS c {};\n")
+                   "cell tS b { w = 128; k = 1; o = 1000; v = 2; };\ncell tS c {};\n")
     assert run([str(src), "--out", str(tmp_path / "gen")]) == EXIT_DIAGNOSTICS
     lines = [(where, f"integer literal '{text}' in {what} {problem}") for where, text, what,
              problem in [
@@ -641,10 +643,14 @@ def test_an_integer_literal_its_rust_type_does_not_hold_is_a_bad_integer(tmp_pat
                  ("6:3", "0xFFFFFFFFF", "default of attr 'z'", "is out of range for its type 'i32'"),
                  ("7:3", "5", "default of attr 'k'",
                   "is an integer, which Rust does not accept for its type 'f64'"),
-                 ("11:13", "-129", "initializer of 'x'", "is out of range for its type 'i8'"),
-                 ("12:22", "1", "initializer of 'k'",
+                 ("10:3", "7", "default of attr 'v'",
+                  "is an integer, which Rust does not accept for its type '()'"),
+                 ("12:13", "-129", "initializer of 'x'", "is out of range for its type 'i8'"),
+                 ("13:22", "1", "initializer of 'k'",
                   "is an integer, which Rust does not accept for its type 'f64'"),
-                 ("12:13", "128", "initializer of 'w'", "is out of range for its type 'i8'")]]
+                 ("13:13", "128", "initializer of 'w'", "is out of range for its type 'i8'"),
+                 ("13:39", "2", "initializer of 'v'",
+                  "is an integer, which Rust does not accept for its type '()'")]]
     assert capsys.readouterr().err.splitlines() == [
         f"{src}:{where}: error[bad-integer]: {message}" for where, message in lines]
     assert list(tmp_path.iterdir()) == [src]
@@ -653,13 +659,14 @@ def test_an_integer_literal_its_rust_type_does_not_hold_is_a_bad_integer(tmp_pat
 def test_integer_literals_at_their_types_bounds_build(tmp_path):
     text = (_PROVIDER + _directed(
         'tS { entry sA e; attr { int8_t lo = -128; uint8_t hi = 255; int32_t top = 0x7FFFFFFF; '
-        'int32_t bottom = -2147483648; double k = C_EXP("5.0"); [omit] uint8_t o = -1; }; }')
-        + "cell tS a {};\ncell tS b { lo = 127; hi = 0; top = -0x80000000; bottom = 0; };\n")
+        'int32_t bottom = -2147483648; double k = C_EXP("5.0"); [omit] uint8_t o = -1; '
+        'void v = C_EXP("()"); [omit] void u = 1; }; }')
+        + "cell tS a {};\ncell tS b { lo = 127; hi = 0; top = -0x80000000; bottom = 0; u = 2; };\n")
     files, _, _, diags = generate([("b.cdl", text)])
     assert diags == []
     definition = next(f.content for f in files if f.path == "t_s.rs")
-    assert "  lo: -128,\n  hi: 255,\n  top: 0x7FFFFFFF,\n  bottom: -2147483648,\n  k: 5.0," \
-        in definition
+    assert "  lo: -128,\n  hi: 255,\n  top: 0x7FFFFFFF,\n  bottom: -2147483648,\n  k: 5.0,\n" \
+        "  v: ()," in definition
     rustc_check_tree({f.path: f.content for f in files}, tmp_path)
 
 

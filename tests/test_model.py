@@ -13,11 +13,11 @@ from tecsrust.frontend import LineIndex, ParseResult, parse_unit
 from tecsrust.linker import (
     EmissionPlan, GenerationReport, PlannedWrite, ResolvedBinding, ResolvedCell, ResolvedModel,
 )
+from tecsrust.diagnostics import Diagnostic, Record, Severity, SourceLoc, has_errors
 from tecsrust.model import (
-    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, Diagnostic, FactoryBlock, FactoryWrite,
-    FunctionDecl, Initializer, ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection,
-    CelltypeDef, Record, SignatureDef, Severity, SourceLoc, VarDecl,
-    has_errors, validate_unit,
+    AttrDecl, AttrInit, Binding, CdlUnit, CellDef, FactoryBlock, FactoryWrite, FunctionDecl,
+    Initializer, ParamDecl, ParamSpecifier, PluginDirective, PortDecl, PortDirection,
+    CelltypeDef, SignatureDef, VarDecl, validate_unit,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

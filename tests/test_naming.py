@@ -4,7 +4,10 @@ from tecsrust import naming
 from tecsrust.emit_core import emit_contract
 from tecsrust.frontend import parse_unit
 from tecsrust.linker import resolve
-from tecsrust.model import FunctionDecl, ParamDecl, ParamSpecifier, SignatureDef
+from tecsrust.model import (
+    CelltypeDef, FunctionDecl, ParamDecl, ParamSpecifier, PortDecl, PortDirection, SignatureDef,
+    VarDecl,
+)
 
 
 def _resolve_diags(text):
@@ -60,27 +63,33 @@ def test_entry_impl_name(entry, ct, expected):
     assert naming.entry_impl_name(entry, ct) == expected
 
 
+def _celltype(*entries, vars_=True):
+    return CelltypeDef("tX", (), tuple(PortDecl(PortDirection.ENTRY, "sX", e) for e in entries),
+                       vars=(VarDecl("n", "int32_t"),) * vars_)
+
+
 def test_static_names_sensor():
-    assert naming.static_instance_name("Sensor") == "SENSOR"
-    assert naming.static_var_name("Sensor") == "SENSORVAR"
+    assert naming.cell_statics(_celltype("eSensor"), "Sensor") == [
+        "SENSOR", "ESENSORFORSENSOR", "SENSORVAR"]
     assert naming.static_entry_name("eSensor", "Sensor") == "ESENSORFORSENSOR"
 
 
 def test_static_names_powerdown():
-    assert naming.static_instance_name("Powerdown") == "POWERDOWN"
-    assert naming.static_var_name("Powerdown") == "POWERDOWNVAR"
-    assert naming.static_entry_name("ePowerdown2", "Powerdown") == \
-        "EPOWERDOWN2FORPOWERDOWN"
+    # the record, each entry port in declaration order, then the var record
+    assert naming.cell_statics(_celltype("ePowerdown2", "eAlso"), "Powerdown") == [
+        "POWERDOWN", "EPOWERDOWN2FORPOWERDOWN", "EALSOFORPOWERDOWN", "POWERDOWNVAR"]
+    assert naming.cell_statics(_celltype("ePowerdown2", vars_=False), "Powerdown") == [
+        "POWERDOWN", "EPOWERDOWN2FORPOWERDOWN"]
 
 
 def test_static_names_no_entries():
     # a cell without entry ports still owes its instance and var statics
-    assert naming.static_instance_name("X2go") == "X2GO"
-    assert naming.static_var_name("X2go") == "X2GOVAR"
+    assert naming.cell_statics(_celltype(), "X2go") == ["X2GO", "X2GOVAR"]
+    assert naming.cell_statics(_celltype(vars_=False), "X2go") == ["X2GO"]
 
 
 def test_static_names_keep_underscores():
-    assert naming.static_instance_name("Sensor_2") == "SENSOR_2"
+    assert naming.cell_statics(_celltype(vars_=False), "Sensor_2") == ["SENSOR_2"]
 
 
 @pytest.mark.parametrize("kind,name,expected", [
@@ -142,8 +151,8 @@ def test_snake_case_is_idempotent():
 
 
 def test_uppercase_is_idempotent():
-    name = naming.static_instance_name("Sensor_2")
-    assert naming.static_instance_name(name) == name
+    [name] = naming.cell_statics(_celltype(vars_=False), "Sensor_2")
+    assert naming.cell_statics(_celltype(vars_=False), name) == [name]
 
 
 def test_entry_impl_names_are_injective_on_corpus():
